@@ -69,6 +69,7 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 
 from repro.contingency.complete import complete_quad
 from repro.core.threeway import complete_threeway
+from repro.scoring.bounds import PRUNE_SLACK
 
 #: Default cap on materialized table cells per chunk (per class), in cells.
 DEFAULT_MAX_CHUNK_CELLS = 32 * 1024 * 1024
@@ -296,8 +297,6 @@ def score_round(
 
     n_pruned = 0
     if bound_kernel is not None and prune_threshold is not None:
-        from repro.scoring.bounds import PRUNE_SLACK
-
         threshold = float(prune_threshold())
         if np.isfinite(threshold):
             bounds = bound_kernel.quad_bounds(
@@ -315,8 +314,6 @@ def score_round(
                     y_pos = y_pos[keep]
                     z_pos = z_pos[keep]
                     n_valid = int(w_pos.size)
-                    mask = np.zeros_like(mask)
-                    mask[w_pos, x_pos, y_pos, z_pos] = True
                 if n_valid == 0:
                     return scores, RoundScoreStats(
                         positions=b**4, valid=0, chunks=0,
@@ -327,9 +324,20 @@ def score_round(
     full3, requests, computed, hits = _full3_tables(
         operands, pairs, full3_provider
     )
+    # Flat row views: one gather per operand with one flat index per
+    # position (``w*B^3 + x*B^2 + y*B + z`` into ``B^4`` rows, ``a*B^2 +
+    # b*B + c`` into a triplet's ``B^3`` rows).
+    corner4 = [operands.corner4[cls].reshape(-1, 2, 2, 2, 2) for cls in (0, 1)]
     f_wxy, f_wxz, f_wyz, f_xyz = (
-        full3["wxy"], full3["wxz"], full3["wyz"], full3["xyz"]
+        [table.reshape(-1, 3, 3, 3) for table in full3[role]]
+        for role in ("wxy", "wxz", "wyz", "xyz")
     )
+    wx = w_pos * b + x_pos
+    rows_wxy = wx * b + y_pos
+    rows_wxz = wx * b + z_pos
+    rows_wyz = (w_pos * b + y_pos) * b + z_pos
+    rows_xyz = (x_pos * b + y_pos) * b + z_pos
+    rows4 = rows_wxy * b + z_pos
 
     chunk = max(1, max_chunk_cells // 81)
     flat_scores = np.empty(n_valid, dtype=np.float64)
@@ -337,17 +345,14 @@ def score_round(
     for v0 in range(0, n_valid, chunk):
         v1 = min(v0 + chunk, n_valid)
         n_chunks += 1
-        w = w_pos[v0:v1]
-        x = x_pos[v0:v1]
-        y = y_pos[v0:v1]
-        z = z_pos[v0:v1]
+        part = slice(v0, v1)
         tables = [
             complete_quad(
-                operands.corner4[cls][w, x, y, z],   # (V, 2, 2, 2, 2)
-                f_wxy[cls][w, x, y],                 # (V, 3, 3, 3)
-                f_wxz[cls][w, x, z],
-                f_wyz[cls][w, y, z],
-                f_xyz[cls][x, y, z],
+                np.take(corner4[cls], rows4[part], axis=0),   # (V, 2, 2, 2, 2)
+                np.take(f_wxy[cls], rows_wxy[part], axis=0),  # (V, 3, 3, 3)
+                np.take(f_wxz[cls], rows_wxz[part], axis=0),
+                np.take(f_wyz[cls], rows_wyz[part], axis=0),
+                np.take(f_xyz[cls], rows_xyz[part], axis=0),
             )
             for cls in (0, 1)
         ]
@@ -358,7 +363,7 @@ def score_round(
             )
         else:
             flat_scores[v0:v1] = score_min_fn(tables[0], tables[1], order=4)
-    scores[mask] = flat_scores
+    scores.reshape(-1)[rows4] = flat_scores
     return scores, RoundScoreStats(
         positions=b**4,
         valid=n_valid,

@@ -32,7 +32,7 @@ from repro.core.operand_cache import OperandCache
 from repro.core.pairwise import pairw_pop
 from repro.core.selfcheck import direct_round_operands
 from repro.datasets import encode_dataset, generate_random_dataset
-from repro.scoring import K2Score
+from repro.scoring import K2BoundKernel, K2Score
 from repro.scoring.base import normalized_for_minimization
 
 
@@ -109,6 +109,63 @@ class TestFusedDenseBitIdentity:
         assert stats.chunks == math.ceil(
             stats.valid / max(1, chunk_cells // 81)
         )
+
+    @pytest.mark.parametrize("chunk_cells", [None, 1, 82, 81 * 7, 82 * 81])
+    def test_chunk_size_neutral_with_pruning(self, env, chunk_cells):
+        # The gate runs before chunking: at a finite threshold, which
+        # positions survive and what they score must not depend on the
+        # chunk size (the default, or 1, 1, 7 and 82 positions per chunk).
+        _, enc, pairs, score_min, staged = env
+        kernel = K2BoundKernel(staged.table, enc.n_controls, enc.n_cases)
+        operands = direct_round_operands(enc, (0, 4, 8, 12), 4)
+        exhaustive, _ = score_round(operands, pairs, score_min, enc.n_real_snps)
+        threshold = float(np.median(exhaustive[np.isfinite(exhaustive)]))
+        pruned_kwargs = {
+            "staged_kernel": staged,
+            "bound_kernel": kernel,
+            "prune_threshold": lambda: threshold,
+        }
+        ref, ref_stats = score_round(
+            operands, pairs, score_min, enc.n_real_snps, **pruned_kwargs
+        )
+        chunk_kwargs = {} if chunk_cells is None else {"max_chunk_cells": chunk_cells}
+        got, stats = score_round(
+            operands, pairs, score_min, enc.n_real_snps,
+            **pruned_kwargs, **chunk_kwargs,
+        )
+        np.testing.assert_array_equal(ref, got)
+        assert (stats.valid, stats.pruned) == (ref_stats.valid, ref_stats.pruned)
+        assert 0 < stats.pruned < stats.valid + stats.pruned
+        if chunk_cells is not None:
+            assert stats.chunks == math.ceil(
+                stats.valid / max(1, chunk_cells // 81)
+            )
+        # Survivors keep their exhaustive scores; pruned positions are +inf.
+        kept = np.isfinite(got)
+        np.testing.assert_array_equal(got[kept], exhaustive[kept])
+        assert int(kept.sum()) == stats.valid
+
+    def test_every_position_pruned(self, env):
+        # A threshold below every bound prunes the whole round: an all-inf
+        # grid, no chunk and no full3 request.
+        _, enc, pairs, score_min, staged = env
+        kernel = K2BoundKernel(staged.table, enc.n_controls, enc.n_cases)
+        operands = direct_round_operands(enc, (0, 4, 8, 12), 4)
+        mask = round_validity_mask((0, 4, 8, 12), 4, enc.n_real_snps)
+        for chunk_cells in (1, 82 * 81):
+            grid, stats = score_round(
+                operands, pairs, score_min, enc.n_real_snps,
+                max_chunk_cells=chunk_cells,
+                staged_kernel=staged,
+                bound_kernel=kernel,
+                prune_threshold=lambda: -1.0,
+            )
+            assert np.isinf(grid).all()
+            assert stats == RoundScoreStats(
+                positions=4**4, valid=0, chunks=0,
+                full3_requests=0, full3_computed=0, full3_cache_hits=0,
+                pruned=int(mask.sum()),
+            )
 
     def test_provider_neutral(self, env):
         # A cache-backed full3 provider changes which completions execute,

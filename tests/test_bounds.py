@@ -12,21 +12,28 @@ performance question.  This file locks in:
    (``None`` / ``-inf``) rather than emit a bound that could mis-prune.
 3. **Identities** — the ``log(n + 1)`` remainder trick and the per-cell
    minorant the proofs rest on.
+4. **Bit-identity with the fancy-index formulation** — the flat-gather
+   ``quad_bounds`` and the masked ``round_bound`` return exactly the
+   values of the 4-index gather / full-grid reference kept here as an
+   oracle, on direct and engine-produced operands and both corner dtypes.
 """
 
 from __future__ import annotations
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
+import repro.core.search as search_module
 from repro.core.apply_score import (
     RoundOperands,
     apply_score_dense,
     round_validity_mask,
 )
 from repro.core.pairwise import pairw_pop
+from repro.core.search import Epi4TensorSearch, SearchConfig
 from repro.core.selfcheck import direct_round_operands
 from repro.datasets import encode_dataset, generate_random_dataset
 from repro.scoring import K2Score, PRUNE_SLACK, K2BoundKernel
@@ -62,6 +69,129 @@ def _setup(n_snps=18, n_samples=112, block_size=4, seed=11):
 @pytest.fixture(scope="module")
 def env():
     return _setup()
+
+
+def _reference_gather_48(kernel, operands, w, x, y, z):
+    """Oracle: per class, the ``(V, 48)`` known-cell counts by 4-index
+    fancy indexing into ``(B, B, B, B, 2, 2, 2, 2)``, fibers by
+    ``sum(axis=k)`` and one ``np.concatenate``, plus the ``(V,)``
+    remainders; ``None`` on implausible counts."""
+    per_class = []
+    for cls, n_class in ((0, kernel.n_controls), (1, kernel.n_cases)):
+        c4 = np.asarray(operands.corner4[cls][w, x, y, z], dtype=np.int64)
+        n = c4.shape[0]
+        fibers = (
+            operands.corner3_xyz[cls][x, y, z] - c4.sum(axis=1),  # g_w=2
+            operands.corner3_wyz[cls][w, y, z] - c4.sum(axis=2),  # g_x=2
+            operands.corner3_wxz[cls][w, x, z] - c4.sum(axis=3),  # g_y=2
+            operands.corner3_wxy[cls][w, x, y] - c4.sum(axis=4),  # g_z=2
+        )
+        cells = np.concatenate(
+            [c4.reshape(n, 16)]
+            + [np.asarray(f, dtype=np.int64).reshape(n, 8) for f in fibers],
+            axis=1,
+        )
+        rest = n_class - cells.sum(axis=1)
+        if cells.size and (int(cells.min()) < 0 or int(rest.min()) < 0):
+            return None
+        per_class.append((cells, rest))
+    (cells0, rest0), (cells1, rest1) = per_class
+    if cells0.size and int((cells0 + cells1).max()) > kernel.max_total:
+        return None
+    return cells0, rest0, cells1, rest1
+
+
+def _reference_quad_bounds(kernel, operands, w, x, y, z):
+    gathered = _reference_gather_48(kernel, operands, w, x, y, z)
+    if gathered is None:
+        return None
+    cells0, rest0, cells1, rest1 = gathered
+    return (
+        kernel._cell_terms(cells0, cells1).sum(axis=1)
+        + kernel._log1(rest0)
+        + kernel._log1(rest1)
+    )
+
+
+def _reference_round_bound(kernel, corner4, mask):
+    """Oracle: 16-corner bounds over the whole ``(B, B, B, B)`` grid, then
+    the masked minimum."""
+    per_class = []
+    for cls, n_class in ((0, kernel.n_controls), (1, kernel.n_cases)):
+        c4 = np.asarray(corner4[cls], dtype=np.int64)
+        b = c4.shape[0]
+        cells = c4.reshape(b, b, b, b, 16)
+        rest = n_class - cells.sum(axis=-1)
+        if cells.size and (int(cells.min()) < 0 or int(rest.min()) < 0):
+            return -math.inf
+        per_class.append((cells, rest))
+    (cells0, rest0), (cells1, rest1) = per_class
+    if cells0.size and int((cells0 + cells1).max()) > kernel.max_total:
+        return -math.inf
+    grid = (
+        kernel._cell_terms(cells0, cells1).sum(axis=-1)
+        + kernel._log1(rest0)
+        + kernel._log1(rest1)
+    )
+    masked = grid[mask]
+    if masked.size == 0:
+        return math.inf
+    return float(masked.min())
+
+
+def _with_corner_dtype(operands, dtype):
+    def cast(pair):
+        return tuple(np.asarray(c, dtype=dtype) for c in pair)
+
+    return replace(
+        operands,
+        corner4=cast(operands.corner4),
+        corner3_wxy=cast(operands.corner3_wxy),
+        corner3_wxz=cast(operands.corner3_wxz),
+        corner3_wyz=cast(operands.corner3_wyz),
+        corner3_xyz=cast(operands.corner3_xyz),
+    )
+
+
+def _assert_matches_oracle(kernel, operands, n_real_snps):
+    mask = round_validity_mask(
+        operands.offsets, operands.block_size, n_real_snps
+    )
+    w, x, y, z = np.nonzero(mask)
+    got = kernel.quad_bounds(operands, w, x, y, z)
+    assert got is not None
+    assert np.array_equal(got, _reference_quad_bounds(kernel, operands, w, x, y, z))
+    assert kernel.round_bound(operands.corner4, mask) == _reference_round_bound(
+        kernel, operands.corner4, mask
+    )
+
+
+@pytest.fixture(scope="module")
+def env8():
+    """Block size 8 over 36 SNPs (padded to 40)."""
+    return _setup(n_snps=36, n_samples=112, block_size=8, seed=5)
+
+
+@pytest.fixture(scope="module")
+def engine_rounds():
+    """Every round's operands from a real pruned ``search.run()``: engine
+    corners (int64 ``corner4``, int32 ``corner3``) and ``corner3`` slices
+    of wider sweeps, most of them non-contiguous."""
+    ds = generate_random_dataset(20, 96, seed=4)
+    search = Epi4TensorSearch(ds, SearchConfig(block_size=4, top_k=3))
+    captured = []
+    score_round = search_module.score_round
+
+    def recording(operands, *args, **kwargs):
+        captured.append(operands)
+        return score_round(operands, *args, **kwargs)
+
+    search_module.score_round = recording
+    try:
+        search.run()
+    finally:
+        search_module.score_round = score_round
+    return captured, search._bound_kernel, ds.n_snps
 
 
 class TestAdmissibility:
@@ -108,6 +238,41 @@ class TestAdmissibility:
         bounds = kernel.quad_bounds(operands, w, x, y, z)
         assert np.all(np.isfinite(bounds))
         assert np.all(bounds > 0)
+
+
+class TestFlatGatherOracle:
+    """The flat gather returns the fancy-index reference's bits exactly."""
+
+    @pytest.mark.parametrize("dtype", [np.int32, np.int64])
+    @pytest.mark.parametrize("offsets", ROUND_OFFSETS)
+    def test_direct_operands_b4(self, env, offsets, dtype):
+        enc, _, _, kernel = env
+        operands = _with_corner_dtype(
+            direct_round_operands(enc, offsets, 4), dtype
+        )
+        _assert_matches_oracle(kernel, operands, enc.n_real_snps)
+
+    @pytest.mark.parametrize("dtype", [np.int32, np.int64])
+    @pytest.mark.parametrize("offsets", ROUND_OFFSETS)
+    def test_direct_operands_b8(self, env8, offsets, dtype):
+        enc, _, _, kernel = env8
+        offsets = tuple(2 * o for o in offsets)
+        operands = _with_corner_dtype(
+            direct_round_operands(enc, offsets, 8), dtype
+        )
+        _assert_matches_oracle(kernel, operands, enc.n_real_snps)
+
+    @pytest.mark.parametrize("dtype", [None, np.int32, np.int64])
+    def test_engine_operands(self, engine_rounds, dtype):
+        rounds, kernel, n_real = engine_rounds
+        assert rounds
+        assert any(
+            not c.flags.c_contiguous for op in rounds for c in op.corner3_wxy
+        )
+        for operands in rounds:
+            if dtype is not None:
+                operands = _with_corner_dtype(operands, dtype)
+            _assert_matches_oracle(kernel, operands, n_real)
 
 
 class TestFailSafety:

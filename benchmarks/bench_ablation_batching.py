@@ -4,8 +4,8 @@ Five configurations of the same workload (operand cache on throughout, so
 the tensor3 sweep count is already minimal and the launch ablation
 isolates the tensor4 round GEMMs this PR fuses):
 
-- ``serial``          — ``batch_rounds=1``, no overlap: the legacy
-  round-at-a-time loop, the pre-fusion baseline;
+- ``serial``          — ``batch_rounds=1``, staged inline: one launch
+  per round, the pre-fusion baseline;
 - ``batch=4/8/16``    — the batched pipeline at increasing fusion widths
   (launches collapse, logical problems stay constant);
 - ``batch=8+overlap`` — adds double-buffered operand staging on a host
@@ -48,7 +48,7 @@ BLOCK = 4
 RESULTS_PATH = Path(__file__).with_name("BENCH_batching.json")
 
 CELLS = [
-    ("serial", dict(batch_rounds=1, overlap=False)),
+    ("serial", dict(batch_rounds=1)),
     ("batch=4", dict(batch_rounds=4)),
     ("batch=8", dict(batch_rounds=8)),
     ("batch=16", dict(batch_rounds=16)),
@@ -57,10 +57,8 @@ CELLS = [
 
 
 def _run(ds, extra):
-    # prune=False: the closed-form launch counts assume eager sweep
-    # staging; the bound gate stages sweeps lazily for survivors only.
     config = SearchConfig(
-        block_size=BLOCK, top_k=5, cache_mb=float("inf"), prune=False, **extra
+        block_size=BLOCK, top_k=5, cache_mb=float("inf"), **extra
     )
     search = Epi4TensorSearch(ds, config)
     start = time.perf_counter()

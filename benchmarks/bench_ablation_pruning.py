@@ -5,12 +5,12 @@ Three configurations of the same workload:
 - ``prune-off``      — the exhaustive fused path, every mask-valid
   position completed and scored (the pre-pruning baseline);
 - ``prune-on``       — the 48-cell bound gate between mask compaction
-  and completion, plus whole-round elision in the pipelined loop;
+  and completion;
 - ``prune-on+shard`` — the gate under the sharded coordinator (2 inline
   shards) with cross-shard threshold exchange every 4 rounds.
 
 Reported per cell: total wall, scored cells, the fraction of mask-valid
-quads pruned, rounds elided, and threshold-sync beats.  Hard bars:
+quads pruned, and threshold-sync beats.  Hard bars:
 
 - every cell's ranked top-k digest (``top_k_sha256``) is identical —
   pruning is a pure work eliminator, never a result perturbation;
@@ -90,7 +90,6 @@ def test_pruning_ablation(benchmark, tmp_path):
     for label, metrics, counters, solutions, wall in runs:
         valid = metrics.total("epi4_applyscore_valid_total")
         pruned = metrics.total("epi4_prune_quads_total")
-        elided = metrics.total("epi4_prune_rounds_total")
         syncs = metrics.total("epi4_prune_sync_total")
         scored_cells = int(valid) * 81 * 2
         prune_frac = pruned / (valid + pruned) if valid + pruned else 0.0
@@ -100,7 +99,6 @@ def test_pruning_ablation(benchmark, tmp_path):
                 f"{wall:7.2f}",
                 f"{scored_cells:.2e}",
                 f"{100 * prune_frac:5.1f}%",
-                int(elided),
                 int(syncs),
             ]
         )
@@ -112,7 +110,6 @@ def test_pruning_ablation(benchmark, tmp_path):
                 "quads_pruned": int(pruned),
                 "score_cells_executed": scored_cells,
                 "prune_fraction": prune_frac,
-                "rounds_elided": int(elided),
                 "threshold_syncs": int(syncs),
                 "top_k_sha256": digests[label],
             }
@@ -121,7 +118,7 @@ def test_pruning_ablation(benchmark, tmp_path):
     print_table(
         f"bound pruning ablation (M={N_SNPS}, N={N_SAMPLES}, B={BLOCK}, "
         f"k={TOP_K})",
-        ["config", "wall s", "cells", "pruned", "elided", "syncs"],
+        ["config", "wall s", "cells", "pruned", "syncs"],
         rows,
     )
 

@@ -250,7 +250,6 @@ README_DOC = "README.md"
 FLAG_ALIASES: dict[str, str] = {
     "engine_kind": "--engine",
     "cache_triplets": "--no-cache-triplets",   # inverted boolean
-    "overlap": "--no-overlap",                 # inverted boolean
 }
 
 #: Modules excluded from the metric-literal sweep (the analyzer itself

@@ -114,13 +114,9 @@ def _add_search(sub: argparse._SubParsersAction) -> None:
     p.add_argument(
         "--n-streams", type=int, default=1, metavar="S",
         help="concurrent rounds per device: feeds the stream performance "
-        "model and, unless --no-overlap, stages S-1 round groups ahead "
-        "on a host stream while the current group scores",
-    )
-    p.add_argument(
-        "--no-overlap", action="store_true",
-        help="disable stage/score overlap (operand staging then runs "
-        "inline on the scoring thread; results are bit-identical)",
+        "model and stages S-1 round groups ahead on a host stream while "
+        "the current group scores (1 = stage inline; results are "
+        "bit-identical for any value)",
     )
     p.add_argument(
         "--host-threads", type=int, default=None, metavar="T",
@@ -331,7 +327,6 @@ def _search_config_from_args(args: argparse.Namespace):
         cache_mb=args.cache_mb,
         batch_rounds=args.batch_rounds,
         n_streams=args.n_streams,
-        overlap=not args.no_overlap,
         host_threads=args.host_threads,
         max_retries=args.max_retries,
         backoff_base_ms=args.backoff_base_ms,
@@ -550,13 +545,9 @@ def _cmd_search(args: argparse.Namespace) -> int:
         pruned = result.metrics.total("epi4_prune_quads_total")
         if pruned:
             survivors = result.metrics.total("epi4_applyscore_valid_total")
-            elided = result.metrics.total("epi4_prune_rounds_total")
             frac = pruned / max(1.0, pruned + survivors)
-            line = (f"pruning   : {pruned:.0f} quads ({100 * frac:.1f}% of "
-                    f"mask-valid) bound-pruned before completion")
-            if elided:
-                line += f", {elided:.0f} whole rounds elided"
-            print(line)
+            print(f"pruning   : {pruned:.0f} quads ({100 * frac:.1f}% of "
+                  f"mask-valid) bound-pruned before completion")
             synced = result.metrics.total("epi4_prune_sync_total")
             if synced:
                 print(f"prunesync : {synced:.0f} cross-shard threshold "

@@ -29,13 +29,14 @@ result-preserving:
   ``host_threads > 1`` the per-GPU loops actually run concurrently
   (NumPy's BLAS and bit-ops release the GIL, so ``dense``-mode rounds
   overlap for a real wall-clock win on multicore hosts).
-- a **batched round pipeline**: with ``batch_rounds > 1`` the ``yz``
-  combines and 4-way GEMMs of consecutive rounds sharing one
-  ``(Wi, Xi)`` pair are fused into wide batched launches (§3.3
-  launch-overhead amortization), and with ``overlap`` + ``n_streams > 1``
-  a double-buffered operand stager prepares round group ``r+1`` on a
+- a **batched round pipeline**, the one loop nest every run goes
+  through: rounds sharing one ``(Wi, Xi)`` pair are staged in groups of
+  ``batch_rounds``, and with ``batch_rounds > 1`` each group's ``yz``
+  combines and 4-way GEMMs are fused into wide batched launches (§3.3
+  launch-overhead amortization).  With ``n_streams > 1`` a
+  double-buffered operand stager prepares round group ``r+1`` on a
   :class:`~repro.device.streams.HostStream` while group ``r`` scores on
-  the calling thread.
+  the calling thread; ``n_streams == 1`` stages every group inline.
 
 The tensor GEMMs run for real (exact integer results); device time is
 *accounted*, not emulated — see :mod:`repro.device` and
@@ -53,7 +54,7 @@ from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Callable, Iterable
+from typing import TYPE_CHECKING, Callable, Iterable, Iterator
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.dist.threshold import ThresholdExchange
@@ -65,7 +66,6 @@ from repro.core.apply_score import (
     DEFAULT_MAX_CHUNK_CELLS,
     RoundOperands,
     apply_score_dense,
-    round_validity_mask,
     score_round,
 )
 from repro.core.autotune import AutotuneDecision, autotune_applyscore
@@ -110,7 +110,7 @@ from repro.perfmodel.workload import outer_iteration_tensor_ops
 from repro.scoring import make_score
 from repro.tensor.and_popc import dense_acc_dtype
 from repro.scoring.base import ScoreFunction, normalized_for_minimization
-from repro.scoring.bounds import PRUNE_SLACK, K2BoundKernel
+from repro.scoring.bounds import K2BoundKernel
 from repro.scoring.k2 import K2Score
 from repro.scoring.lgamma_table import LgammaTable
 from repro.utils.timing import Timer
@@ -128,11 +128,11 @@ class SearchConfig:
         engine_mode: ``"dense"`` (BLAS path) or ``"packed"`` (bitwise path).
         score: a :class:`~repro.scoring.ScoreFunction` or registry name.
         n_streams: concurrent evaluation rounds per device.  Always feeds
-            the §4.4 stream model on the projected-time side; with
-            ``overlap`` enabled it is also a real execution knob —
-            ``n_streams - 1`` round groups are staged ahead on a host
-            stream while the current group scores.  Results are identical
-            for any value.
+            the §4.4 stream model on the projected-time side; it is also a
+            real execution knob — ``n_streams - 1`` round groups (at most
+            4) are staged ahead on a host stream while the current group
+            scores, and ``1`` stages every group inline.  Results are
+            identical for any value.
         sample_chunk_bits: if set, split every tensor GEMM's sample (K)
             dimension into chunks of this many bits and sum the partial
             corners — the paper's mitigation for the Turing large-``N``
@@ -186,17 +186,12 @@ class SearchConfig:
             the round batch size) it finds.  Result-neutral: every
             candidate produces bit-identical scores.
         batch_rounds: evaluation rounds fused per tensor-GEMM launch
-            group.  ``1`` reproduces the seed loop launch-for-launch;
+            group.  ``1`` issues the seed loop's launches one for one;
             larger values stack the ``yz`` operands of consecutive rounds
             sharing one ``(Wi, Xi)`` pair into a single wide GEMM, so
             per-launch overhead is amortized over the group (§3.3).
             Results are bit-identical for any value — integer corner
             counts do not depend on GEMM blocking.
-        overlap: let the operand stager prepare the next round group on
-            an in-order host stream while the current group scores
-            (double buffering; active only when ``n_streams > 1``).
-            Results are bit-identical either way — staging is strictly
-            in submission order.
         deadline_ms: per-launch hang watchdog deadline in milliseconds
             (``None`` disarms the watchdog, the default).  A launch that
             exceeds the deadline is cancelled and surfaces as a
@@ -221,9 +216,9 @@ class SearchConfig:
             run.  Only the thread-parallel executor parks and readmits
             workers; the sequential replay ignores probation.
         prune: enable the admissible branch-and-bound gate (see
-            :mod:`repro.scoring.bounds`): quads — and, in the pipelined
-            loop, whole rounds — whose K2 lower bound exceeds the current
-            top-k threshold are dropped before completion and scoring.
+            :mod:`repro.scoring.bounds`): quads whose K2 lower bound
+            exceeds the current top-k threshold are dropped before
+            completion and scoring.
             The bound never overestimates and ties are never pruned, so
             results stay **bit-identical** to the exhaustive run; only
             the executed score-cell accounting shrinks.  Effective only
@@ -259,7 +254,6 @@ class SearchConfig:
     cache_triplets: bool = True
     autotune: bool = False
     batch_rounds: int = 1
-    overlap: bool = True
     deadline_ms: float | None = None
     pressure: bool = True
     pressure_relax_rounds: int = 64
@@ -751,8 +745,7 @@ class Epi4TensorSearch:
         # Pruning series exist (zero-valued) even when nothing prunes —
         # prune-off runs, non-K2 scores, dense path — so dashboards,
         # golden fixtures and shard merges see a stable metric schema.
-        for name in ("epi4_prune_quads_total", "epi4_prune_rounds_total"):
-            self.metrics.inc(name, 0, device="0")
+        self.metrics.inc("epi4_prune_quads_total", 0, device="0")
         self.metrics.inc("epi4_prune_sync_total", 0)
         total_timer = Timer()
         run_span = self.tracer.span(
@@ -1353,84 +1346,26 @@ class Epi4TensorSearch:
         enabled, the per-``Yi`` ``wy``/``xy`` combine+sweep is computed
         once and served from the cache across outer pairs, and the ``yz``
         combines are shared across every enclosing ``(Wi, Xi)``; with the
-        cache disabled every request recomputes, reproducing the seed
-        driver launch-for-launch.
+        cache disabled every request recomputes, launch-for-launch the
+        seed driver at ``batch_rounds == 1``.
 
-        Dispatch: at ``batch_rounds == 1`` with overlap inactive the seed
-        loop runs verbatim (:meth:`_run_rounds_serial`); otherwise rounds
-        are grouped and their ``yz``/4-way launches fused
-        (:meth:`_run_rounds_pipelined`), optionally double-buffered on a
-        host stream.  All three paths are bit-identical.
+        Rounds sharing one ``(Wi, Xi)`` pair are grouped by the tuned,
+        pressure-governed ``batch_rounds`` and their ``yz``/4-way launches
+        fused; ``n_streams > 1`` stages groups ahead on a host stream
+        (:meth:`_run_rounds_pipelined`).  Every configuration is
+        bit-identical.
         """
         assert self._low is not None, "_prepare_devices must run first"
         batch = max(1, self._tuned_batch_rounds)
         if self._pressure is not None:
             batch = self._pressure.effective_batch_rounds(batch)
-        depth = (
-            stage_lookahead(self.config.n_streams)
-            if self.config.overlap
-            else 0
-        )
-        if batch == 1 and depth == 0:
-            return self._run_rounds_serial(executor, outer_iters)
         return self._run_rounds_pipelined(
-            executor, outer_iters, batch, depth, parent_span
+            executor,
+            outer_iters,
+            batch,
+            stage_lookahead(self.config.n_streams),
+            parent_span,
         )
-
-    def _run_rounds_serial(
-        self, executor: "_KernelExecutor", outer_iters: Iterable[int]
-    ) -> TopKReducer:
-        """The seed loop nest: one launch per combine/sweep/GEMM request."""
-        b = self.scheme.block_size
-        nb = self.scheme.nb
-        reducer = TopKReducer(self.config.top_k)
-
-        for wi in outer_iters:
-            wo = wi * b
-            for xi in range(wi, nb):
-                xo = xi * b
-                wx = [executor.combine(c, wo, xo) for c in (0, 1)]
-                sweep_wx = [
-                    executor.sweep3(c, wo, xo, combined=wx[c]) for c in (0, 1)
-                ]
-                for yi in range(xi, nb):
-                    yo = yi * b
-                    sweep_wy = [executor.sweep3(c, wo, yo) for c in (0, 1)]
-                    sweep_xy = [executor.sweep3(c, xo, yo) for c in (0, 1)]
-                    for zi in range(yi, nb):
-                        zo = zi * b
-                        round_t0 = time.perf_counter()
-                        with self.tracer.span(
-                            "round", wi=wi, xi=xi, yi=yi, zi=zi
-                        ):
-                            yz = [executor.combine(c, yo, zo) for c in (0, 1)]
-                            corner4 = [
-                                executor.gemm4(wx[c], yz[c], c) for c in (0, 1)
-                            ]
-                            operands = RoundOperands(
-                                corner4=(corner4[0], corner4[1]),
-                                corner3_wxy=tuple(
-                                    s[:, :, yo - xo : yo - xo + b]
-                                    for s in sweep_wx
-                                ),
-                                corner3_wxz=tuple(
-                                    s[:, :, zo - xo : zo - xo + b]
-                                    for s in sweep_wx
-                                ),
-                                corner3_wyz=tuple(
-                                    s[:, :, zo - yo : zo - yo + b]
-                                    for s in sweep_wy
-                                ),
-                                corner3_xyz=tuple(
-                                    s[:, :, zo - yo : zo - yo + b]
-                                    for s in sweep_xy
-                                ),
-                                offsets=(wo, xo, yo, zo),
-                                block_size=b,
-                            )
-                            self._score_and_reduce(executor, reducer, operands)
-                        self._note_round_done(executor, reducer, round_t0)
-        return reducer
 
     # -- batched round pipeline ----------------------------------------- #
 
@@ -1446,36 +1381,14 @@ class Epi4TensorSearch:
 
         Rounds sharing one ``(Wi, Xi)`` pair are chunked into groups of
         ``batch``; each group's ``yz`` combines and 4-way GEMMs issue as
-        fused batched launches.  With ``depth > 0`` up to ``depth + 1``
-        groups are in flight on an in-order :class:`HostStream` — the
-        stager thread runs *all* device launches (so kernel accounting
-        never races the scoring thread) while the calling thread scores.
+        fused batched launches.  With ``depth == 0`` every group stages
+        inline; with ``depth > 0`` up to ``depth + 1`` groups are in
+        flight on an in-order :class:`HostStream` — the stager thread runs
+        *all* device launches (so kernel accounting never races the
+        scoring thread) while the calling thread scores.
         """
         reducer = TopKReducer(self.config.top_k)
-        tasks: list[Callable[[], _StagedGroup]] = []
-        nb = self.scheme.nb
-        for wi in outer_iters:
-            for xi in range(wi, nb):
-                rounds = [
-                    (yi, zi)
-                    for yi in range(xi, nb)
-                    for zi in range(yi, nb)
-                ]
-                # Per-(wi, xi) operands shared across the pair's groups;
-                # mutated only by the (single, in-order) stager thread.
-                shared: dict = {}
-                for start in range(0, len(rounds), batch):
-                    tasks.append(
-                        self._make_stage_task(
-                            executor,
-                            wi,
-                            xi,
-                            rounds[start : start + batch],
-                            shared,
-                            parent_span,
-                            reducer,
-                        )
-                    )
+        tasks = self._stage_tasks(executor, outer_iters, batch, parent_span)
         if depth == 0:
             for task in tasks:
                 self._score_staged_group(executor, reducer, task())
@@ -1483,24 +1396,28 @@ class Epi4TensorSearch:
 
         stream = HostStream(f"epi4-stage-{executor.device_id}")
         pending: deque = deque()
-        idx = 0
+
+        def score_next() -> None:
+            future = pending.popleft()
+            wait_t0 = time.perf_counter()
+            staged = future.result()
+            wait_s = time.perf_counter() - wait_t0
+            # Stage time the scoring thread did NOT wait for = real
+            # overlap won by the stream.
+            self.metrics.inc(
+                "epi4_stage_overlap_seconds_total",
+                max(0.0, staged.stage_seconds - wait_s),
+                device=str(executor.device_id),
+            )
+            self._score_staged_group(executor, reducer, staged)
+
         try:
-            while idx < len(tasks) or pending:
-                while idx < len(tasks) and len(pending) < depth + 1:
-                    pending.append(stream.submit(tasks[idx]))
-                    idx += 1
-                future = pending.popleft()
-                wait_t0 = time.perf_counter()
-                staged = future.result()
-                wait_s = time.perf_counter() - wait_t0
-                # Stage time the scoring thread did NOT wait for = real
-                # overlap won by the stream.
-                self.metrics.inc(
-                    "epi4_stage_overlap_seconds_total",
-                    max(0.0, staged.stage_seconds - wait_s),
-                    device=str(executor.device_id),
-                )
-                self._score_staged_group(executor, reducer, staged)
+            for task in tasks:
+                pending.append(stream.submit(task))
+                if len(pending) > depth:
+                    score_next()
+            while pending:
+                score_next()
         finally:
             # Drain in-flight stage work before this (possibly retried)
             # iteration returns: the fault injector's per-device context
@@ -1515,6 +1432,37 @@ class Epi4TensorSearch:
             stream.close()
         return reducer
 
+    def _stage_tasks(
+        self,
+        executor: "_KernelExecutor",
+        outer_iters: Iterable[int],
+        batch: int,
+        parent_span,
+    ) -> Iterator[Callable[[], "_StagedGroup"]]:
+        """Stage tasks of every round group, generated lazily in loop
+        order, so a pair's shared operands are freed once its last group
+        is scored."""
+        nb = self.scheme.nb
+        for wi in outer_iters:
+            for xi in range(wi, nb):
+                rounds = [
+                    (yi, zi)
+                    for yi in range(xi, nb)
+                    for zi in range(yi, nb)
+                ]
+                # Per-(wi, xi) operands shared across the pair's groups;
+                # mutated only by the (single, in-order) stager thread.
+                shared: dict = {}
+                for start in range(0, len(rounds), batch):
+                    yield self._make_stage_task(
+                        executor,
+                        wi,
+                        xi,
+                        rounds[start : start + batch],
+                        shared,
+                        parent_span,
+                    )
+
     def _make_stage_task(
         self,
         executor: "_KernelExecutor",
@@ -1523,25 +1471,16 @@ class Epi4TensorSearch:
         group: list[tuple[int, int]],
         shared: dict,
         parent_span,
-        reducer: TopKReducer,
     ) -> Callable[[], "_StagedGroup"]:
         """Build the (idempotent) stage closure for one round group: all
         combines, sweeps and fused tensor launches the group's rounds
         need, returning host-resident operands ready to score.
 
-        With pruning inactive the stage issues its launches in the exact
-        historical order (combine+sweep, per-``Yi`` sweeps, ``yz``
-        combines, fused 4-way GEMM).  With pruning active the third-order
-        sweeps are staged *lazily*: the fused GEMM runs first, each
-        round's aggregate 16-corner bound (:meth:`K2BoundKernel.round_bound`)
-        is compared against the current threshold, and sweeps are staged
-        only for rounds that survive — an elided round skips its sweep
-        launches entirely when the operand cache is off.  An implausible
-        (fault-corrupted) corner block bounds to ``-inf`` and is never
-        elided, so it still reaches the scoring path's validation.
+        Launches issue in the seed loop's order: the pair's ``wx``
+        combine + sweep, the per-``Yi`` ``wy``/``xy`` sweeps, the ``yz``
+        combines, then the fused 4-way GEMM.
         """
         b = self.scheme.block_size
-        prune = self._prune_active()
 
         def stage() -> _StagedGroup:
             wo, xo = wi * b, xi * b
@@ -1556,19 +1495,20 @@ class Epi4TensorSearch:
                 if "wx" not in shared:
                     wx = [executor.combine(c, wo, xo) for c in (0, 1)]
                     shared["wx"] = wx
-                    if not prune:
-                        shared["sweep_wx"] = [
-                            executor.sweep3(c, wo, xo, combined=wx[c])
-                            for c in (0, 1)
-                        ]
+                    shared["sweep_wx"] = [
+                        executor.sweep3(c, wo, xo, combined=wx[c])
+                        for c in (0, 1)
+                    ]
                     shared["sweeps"] = {}
                 wx = shared["wx"]
-                if not prune:
-                    for yi, _zi in group:
-                        if yi not in shared["sweeps"]:
-                            shared["sweeps"][yi] = self._yi_sweeps(
-                                executor, wo, xo, yi * b
-                            )
+                sweeps = shared["sweeps"]
+                for yi, _zi in group:
+                    if yi not in sweeps:
+                        yo = yi * b
+                        sweeps[yi] = (
+                            [executor.sweep3(c, wo, yo) for c in (0, 1)],
+                            [executor.sweep3(c, xo, yo) for c in (0, 1)],
+                        )
                 yz_by_round = [
                     [executor.combine(c, yi * b, zi * b) for c in (0, 1)]
                     for yi, zi in group
@@ -1579,88 +1519,19 @@ class Epi4TensorSearch:
                     )
                     for c in (0, 1)
                 ]
-                rounds = []
-                if prune:
-                    threshold = self._prune_threshold(reducer)
-                    survivors: list[int] = []
-                    for k, (yi, zi) in enumerate(group):
-                        corner4 = (
-                            corner4_by_class[0][k],
-                            corner4_by_class[1][k],
-                        )
-                        elided = False
-                        n_masked = 0
-                        if np.isfinite(threshold):
-                            mask = round_validity_mask(
-                                (wo, xo, yi * b, zi * b),
-                                b,
-                                self.scheme.n_real_snps,
-                            )
-                            bound = self._bound_kernel.round_bound(
-                                corner4, mask
-                            )
-                            if bound > threshold + PRUNE_SLACK:
-                                elided = True
-                                n_masked = int(mask.sum())
-                        rounds.append((yi, zi, corner4, elided, n_masked))
-                        if not elided and yi not in survivors:
-                            survivors.append(yi)
-                    if survivors and "sweep_wx" not in shared:
-                        shared["sweep_wx"] = [
-                            executor.sweep3(c, wo, xo, combined=wx[c])
-                            for c in (0, 1)
-                        ]
-                    for yi in survivors:
-                        if yi not in shared["sweeps"]:
-                            shared["sweeps"][yi] = self._yi_sweeps(
-                                executor, wo, xo, yi * b
-                            )
-                else:
-                    rounds = [
-                        (
-                            yi,
-                            zi,
-                            (corner4_by_class[0][k], corner4_by_class[1][k]),
-                            False,
-                            0,
-                        )
-                        for k, (yi, zi) in enumerate(group)
-                    ]
             return _StagedGroup(
                 wi=wi,
                 xi=xi,
-                sweep_wx=shared.get("sweep_wx"),
-                yi_sweeps={
-                    yi: shared["sweeps"][yi]
-                    for yi, _ in group
-                    if yi in shared["sweeps"]
-                },
-                rounds=rounds,
+                sweep_wx=shared["sweep_wx"],
+                yi_sweeps={yi: sweeps[yi] for yi, _ in group},
+                rounds=[
+                    (yi, zi, (corner4_by_class[0][k], corner4_by_class[1][k]))
+                    for k, (yi, zi) in enumerate(group)
+                ],
                 stage_seconds=time.perf_counter() - t0,
             )
 
         return stage
-
-    def _yi_sweeps(
-        self, executor: "_KernelExecutor", wo: int, xo: int, yo: int
-    ):
-        """The Y-level ``wy``/``xy`` sweeps for one staged pair.
-
-        With the operand cache off on a plain single-device executor the
-        two sweeps share their tail, so their per-class tensor3 launches
-        fuse (``sweep3_pair``); every other configuration routes through
-        the ordinary cached ``sweep3`` requests.
-        """
-        if (
-            self._cache is None
-            and self.config.sample_chunk_bits is None
-            and isinstance(executor, _SingleDeviceExecutor)
-        ):
-            return executor.sweep3_pair(wo, xo, yo)
-        return (
-            [executor.sweep3(c, wo, yo) for c in (0, 1)],
-            [executor.sweep3(c, xo, yo) for c in (0, 1)],
-        )
 
     def _score_staged_group(
         self,
@@ -1669,44 +1540,18 @@ class Epi4TensorSearch:
         staged: "_StagedGroup",
     ) -> None:
         """Score every round of a staged group (host math only — all
-        device launches already happened in the stage task).
-
-        A round the stage task elided is only accounted: its mask-valid
-        positions count as pruned (keeping the conservation law
-        ``valid + pruned == mask-valid`` exact), the round still ticks
-        the per-round bookkeeping, and no completion or scoring runs.
-        """
+        device launches already happened in the stage task)."""
         b = self.scheme.block_size
         wo, xo = staged.wi * b, staged.xi * b
-        dev = str(executor.device_id)
-        for yi, zi, corner4, elided, n_masked in staged.rounds:
+        for yi, zi, corner4 in staged.rounds:
             yo, zo = yi * b, zi * b
-            if elided:
-                round_t0 = time.perf_counter()
-                with self.tracer.span(
-                    "round",
-                    wi=staged.wi,
-                    xi=staged.xi,
-                    yi=yi,
-                    zi=zi,
-                    elided=1,
-                ):
-                    self.metrics.inc(
-                        "epi4_applyscore_positions_total", b ** 4, device=dev
-                    )
-                    self.metrics.inc(
-                        "epi4_prune_quads_total", n_masked, device=dev
-                    )
-                    self.metrics.inc("epi4_prune_rounds_total", device=dev)
-                self._note_round_done(executor, reducer, round_t0)
-                continue
             sweep_wy, sweep_xy = staged.yi_sweeps[yi]
             round_t0 = time.perf_counter()
             with self.tracer.span(
                 "round", wi=staged.wi, xi=staged.xi, yi=yi, zi=zi
             ):
                 operands = RoundOperands(
-                    corner4=(corner4[0], corner4[1]),
+                    corner4=corner4,
                     corner3_wxy=tuple(
                         s[:, :, yo - xo : yo - xo + b]
                         for s in staged.sweep_wx
@@ -2011,15 +1856,12 @@ class _StagedGroup:
     wi: int
     xi: int
     #: Per-class ``wx`` third-order sweeps (shared across the pair's
-    #: groups); ``None`` when bound pruning elided every round that
-    #: would have needed them.
-    sweep_wx: list | None
+    #: groups).
+    sweep_wx: list
     #: ``{yi: (sweep_wy_per_class, sweep_xy_per_class)}`` for the group's
-    #: surviving (non-elided) rounds.
+    #: rounds.
     yi_sweeps: dict
-    #: ``(yi, zi, per_class_corner4, elided, n_masked)`` per round, in
-    #: round order; ``n_masked`` is the mask-valid position count of an
-    #: elided round (0 otherwise).
+    #: ``(yi, zi, per_class_corner4)`` per round, in round order.
     rounds: list
     #: Wall seconds the stage task spent (for the overlap metric).
     stage_seconds: float
@@ -2227,37 +2069,6 @@ class _SingleDeviceExecutor:
         b = self._search.scheme.block_size
         with self._search._phase_scope("tensor4", self.device_id, span="batch"):
             return self._gpu.launch_tensor4_batch(wx, yz_list, b)
-
-    def sweep3_pair(
-        self, wo: int, xo: int, yo: int
-    ) -> tuple[list[np.ndarray], list[np.ndarray]]:
-        """Both Y-level sweeps (``wy`` and ``xy``) over their shared tail,
-        with the per-class tensor3 launches fused.
-
-        Cache-off fast path for the batched pipeline: request/executed
-        accounting mirrors two plain ``sweep3`` calls (4 sweep requests,
-        4 executed, 4 combine launches) — only the tensor3 launch count
-        halves, which is exactly what batching is allowed to change.
-        """
-        search = self._search
-        metrics = search.metrics
-        dev = str(self.device_id)
-        metrics.inc("epi4_operand_requests_total", 4, kind="sweep", device=dev)
-        metrics.inc("epi4_operand_executed_total", 4, kind="sweep", device=dev)
-        b = search.scheme.block_size
-        t_stop = search.scheme.n_snps
-        out_wy: list[np.ndarray] = []
-        out_xy: list[np.ndarray] = []
-        for cls in (0, 1):
-            wy = self._combine_cold(cls, wo, yo)
-            xy = self._combine_cold(cls, xo, yo)
-            with search._phase_scope("tensor3", self.device_id, span="batch"):
-                swy, sxy = self._gpu.launch_tensor3_batch(
-                    [wy, xy], self._planes[cls], yo, t_stop, b
-                )
-            out_wy.append(swy)
-            out_xy.append(sxy)
-        return out_wy, out_xy
 
     def account_score(self, n_cells: int) -> None:
         self._gpu.account_score_cells(n_cells)

@@ -144,7 +144,6 @@ def search_gemm_launches(
     *,
     batch_rounds: int = 1,
     cache_operands: bool = False,
-    paired_sweeps: bool | None = None,
 ) -> dict[str, int]:
     """Executed tensor-GEMM *launches* of a full search, by kernel.
 
@@ -162,11 +161,6 @@ def search_gemm_launches(
         cache_operands: model an unbounded round-operand cache — every
             unique block-pair sweep executes exactly once per class, so
             the 3-way launch count is independent of batching.
-        paired_sweeps: the pipelined loop fuses the Y-level ``wy``/``xy``
-            sweeps (same tail) into one launch per class; defaults to
-            ``batch_rounds > 1`` (the pipeline also runs, with paired
-            sweeps, at ``batch_rounds == 1`` when stage overlap is on).
-            Ignored when ``cache_operands`` is set.
 
     Returns:
         ``{"tensor3": launches, "tensor4": launches}``.  The matching
@@ -177,8 +171,6 @@ def search_gemm_launches(
         raise ValueError(f"nb must be >= 1, got {nb}")
     if batch_rounds < 1:
         raise ValueError(f"batch_rounds must be >= 1, got {batch_rounds}")
-    if paired_sweeps is None:
-        paired_sweeps = batch_rounds > 1
     tensor4 = 0
     for xi in range(nb):
         rounds = comb(nb - xi + 1, 2)
@@ -187,9 +179,9 @@ def search_gemm_launches(
     # *total* cached-path count, since every sweep is pair-keyed.
     tensor3 = 2 * comb(nb + 1, 2)
     if not cache_operands:
-        # wy + xy sweeps per (wi <= xi <= yi) triple: 4 separate launches
-        # per triple in the seed loop, 2 fused ones in the pipeline.
-        tensor3 += (2 if paired_sweeps else 4) * comb(nb + 2, 3)
+        # wy + xy sweeps per (wi <= xi <= yi) triple, one launch per
+        # class each.
+        tensor3 += 4 * comb(nb + 2, 3)
     return {"tensor3": tensor3, "tensor4": tensor4}
 
 

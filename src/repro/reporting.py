@@ -147,18 +147,12 @@ def format_search_report(
             )
         pruned = m.total("epi4_prune_quads_total")
         if pruned:
-            elided = m.total("epi4_prune_rounds_total")
             frac = pruned / max(1.0, pruned + valid)
             add(
                 f"  bound pruning       : {int(pruned):,} quads "
                 f"({100 * frac:.1f}% of mask-valid) dropped before "
                 "completion (bit-identical top-k)"
             )
-            if elided:
-                add(
-                    f"  rounds elided       : {int(elided):,} whole rounds "
-                    "skipped by the aggregate corner bound"
-                )
             synced = m.total("epi4_prune_sync_total")
             if synced:
                 add(
@@ -372,8 +366,7 @@ def format_merged_report(merged) -> str:
             synced = int(m.total("epi4_prune_sync_total"))
             add(
                 f"  bound pruning       : {int(pruned):,} quads pruned, "
-                f"{int(m.total('epi4_prune_rounds_total')):,} rounds "
-                f"elided, {synced} threshold sync beat(s)"
+                f"{synced} threshold sync beat(s)"
             )
         add("")
     return "\n".join(lines)

@@ -28,9 +28,6 @@ Those 48 cells typically hold the bulk of the samples, so the two-term
 remainder gives up little; on the reference bench configuration the bound
 prunes ~90% of quads at the final top-10 threshold.
 
-Round elision uses the weaker *16-corner* bound (corner4 only), the only
-bound computable before the round's third-order sweeps are staged.
-
 The bound costs real time.  On the ``null-m64`` workload of
 ``benchmarks/e2e`` (M=64, N=1024, B=8, k=10; 2-vCPU Xeon VM) it prunes
 53% of quads, and even the final top-10 threshold would prune only 56%.
@@ -115,13 +112,13 @@ class K2BoundKernel:
     # ------------------------------------------------------------------ #
 
     def _remainders(
-        self, cells0: np.ndarray, cells1: np.ndarray, axis: int
+        self, cells0: np.ndarray, cells1: np.ndarray
     ) -> tuple[np.ndarray, np.ndarray] | None:
-        """Class remainders ``(rest0, rest1)`` of the known-cell counts
-        summed over ``axis``, or ``None`` if any count, remainder or cell
+        """Class remainders ``(rest0, rest1)`` of the cell-major
+        known-cell counts, or ``None`` if any count, remainder or cell
         total is implausible (see class docstring)."""
-        rest0 = self.n_controls - cells0.sum(axis=axis)
-        rest1 = self.n_cases - cells1.sum(axis=axis)
+        rest0 = self.n_controls - cells0.sum(axis=0)
+        rest1 = self.n_cases - cells1.sum(axis=0)
         if cells0.size and (
             min(int(cells0.min()), int(cells1.min())) < 0
             or min(int(rest0.min()), int(rest1.min())) < 0
@@ -185,53 +182,13 @@ class K2BoundKernel:
                     corner3[cls].reshape(-1, 8), rows3, axis=0
                 ).T
                 fiber -= (halves[:, 0] + halves[:, 1]).reshape(8, n)
-        rests = self._remainders(cells[0], cells[1], axis=0)
+        rests = self._remainders(cells[0], cells[1])
         if rests is None:
             return None
         terms = np.ascontiguousarray(self._cell_terms(cells[0], cells[1]).T)
         return (
             terms.sum(axis=1) + self._log1(rests[0]) + self._log1(rests[1])
         )
-
-    def round_bound(
-        self,
-        corner4: "tuple[np.ndarray, np.ndarray]",
-        mask: np.ndarray,
-    ) -> float:
-        """Aggregate 16-corner lower bound of one round.
-
-        The minimum, over the round's mask-valid positions, of the
-        corner-only bound (16 known cells + remainder terms).  Computable
-        from the fused 4-way GEMM output alone — before any third-order
-        sweep is staged — so the pipelined loop can elide a whole round
-        (and, cache-off, its sweep launches) when even its best possible
-        quad cannot beat the threshold.  Plausibility is checked over the
-        whole corner block; the lgamma terms are evaluated only at the
-        mask-valid positions, gathered as rows of ``(B^4, 16)`` views.
-
-        Returns:
-            The masked minimum bound; ``+inf`` when the round has no
-            valid positions (nothing to score — always elidable);
-            ``-inf`` when any count is implausible (never elide — let the
-            scoring path's validation see the corruption).
-        """
-        cells0, cells1 = (
-            np.asarray(c, dtype=np.int64).reshape(-1, 16) for c in corner4
-        )
-        rests = self._remainders(cells0, cells1, axis=1)
-        if rests is None:
-            return -np.inf
-        rows = np.flatnonzero(mask)
-        if rows.size == 0:
-            return np.inf
-        bounds = (
-            self._cell_terms(
-                np.take(cells0, rows, axis=0), np.take(cells1, rows, axis=0)
-            ).sum(axis=1)
-            + self._log1(rests[0][rows])
-            + self._log1(rests[1][rows])
-        )
-        return float(bounds.min())
 
     def __repr__(self) -> str:
         return (

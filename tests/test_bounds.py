@@ -1,26 +1,24 @@
 """Unit suite for the admissible K2 bound kernel.
 
 The branch-and-bound gate is only sound if the bound never overestimates
-the exact score; everything else (pruning power, elision rate) is a
-performance question.  This file locks in:
+the exact score; everything else (pruning power) is a performance
+question.  This file locks in:
 
 1. **Admissibility** — ``quad_bounds <= exact`` for every valid position
-   across the overlap-order round shapes, and ``round_bound`` lower-bounds
-   both the quad bounds and the exact masked minimum.
+   across the overlap-order round shapes.
 2. **Fail-safety** — implausible counts (the fault injector's planted
    negatives, totals beyond the lgamma table) make the kernel decline
-   (``None`` / ``-inf``) rather than emit a bound that could mis-prune.
+   (``None``) rather than emit a bound that could mis-prune.
 3. **Identities** — the ``log(n + 1)`` remainder trick and the per-cell
    minorant the proofs rest on.
 4. **Bit-identity with the fancy-index formulation** — the flat-gather
-   ``quad_bounds`` and the masked ``round_bound`` return exactly the
-   values of the 4-index gather / full-grid reference kept here as an
-   oracle, on direct and engine-produced operands and both corner dtypes.
+   ``quad_bounds`` returns exactly the values of the 4-index gather
+   reference kept here as an oracle, on direct and engine-produced
+   operands and both corner dtypes.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import replace
 
 import numpy as np
@@ -113,32 +111,6 @@ def _reference_quad_bounds(kernel, operands, w, x, y, z):
     )
 
 
-def _reference_round_bound(kernel, corner4, mask):
-    """Oracle: 16-corner bounds over the whole ``(B, B, B, B)`` grid, then
-    the masked minimum."""
-    per_class = []
-    for cls, n_class in ((0, kernel.n_controls), (1, kernel.n_cases)):
-        c4 = np.asarray(corner4[cls], dtype=np.int64)
-        b = c4.shape[0]
-        cells = c4.reshape(b, b, b, b, 16)
-        rest = n_class - cells.sum(axis=-1)
-        if cells.size and (int(cells.min()) < 0 or int(rest.min()) < 0):
-            return -math.inf
-        per_class.append((cells, rest))
-    (cells0, rest0), (cells1, rest1) = per_class
-    if cells0.size and int((cells0 + cells1).max()) > kernel.max_total:
-        return -math.inf
-    grid = (
-        kernel._cell_terms(cells0, cells1).sum(axis=-1)
-        + kernel._log1(rest0)
-        + kernel._log1(rest1)
-    )
-    masked = grid[mask]
-    if masked.size == 0:
-        return math.inf
-    return float(masked.min())
-
-
 def _with_corner_dtype(operands, dtype):
     def cast(pair):
         return tuple(np.asarray(c, dtype=dtype) for c in pair)
@@ -161,9 +133,6 @@ def _assert_matches_oracle(kernel, operands, n_real_snps):
     got = kernel.quad_bounds(operands, w, x, y, z)
     assert got is not None
     assert np.array_equal(got, _reference_quad_bounds(kernel, operands, w, x, y, z))
-    assert kernel.round_bound(operands.corner4, mask) == _reference_round_bound(
-        kernel, operands.corner4, mask
-    )
 
 
 @pytest.fixture(scope="module")
@@ -210,23 +179,6 @@ class TestAdmissibility:
         # The gate keeps ties, so admissibility-with-slack is the exact
         # contract it relies on.
         assert np.all(bounds <= exact[mask] + PRUNE_SLACK)
-
-    @pytest.mark.parametrize("offsets", ROUND_OFFSETS)
-    def test_round_bound_below_quad_bounds_and_exact(self, env, offsets):
-        enc, pairs, score_min, kernel = env
-        operands = direct_round_operands(enc, offsets, 4)
-        mask = round_validity_mask(offsets, 4, enc.n_real_snps)
-        rb = kernel.round_bound(operands.corner4, mask)
-        if not mask.any():
-            assert rb == math.inf
-            return
-        w, x, y, z = np.nonzero(mask)
-        quad = kernel.quad_bounds(operands, w, x, y, z)
-        exact = apply_score_dense(operands, pairs, score_min, enc.n_real_snps)
-        # The 16-corner bound knows strictly less than the 48-cell bound,
-        # which in turn never exceeds the exact score.
-        assert rb <= quad.min() + PRUNE_SLACK
-        assert rb <= float(exact[mask].min()) + PRUNE_SLACK
 
     def test_bounds_are_positive_finite(self, env):
         # Every K2 term is non-negative and the remainder adds log(n+1)
@@ -298,12 +250,6 @@ class TestFailSafety:
         w, x, y, z = np.nonzero(mask)
         assert kernel.quad_bounds(operands, w, x, y, z) is None
 
-    def test_negative_corner_never_elides_round(self, env):
-        enc, _, _, kernel = env
-        operands = self._corrupt(direct_round_operands(enc, (0, 4, 8, 12), 4))
-        mask = round_validity_mask((0, 4, 8, 12), 4, enc.n_real_snps)
-        assert kernel.round_bound(operands.corner4, mask) == -math.inf
-
     def test_inflated_corner_declines(self, env):
         # A too-large count (sum beyond N) shows up as a negative fiber or
         # remainder after marginal subtraction.
@@ -325,13 +271,6 @@ class TestFailSafety:
         mask = round_validity_mask((0, 0, 0, 0), 4, enc.n_real_snps)
         w, x, y, z = np.nonzero(mask)
         assert small.quad_bounds(operands, w, x, y, z) is None
-        assert small.round_bound(operands.corner4, mask) == -math.inf
-
-    def test_zero_valid_round_is_always_elidable(self, env):
-        enc, _, _, kernel = env
-        operands = direct_round_operands(enc, (0, 4, 8, 12), 4)
-        empty = np.zeros((4, 4, 4, 4), dtype=bool)
-        assert kernel.round_bound(operands.corner4, empty) == math.inf
 
 
 class TestIdentities:

@@ -16,6 +16,7 @@ metadata guarding against cross-shard journal replay.
 from __future__ import annotations
 
 import json
+import math
 import os
 
 import pytest
@@ -481,39 +482,35 @@ class TestPruneSharding:
         assert merged.top_k_sha256 == reference
 
 
-class TestRoundElision:
-    """Whole-round elision: a padded tail round with no mask-valid
-    position is skipped (no completion, no score launch) once the
-    threshold is finite — without perturbing a single result bit."""
+class TestPaddingTail:
+    """A padded tail round with no mask-valid position runs its launches
+    and exits scoring at ``n_valid == 0`` — accounted, never scored, and
+    without perturbing a single result bit."""
 
-    def test_padding_rounds_elided_in_pipelined_path(self):
+    @pytest.mark.parametrize("batch_rounds", [1, 4])
+    @pytest.mark.parametrize("prune", [False, True])
+    def test_padding_tail_conservation(self, batch_rounds, prune):
         # 18 real SNPs padded to 24 at B=8: the (2,2,2,2) round holds
-        # fewer than 4 real SNPs, so its validity mask is empty and its
-        # round bound is +inf — always elidable once the reducer fills.
+        # fewer than 4 real SNPs, so its validity mask is empty.
         dataset = generate_random_dataset(18, 96, seed=5)
-        off = Epi4TensorSearch(
+        reference = Epi4TensorSearch(
             dataset, SearchConfig(block_size=8, top_k=3, prune=False)
         ).run()
         search = Epi4TensorSearch(
             dataset,
-            SearchConfig(block_size=8, top_k=3, prune=True, batch_rounds=4),
+            SearchConfig(
+                block_size=8,
+                top_k=3,
+                prune=prune,
+                batch_rounds=batch_rounds,
+            ),
         )
-        on = search.run()
-        assert search.metrics.total("epi4_prune_rounds_total") > 0
-        assert on.top_solutions == off.top_solutions
-        # Conservation holds with elision: every processed position is
-        # still accounted by the positions counter.
+        result = search.run()
+        assert result.top_solutions == reference.top_solutions
         m = search.metrics
         assert m.total("epi4_applyscore_positions_total") == (
-            on.block_scheme.quads_processed
+            result.block_scheme.quads_processed
         )
-
-    def test_elision_disabled_when_prune_off(self):
-        dataset = generate_random_dataset(18, 96, seed=5)
-        search = Epi4TensorSearch(
-            dataset,
-            SearchConfig(block_size=8, top_k=3, prune=False, batch_rounds=4),
-        )
-        search.run()
-        assert search.metrics.total("epi4_prune_rounds_total") == 0
-        assert search.metrics.total("epi4_prune_quads_total") == 0
+        assert m.total("epi4_applyscore_valid_total") + m.total(
+            "epi4_prune_quads_total"
+        ) == result.block_scheme.unique_quads == math.comb(18, 4)

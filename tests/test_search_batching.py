@@ -1,11 +1,11 @@
-"""Batched-GEMM round pipeline: fusion, overlap and launch accounting.
+"""Batched-GEMM round pipeline: fusion, staging and launch accounting.
 
 Three layers under test:
 
 - the engine batch primitive (``matmul_popcount_batch``): stacked launches
   must be bit-identical to per-pair GEMMs, across engines and modes, and
   must record the fused problem count on their :class:`GemmShape`;
-- the search pipeline (``batch_rounds`` / ``n_streams`` / ``overlap``):
+- the search pipeline (``batch_rounds`` / ``n_streams``):
   every configuration must reproduce the sequential seed results exactly —
   under faults, across partitions, and through checkpoint resume;
 - the accounting: executed launch counts must match the analytic closed
@@ -117,7 +117,6 @@ GRID = [
     dict(batch_rounds=8),
     dict(batch_rounds=8, n_streams=2),
     dict(batch_rounds=1, n_streams=3),
-    dict(batch_rounds=8, n_streams=2, overlap=False),
     dict(batch_rounds=8, cache_mb=float("inf")),
     dict(batch_rounds=4, sample_chunk_bits=64),
 ]
@@ -207,16 +206,32 @@ class TestPipelineBitIdentity:
 class TestLaunchAccounting:
     @pytest.mark.parametrize("batch", [1, 4, 8])
     def test_launches_match_closed_forms(self, batch):
+        # Pruning on (the default) and staged inline or ahead on a host
+        # stream: sweeps are always staged eagerly, so the closed forms
+        # hold for every stream count.
         ds = generate_random_dataset(24, 128, seed=31)
-        _, res = _run(ds, block_size=4, batch_rounds=batch)
-        nb = res.block_scheme.n_snps // 4
-        expected = search_gemm_launches(nb, batch_rounds=batch)
-        assert res.counters.launches["tensor4"] == expected["tensor4"]
-        assert res.counters.launches["tensor3"] == expected["tensor3"]
-        # Logical problem totals are batch-invariant and equal the
-        # launch-per-problem seed counts.
-        seed_launches = search_gemm_launches(nb, batch_rounds=1)
-        assert res.counters.gemm_problems["tensor4"] == seed_launches["tensor4"]
+        for n_streams in (1, 2):
+            _, res = _run(
+                ds,
+                block_size=4,
+                batch_rounds=batch,
+                n_streams=n_streams,
+                prune=True,
+            )
+            nb = res.block_scheme.n_snps // 4
+            expected = search_gemm_launches(nb, batch_rounds=batch)
+            for kernel in ("tensor3", "tensor4"):
+                assert res.counters.launches[kernel] == expected[kernel], (
+                    kernel,
+                    n_streams,
+                )
+            # Logical problem totals are batch-invariant and equal the
+            # launch-per-problem seed counts.
+            seed_launches = search_gemm_launches(nb, batch_rounds=1)
+            assert (
+                res.counters.gemm_problems["tensor4"]
+                == seed_launches["tensor4"]
+            )
 
     def test_cached_launches_match_closed_forms(self):
         ds = generate_random_dataset(24, 128, seed=31)
@@ -227,14 +242,16 @@ class TestLaunchAccounting:
         assert res.counters.launches["tensor3"] == expected["tensor3"]
 
     def test_overlap_only_uses_paired_sweeps(self):
-        # batch_rounds=1 with overlap runs the pipeline, which pairs the
-        # Y-level sweeps — the closed form models that with paired_sweeps.
+        # batch_rounds=1 staged ahead on a host stream (the former
+        # overlap-only configuration): sweeps are no longer paired, so the
+        # launch counts are the plain launch-per-problem closed forms.
         ds = generate_random_dataset(16, 120, seed=32)
         _, res = _run(ds, block_size=4, batch_rounds=1, n_streams=2)
         nb = res.block_scheme.n_snps // 4
-        expected = search_gemm_launches(nb, batch_rounds=1, paired_sweeps=True)
+        expected = search_gemm_launches(nb, batch_rounds=1)
         assert res.counters.launches["tensor3"] == expected["tensor3"]
         assert res.counters.launches["tensor4"] == expected["tensor4"]
+        assert res.counters.gemm_problems["tensor4"] == expected["tensor4"]
 
     def test_launch_collapse_at_least_4x(self):
         nb = 12
@@ -250,7 +267,7 @@ class TestLaunchAccounting:
 
     def test_operand_ledger_property(self):
         # requests == executed + cache_served, per operand kind, with and
-        # without the cache, under batching + overlap.
+        # without the cache, under batching + staging ahead.
         ds = generate_random_dataset(20, 128, seed=33)
         for cache_mb in (None, float("inf")):
             search, _ = _run(

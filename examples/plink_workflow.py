@@ -3,7 +3,7 @@
 
 Simulates what a user with an actual GWAS export does: load a PLINK
 .ped/.map pair, run QC, pilot-subsample to estimate cost, run the
-exhaustive fourth-order search with checkpointing, assess the winner's
+exhaustive fourth-order search with a resume journal, assess the winner's
 significance and bootstrap stability, and archive a text report.
 
 Run:  python examples/plink_workflow.py
@@ -47,11 +47,11 @@ def main() -> None:
         f"~{pilot_result.wall_seconds * dataset.n_samples / pilot.n_samples:.2f}s"
     )
 
-    # --- 3. Full search with checkpointing ---------------------------------
-    ckpt = workdir / "search.ckpt"
+    # --- 3. Full search with a resume journal -----------------------------
+    journal = workdir / "search.journal"
     result = Epi4TensorSearch(
         dataset, SearchConfig(block_size=5, top_k=3)
-    ).run(checkpoint_path=ckpt)
+    ).run(journal_path=journal)
     print(f"best quad   : {result.best_quad} "
           f"({'== truth' if result.best_quad == truth else '!= truth'})")
 
@@ -67,7 +67,7 @@ def main() -> None:
     report_path = workdir / "report.txt"
     report_path.write_text(format_search_report(result, dataset))
     print(f"report      : {report_path}")
-    print(f"checkpoint  : {ckpt} (delete to re-run from scratch)")
+    print(f"journal     : {journal} (delete to re-run from scratch)")
 
 
 if __name__ == "__main__":

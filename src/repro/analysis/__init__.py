@@ -13,7 +13,7 @@ Four rule families (see :mod:`repro.analysis.registry` and
 
 - **determinism** (``EPI401``–``EPI403``): no wall-clock, RNG, UUID or
   unordered-collection iteration inside modules/functions on the
-  digest/merge/journal/checkpoint/plan/bounds paths;
+  digest/merge/journal/plan/bounds paths;
 - **concurrency** (``EPI411``–``EPI413``): guarded-by discipline for
   the registered thread-shared classes plus lock-acquisition-order
   cycle detection;

@@ -21,15 +21,14 @@ from dataclasses import dataclass
 # --------------------------------------------------------------------- #
 # Determinism (EPI401-EPI403)
 
-#: Modules (dotted prefixes) on the digest/merge/journal/checkpoint/
-#: plan/bounds paths: everything that feeds the bit-identical top-k
-#: contract.  Wall-clock, RNG, UUIDs and unordered iteration are banned
-#: here outright.
+#: Modules (dotted prefixes) on the digest/merge/journal/plan/bounds
+#: paths: everything that feeds the bit-identical top-k contract.
+#: Wall-clock, RNG, UUIDs and unordered iteration are banned here
+#: outright.
 DETERMINISTIC_MODULES: tuple[str, ...] = (
     "repro.core.reduction",
     "repro.core.solution",
     "repro.core.journal",
-    "repro.core.checkpoint",
     "repro.dist.merge",
     "repro.dist.plan",
     "repro.dist.threshold",
@@ -209,7 +208,7 @@ FILE_FSYNC_CALLS: frozenset[str] = frozenset({"os.fsync"})
 DIR_FSYNC_CALLS: frozenset[str] = frozenset(
     {
         "os.fsync",
-        "repro.core.checkpoint.fsync_directory",
+        "repro.utils.fs.fsync_directory",
         "fsync_directory",
     }
 )
@@ -219,11 +218,11 @@ DIR_FSYNC_CALLS: frozenset[str] = frozenset(
 #: every rename must follow the full durability ordering.
 DURABILITY_MODULES: tuple[str, ...] = (
     "repro.core.journal",
-    "repro.core.checkpoint",
     "repro.dist.worker",
     "repro.dist.coordinator",
     "repro.dist.threshold",
     "repro.obs.exporters",
+    "repro.utils.fs",
 )
 
 # --------------------------------------------------------------------- #

@@ -115,7 +115,7 @@ class BannedNondeterministicCall:
                         message=(
                             f"{what} in deterministic scope "
                             f"({src.module}): digest/merge/journal/"
-                            "checkpoint/plan/bounds paths must be "
+                            "plan/bounds paths must be "
                             "reproducible — seed it explicitly or move "
                             "it off the deterministic path"
                         ),

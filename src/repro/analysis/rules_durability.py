@@ -4,7 +4,7 @@ discipline for every artifact the crash-safety story depends on.
 A rename (``os.rename``/``os.replace``/``shutil.move``/``Path.rename``)
 publishes a file atomically **only** if the data made it to disk first
 (file fsync before the rename) and the directory entry survives power
-loss (directory fsync after).  The journal/checkpoint/shard-artifact
+loss (directory fsync after).  The journal/shard-artifact
 machinery all follow this; these rules keep new call sites honest:
 
 - **EPI421** — rename with no ``os.fsync`` call earlier in the same
@@ -164,7 +164,7 @@ class RenameWithoutDirFsync:
                             f"final rename in {fn.name}() is not followed "
                             "by a directory fsync: power loss can drop "
                             "the rename itself — call "
-                            "repro.core.checkpoint.fsync_directory on "
+                            "repro.utils.fs.fsync_directory on "
                             "the parent directory after renaming"
                         ),
                     )

@@ -48,12 +48,6 @@ def _add_search(sub: argparse._SubParsersAction) -> None:
         "paper's large-N Turing mitigation; must be a multiple of 64)",
     )
     p.add_argument(
-        "--partition", default="outer", choices=("outer", "samples"),
-        help="multi-GPU work division: 'outer' (paper scheme, dynamic "
-        "outer-loop schedule, default) or 'samples' (§4.6 sample-split "
-        "alternative with an inter-GPU reduction per round)",
-    )
-    p.add_argument(
         "--pressure-relax-rounds", type=int, default=64, metavar="R",
         help="consecutive clean rounds before the memory-pressure "
         "governor re-expands one degradation level (default: 64)",
@@ -69,11 +63,6 @@ def _add_search(sub: argparse._SubParsersAction) -> None:
         help="apply MAF/HWE quality control before searching",
     )
     p.add_argument(
-        "--checkpoint",
-        help="checkpoint file: progress is saved after every outer "
-        "iteration and resumed from here on restart",
-    )
-    p.add_argument(
         "--selfcheck", action="store_true",
         help="re-verify every round's winner through an independent "
         "bitwise path (aborts on any disagreement)",
@@ -84,15 +73,9 @@ def _add_search(sub: argparse._SubParsersAction) -> None:
         "unbounded; charged against device memory before the search runs)",
     )
     p.add_argument(
-        "--score-path", default="fused", choices=("fused", "dense"),
-        help="applyScore strategy: 'fused' (mask-first compaction + staged "
-        "lgamma scorer, the default) or 'dense' (legacy full-grid reference "
-        "path); results are bit-identical",
-    )
-    p.add_argument(
         "--no-cache-triplets", action="store_true",
         help="disable cross-round reuse of completed third-order tables "
-        "(fused path only; tables are then recompleted per round)",
+        "(tables are then recompleted per round)",
     )
     p.add_argument(
         "--autotune", action="store_true",
@@ -318,10 +301,8 @@ def _search_config_from_args(args: argparse.Namespace):
         engine_kind=args.engine,
         engine_mode=args.engine_mode,
         sample_chunk_bits=args.sample_chunk_bits,
-        partition=args.partition,
         top_k=args.top_k,
         selfcheck=args.selfcheck,
-        score_path=args.score_path,
         cache_triplets=not args.no_cache_triplets,
         autotune=args.autotune,
         cache_mb=args.cache_mb,
@@ -505,9 +486,7 @@ def _cmd_search(args: argparse.Namespace) -> int:
         search = Epi4TensorSearch(
             dataset, config, spec=spec, n_gpus=args.n_gpus, tracer=tracer
         )
-        result = search.run(
-            checkpoint_path=args.checkpoint, journal_path=args.journal
-        )
+        result = search.run(journal_path=args.journal)
         if wants_artifacts:
             from repro.obs.exporters import export_run_artifacts
             from repro.obs.manifest import build_run_manifest

@@ -48,8 +48,8 @@ Two implementations are provided:
 
 :func:`apply_score_dense` (the legacy reference)
     Completes and scores the full ``B^4 x 81`` grid, then masks.  Kept
-    bit-identical to the pre-fusion implementation as the ablation
-    baseline (``score_path="dense"``) and as the property-test oracle.
+    bit-identical to the pre-fusion implementation as the per-round
+    reference the fused path is tested and benchmarked against.
 
 Memory stays bounded in both paths by chunking — along ``w`` in the dense
 path, along the compacted position axis in the fused path — mirroring how
@@ -406,7 +406,7 @@ def apply_score_dense(
     """Legacy dense reference: complete + score the full grid, then mask.
 
     Kept bit-identical to the pre-fusion implementation; serves as the
-    ``score_path="dense"`` ablation baseline and the property-test oracle
+    per-round applyScore ablation baseline and the property-test oracle
     for the compacted path.
     """
     b = operands.block_size

@@ -1,16 +1,13 @@
 """Crash-safe round journal: an append-only, CRC-framed write-ahead log.
 
-:class:`~repro.core.checkpoint.SearchCheckpoint` rewrites the whole
-resume file on every commit — simple, but a commit costs O(completed)
-bytes and the crash-consistency story leans entirely on the ``.bak``
-rotation.  The journal replaces that with the classic WAL discipline:
-one *appended*, CRC-framed record per committed outer (``Wi``)
-iteration, fsynced before the commit is considered durable.  A process
-killed at **any** byte offset leaves a valid frame prefix plus at most
-one torn tail frame; recovery replays the prefix, drops the tail, and
-the (idempotent, merge-only) search re-executes only the iterations
-whose commit frame never became durable — exactly-once resume with a
-bit-identical top-k.
+The journal is the search's resume mechanism, built on the classic WAL
+discipline: one *appended*, CRC-framed record per committed outer
+(``Wi``) iteration, fsynced before the commit is considered durable.  A
+process killed at **any** byte offset leaves a valid frame prefix plus
+at most one torn tail frame; recovery replays the prefix, drops the
+tail, and the (idempotent, merge-only) search re-executes only the
+iterations whose commit frame never became durable — exactly-once
+resume with a bit-identical top-k.
 
 Frame layout (little-endian)::
 
@@ -20,8 +17,8 @@ Frame layout (little-endian)::
     +----------+----------------+---------------+------------------+
 
 The first frame is always a ``header`` record carrying the journal
-schema version and the search fingerprint (same identity guard as the
-checkpoint).  Subsequent frames are ``commit`` records::
+schema version and the search fingerprint (see
+:func:`search_fingerprint`).  Subsequent frames are ``commit`` records::
 
     {"type": "commit", "wi": 7, "solutions": [[score, packed], ...]}
 
@@ -46,6 +43,7 @@ automatically when the replayed log carries more than
 
 from __future__ import annotations
 
+import hashlib
 import json
 import os
 import struct
@@ -58,9 +56,9 @@ from typing import TYPE_CHECKING
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.obs.metrics import MetricsRegistry
 
-from repro.core.checkpoint import fsync_directory
 from repro.core.reduction import TopKReducer
 from repro.core.solution import Solution
+from repro.utils.fs import fsync_directory
 
 #: Journal schema version (bumped on any frame/record format change).
 JOURNAL_VERSION = 1
@@ -69,6 +67,50 @@ JOURNAL_VERSION = 1
 _MAGIC = b"EJ"
 _PREAMBLE = struct.Struct("<2sII")
 _MAX_FRAME_BYTES = 16 * 1024 * 1024  # sanity bound against garbage lengths
+
+
+def search_fingerprint(
+    n_snps: int,
+    n_real_snps: int,
+    n_controls: int,
+    n_cases: int,
+    block_size: int,
+    engine_kind: str,
+    score_name: str,
+    top_k: int,
+    n_gpus: int,
+) -> str:
+    """Stable identity of a search's dataset shape + configuration.
+
+    Deliberately shape-based (not content-hashed): hashing a multi-GB
+    dataset on every resume would defeat the purpose; the guard catches the
+    realistic failure mode (resuming with the wrong file or settings).
+    """
+    return (
+        f"M{n_snps}r{n_real_snps}c{n_controls}k{n_cases}B{block_size}"
+        f"E{engine_kind}S{score_name}K{top_k}G{n_gpus}"
+    )
+
+
+def domain_clause(nb: int, iterations: "list[int] | tuple[int, ...]") -> str:
+    """Fingerprint clause identifying a *restricted* outer-iteration domain.
+
+    A sharded run executes only a subset of the ``nb`` outer (``Wi``)
+    iterations; its journal must not be confused with another shard's (or
+    with a full run's) even when every other configuration clause
+    matches.  The clause digests ``nb`` plus the sorted iteration list, so
+    any difference in the domain yields a different fingerprint and
+    resume from the wrong file is refused with the standard
+    fingerprint-mismatch error.
+
+    An unrestricted domain (all ``nb`` iterations) returns ``""``, so a
+    full run's fingerprint carries no domain clause.
+    """
+    domain = sorted(int(i) for i in iterations)
+    if domain == list(range(nb)):
+        return ""
+    spec = f"{nb}:" + ",".join(str(i) for i in domain)
+    return "+W" + hashlib.sha256(spec.encode("ascii")).hexdigest()[:12]
 
 
 class JournalError(ValueError):

@@ -109,7 +109,7 @@ class TopKReducer:
                 self._truncate()
 
     def seed(self, solutions: "Iterable[Solution]") -> None:
-        """Inject externally persisted candidates (checkpoint resume,
+        """Inject externally persisted candidates (journal resume,
         warm starts) through the public reduction path.
 
         Equivalent to merging a reducer that already held ``solutions``:
@@ -145,7 +145,7 @@ class TopKReducer:
 
     def _truncate(self) -> None:
         # Dedup by quad so merging overlapping candidate sets (e.g. a
-        # checkpoint resume re-scoring an iteration) stays idempotent.
+        # journal resume re-scoring an iteration) stays idempotent.
         # Callers hold self._lock (RLock: safe from public methods here).
         self._solutions.sort()
         seen: set[int] = set()

@@ -3,7 +3,7 @@
 The recovery half of the resilience story (the fault *injection* half is
 :mod:`repro.device.faults`).  The search treats one outer (``Wi``)
 iteration as its unit of recovery — the same unit §3.6 uses for
-multi-GPU work division and :mod:`repro.core.checkpoint` uses for
+multi-GPU work division and :mod:`repro.core.journal` uses for
 resume.  A ``Wi`` iteration is idempotent (it reads immutable operands
 and produces a candidate list) and the global reducer is merge-only, so
 re-executing a failed iteration — on the same device or any other —

@@ -65,11 +65,11 @@ from repro.bitops.bitmatrix import BitMatrix
 from repro.core.apply_score import (
     DEFAULT_MAX_CHUNK_CELLS,
     RoundOperands,
-    apply_score_dense,
     score_round,
 )
 from repro.core.autotune import AutotuneDecision, autotune_applyscore
 from repro.core.blocks import BlockScheme
+from repro.core.journal import RoundJournal, domain_clause, search_fingerprint
 from repro.core.operand_cache import CacheStats, OperandCache
 from repro.core.pairwise import LowOrderTables, pairw_pop
 from repro.core.pressure import PressureGovernor
@@ -143,13 +143,6 @@ class SearchConfig:
         selfcheck: re-derive every round's best quad through an independent
             bitwise path and abort on any disagreement (paranoia mode for
             long production runs; see :mod:`repro.core.selfcheck`).
-        partition: multi-GPU work division. ``"outer"`` is the paper's
-            scheme (outer-loop iterations, dynamic schedule, no inter-GPU
-            communication).  ``"samples"`` is the §4.6 alternative the
-            authors evaluated and rejected: every GPU processes *all*
-            rounds over its own sample range and the partial contingency
-            corners are summed before scoring — functionally identical,
-            but each GPU's GEMMs shrink along K, which is why it loses.
         cache_mb: round-operand cache budget in megabytes.  ``None`` or
             ``0`` disables caching (the seed behaviour); ``float("inf")``
             is unbounded (charged to the memory model at the full working
@@ -158,8 +151,7 @@ class SearchConfig:
         host_threads: host worker threads driving the devices.  ``None``
             picks ``min(n_gpus, cpu_count)``; ``1`` forces the sequential
             seed path; values above the device count are capped (the
-            model is one thread per GPU, §3.6).  Ignored by the
-            ``"samples"`` partition, whose devices cooperate per round.
+            model is one thread per GPU, §3.6).
         max_retries: additional attempts a failed outer iteration gets on
             the same device before it is requeued to surviving devices
             (see :mod:`repro.core.resilience`).
@@ -171,10 +163,6 @@ class SearchConfig:
             :func:`repro.device.faults.parse_fault_spec`); ``None`` runs
             fault-free.  Results are bit-identical either way — the
             resilience layer only re-executes idempotent work.
-        score_path: ``"fused"`` (mask-first compacted completion + staged
-            scorer, the default) or ``"dense"`` (the legacy full-grid
-            reference, kept for ablation).  Bit-identical scores either
-            way; only executed score-cell accounting differs.
         cache_triplets: store fully-completed third-order tables in the
             round-operand cache under ``("full3", cls, a, b, c)`` keys so
             each block triple is completed once per sweep instead of once
@@ -222,8 +210,8 @@ class SearchConfig:
             The bound never overestimates and ties are never pruned, so
             results stay **bit-identical** to the exhaustive run; only
             the executed score-cell accounting shrinks.  Effective only
-            on the fused K2 scoring path (other score functions have no
-            admissible corner bound and run exhaustively regardless).
+            for the K2 score (other score functions have no admissible
+            corner bound and run exhaustively regardless).
         prune_sync_rounds: with an attached
             :class:`~repro.dist.threshold.ThresholdExchange`, publish
             this shard's top-k and refresh the peer-shard threshold
@@ -242,7 +230,6 @@ class SearchConfig:
     sample_chunk_bits: int | None = None
     max_chunk_cells: int = DEFAULT_MAX_CHUNK_CELLS
     top_k: int = 1
-    partition: str = "outer"
     selfcheck: bool = False
     cache_mb: float | None = None
     host_threads: int | None = None
@@ -250,7 +237,6 @@ class SearchConfig:
     backoff_base_ms: float = 10.0
     quarantine_after: int = 2
     inject_faults: str | None = None
-    score_path: str = "fused"
     cache_triplets: bool = True
     autotune: bool = False
     batch_rounds: int = 1
@@ -262,10 +248,6 @@ class SearchConfig:
     prune_sync_rounds: int | None = None
 
     def __post_init__(self) -> None:
-        if self.score_path not in ("fused", "dense"):
-            raise ValueError(
-                f"score_path must be 'fused' or 'dense', got {self.score_path!r}"
-            )
         if self.block_size < 2:
             raise ValueError(f"block_size must be >= 2, got {self.block_size}")
         if self.n_streams < 1:
@@ -283,10 +265,6 @@ class SearchConfig:
             )
         if self.top_k < 1:
             raise ValueError(f"top_k must be >= 1, got {self.top_k}")
-        if self.partition not in ("outer", "samples"):
-            raise ValueError(
-                f"partition must be 'outer' or 'samples', got {self.partition!r}"
-            )
         if self.cache_mb is not None and (
             math.isnan(self.cache_mb) or self.cache_mb < 0
         ):
@@ -504,9 +482,7 @@ class Epi4TensorSearch:
             self.config.block_size,
             max_chunk_cells=self.config.max_chunk_cells,
             cache_budget_bytes=self.config.cache_budget_bytes,
-            cache_triplets=(
-                self.config.cache_triplets and self.config.score_path == "fused"
-            ),
+            cache_triplets=self.config.cache_triplets,
             batch_rounds=self.config.batch_rounds,
         )
         check_fits(spec, self.memory_estimate)
@@ -636,16 +612,14 @@ class Epi4TensorSearch:
         return max(1, min(requested, n_gpus))
 
     def fingerprint(self, outer_iterations: Iterable[int] | None = None) -> str:
-        """Identity string guarding checkpoint/journal resume.
+        """Identity string guarding journal resume.
 
         With ``outer_iterations`` (a restricted ``Wi`` sub-domain, e.g. one
         shard of a distributed run) the fingerprint gains a domain clause
-        (see :func:`~repro.core.checkpoint.domain_clause`), so one shard's
-        resume files can never be mistaken for another's — or for a full
+        (see :func:`~repro.core.journal.domain_clause`), so one shard's
+        journal can never be mistaken for another's — or for a full
         run's — even on the same dataset and configuration.
         """
-        from repro.core.checkpoint import domain_clause, search_fingerprint
-
         base = search_fingerprint(
             self.scheme.n_snps,
             self.scheme.n_real_snps,
@@ -655,7 +629,6 @@ class Epi4TensorSearch:
             self.cluster.gpus[0].engine.name,
             self._score_name,
             self.config.top_k,
-            self.config.partition,
             self.cluster.n_gpus,
         )
         if outer_iterations is not None:
@@ -683,7 +656,6 @@ class Epi4TensorSearch:
     def run(
         self,
         progress_callback: Callable[[int, int, Solution], None] | None = None,
-        checkpoint_path: str | os.PathLike | None = None,
         journal_path: str | os.PathLike | None = None,
         outer_iterations: Iterable[int] | None = None,
     ) -> SearchResult:
@@ -696,28 +668,21 @@ class Epi4TensorSearch:
                 the thread-parallel executor the callback is serialized
                 (called under a lock) and ``best_so_far`` is the global
                 minimum over everything scored so far.
-            checkpoint_path: optional path; resume state is loaded from it
-                (if present and matching this configuration) and re-saved
-                after every completed outer iteration.  A resumed run skips
-                finished iterations; its counters/timers cover only the
-                work actually re-executed.
             journal_path: optional path to a crash-safe round journal (see
                 :mod:`repro.core.journal`): every committed outer iteration
                 appends one fsynced CRC frame, so a process killed at any
                 byte offset resumes exactly-once with a bit-identical
-                top-k.  Composable with ``checkpoint_path``; the union of
-                both completed sets is skipped on resume.
+                top-k.  A resumed run skips the journal's committed
+                iterations; its counters/timers cover only the work
+                actually re-executed.
             outer_iterations: optional restricted ``Wi`` domain — the
                 communication-free shard decomposition of §3.6/§4.4.  Only
                 the listed outer iterations are scheduled and executed; the
                 result's top-k is this shard's local reduction, to be
                 merged across shards by :mod:`repro.dist`.  The resume
-                fingerprint gains a domain clause so per-shard
-                checkpoint/journal files cannot cross-contaminate.
+                fingerprint gains a domain clause so per-shard journals
+                cannot cross-contaminate.
         """
-        from repro.core.checkpoint import SearchCheckpoint
-        from repro.core.journal import RoundJournal
-
         self._progress_callback = progress_callback
         self._rounds_done = 0
         self._best_seen = Solution.worst()
@@ -726,9 +691,6 @@ class Epi4TensorSearch:
             domain = self._validate_domain(outer_iterations)
         self._outer_iterations = domain
         fingerprint = self.fingerprint(domain)
-        checkpoint: SearchCheckpoint | None = None
-        if checkpoint_path is not None:
-            checkpoint = SearchCheckpoint.load(checkpoint_path, fingerprint)
         journal: RoundJournal | None = None
         if journal_path is not None:
             journal = RoundJournal.open(journal_path, fingerprint)
@@ -743,8 +705,8 @@ class Epi4TensorSearch:
             device="host",
         )
         # Pruning series exist (zero-valued) even when nothing prunes —
-        # prune-off runs, non-K2 scores, dense path — so dashboards,
-        # golden fixtures and shard merges see a stable metric schema.
+        # prune-off runs, non-K2 scores — so dashboards, golden fixtures
+        # and shard merges see a stable metric schema.
         self.metrics.inc("epi4_prune_quads_total", 0, device="0")
         self.metrics.inc("epi4_prune_sync_total", 0)
         total_timer = Timer()
@@ -752,7 +714,6 @@ class Epi4TensorSearch:
             "run",
             engine=self.cluster.gpus[0].engine.name,
             n_devices=self.cluster.n_gpus,
-            partition=self.config.partition,
         )
         # Kept for explicit cross-thread parenting: the parallel path's
         # per-worker device spans open on worker threads whose span stacks
@@ -786,9 +747,6 @@ class Epi4TensorSearch:
             self._sync_reducer = None
             self._sync_counter = 0
             done: set[int] = set()
-            if checkpoint is not None:
-                checkpoint.seed_reducer(reducer)
-                done = set(checkpoint.completed)
             if journal is not None:
                 journal.seed_reducer(reducer)
                 done |= journal.completed
@@ -796,13 +754,13 @@ class Epi4TensorSearch:
                 self._best_seen = reducer.best
             if domain is not None:
                 # Out-of-domain iterations are another shard's work: mark
-                # them done so every execution path (sequential, parallel,
-                # samples) skips them without further branching.
+                # them done so both execution paths (sequential and
+                # parallel) skip them without further branching.
                 done |= set(range(self.scheme.nb)) - set(domain)
             executed: list[list[int]] = [[] for _ in self.cluster.gpus]
             commit_lock = threading.Lock()
 
-            def run_iteration(executor: "_KernelExecutor", wi: int) -> None:
+            def run_iteration(executor: "_SingleDeviceExecutor", wi: int) -> None:
                 outer_span = self.tracer.span(
                     "outer", wi=wi, dev=executor.device_id
                 )
@@ -816,9 +774,6 @@ class Epi4TensorSearch:
                 with commit_lock:
                     reducer.merge(local)
                     executed[executor.device_id].append(wi)
-                    if checkpoint is not None:
-                        checkpoint.record(wi, reducer)
-                        checkpoint.save(checkpoint_path)
                     if journal is not None:
                         # Durable (fsynced) before the commit counts; a
                         # crash after this line re-runs nothing.
@@ -828,14 +783,11 @@ class Epi4TensorSearch:
                 # Warm start: inherit whatever thresholds peer shards have
                 # already published (a late shard starts tight).
                 self._sync_thresholds()
-            if self.config.partition == "samples" and self.cluster.n_gpus > 1:
-                self._run_samples_partition(done, run_iteration)
+            n_workers = self.host_worker_count()
+            if n_workers <= 1:
+                self._run_sequential(schedule, done, run_iteration)
             else:
-                n_workers = self.host_worker_count()
-                if n_workers <= 1:
-                    self._run_sequential(schedule, done, run_iteration)
-                else:
-                    self._run_parallel(n_workers, done, run_iteration)
+                self._run_parallel(n_workers, done, run_iteration)
             with self.tracer.span("reduce"):
                 top = reducer.result()
             solution = top[0] if top else reduce_solutions([])
@@ -1094,31 +1046,6 @@ class Epi4TensorSearch:
                     f"(last fault: {last}); search cannot complete"
                 )
 
-    def _run_samples_partition(self, done: set[int], run_iteration) -> None:
-        """§4.6 alternative scheme: every device runs every round over its
-        own sample range; one pass, merged corners.  Devices cooperate
-        within a round, so the host drives them from a single thread —
-        and a persistently failing device cannot be routed around (its
-        sample chunk is irreplaceable): exhausted retries abort."""
-        executor = _SamplePartitionExecutor(
-            self,
-            [self._wrap_gpu(gpu) for gpu in self.cluster.gpus],
-            self._cache,
-        )
-        with self.tracer.span("device", device=executor.device_id):
-            for wi in range(self.scheme.nb):
-                if wi in done:
-                    continue
-                fault = self._with_retries(
-                    executor.device_id, wi, lambda w=wi: run_iteration(executor, w)
-                )
-                if fault is not None:
-                    raise SearchAbortedError(
-                        f"outer iteration {wi} exhausted its retries under the "
-                        f"'samples' partition ({fault}); every device's sample "
-                        "chunk is required per round, so no requeue is possible"
-                    )
-
     def _run_parallel(self, n_workers: int, done: set[int], run_iteration) -> None:
         """One worker thread per device, pulling outer iterations from a
         shared fault-tolerant queue — the host-side realization of OpenMP
@@ -1335,7 +1262,7 @@ class Epi4TensorSearch:
 
     def _run_rounds(
         self,
-        executor: "_KernelExecutor",
+        executor: "_SingleDeviceExecutor",
         outer_iters: Iterable[int],
         parent_span=None,
     ) -> TopKReducer:
@@ -1371,7 +1298,7 @@ class Epi4TensorSearch:
 
     def _run_rounds_pipelined(
         self,
-        executor: "_KernelExecutor",
+        executor: "_SingleDeviceExecutor",
         outer_iters: Iterable[int],
         batch: int,
         depth: int,
@@ -1434,7 +1361,7 @@ class Epi4TensorSearch:
 
     def _stage_tasks(
         self,
-        executor: "_KernelExecutor",
+        executor: "_SingleDeviceExecutor",
         outer_iters: Iterable[int],
         batch: int,
         parent_span,
@@ -1465,7 +1392,7 @@ class Epi4TensorSearch:
 
     def _make_stage_task(
         self,
-        executor: "_KernelExecutor",
+        executor: "_SingleDeviceExecutor",
         wi: int,
         xi: int,
         group: list[tuple[int, int]],
@@ -1535,7 +1462,7 @@ class Epi4TensorSearch:
 
     def _score_staged_group(
         self,
-        executor: "_KernelExecutor",
+        executor: "_SingleDeviceExecutor",
         reducer: TopKReducer,
         staged: "_StagedGroup",
     ) -> None:
@@ -1574,7 +1501,7 @@ class Epi4TensorSearch:
 
     def _score_and_reduce(
         self,
-        executor: "_KernelExecutor",
+        executor: "_SingleDeviceExecutor",
         reducer: TopKReducer,
         operands: RoundOperands,
     ) -> None:
@@ -1587,7 +1514,7 @@ class Epi4TensorSearch:
 
     def _note_round_done(
         self,
-        executor: "_KernelExecutor",
+        executor: "_SingleDeviceExecutor",
         reducer: TopKReducer,
         round_t0: float,
     ) -> None:
@@ -1647,14 +1574,10 @@ class Epi4TensorSearch:
         self._threshold_exchange = exchange
 
     def _prune_active(self) -> bool:
-        """Whether the bound-first gate runs: configured on, fused path,
-        and a K2 bound kernel available (other score functions have no
-        admissible corner bound)."""
-        return (
-            self.config.prune
-            and self.config.score_path == "fused"
-            and self._bound_kernel is not None
-        )
+        """Whether the bound-first gate runs: configured on and a K2 bound
+        kernel available (other score functions have no admissible corner
+        bound)."""
+        return self.config.prune and self._bound_kernel is not None
 
     def _prune_threshold(self, reducer: TopKReducer) -> float:
         """Tightest currently-safe prune threshold.
@@ -1699,36 +1622,26 @@ class Epi4TensorSearch:
     # ------------------------------------------------------------------ #
     # Scoring with graceful degradation
 
-    def _apply_score_path(
+    def _apply_score(
         self,
-        executor: "_KernelExecutor",
+        executor: "_SingleDeviceExecutor",
         operands: RoundOperands,
         *,
         triplet_cache: bool = True,
         reducer: TopKReducer | None = None,
     ) -> tuple[np.ndarray, int]:
-        """Run the configured completion+scoring path on one round.
+        """Run the fused completion+scoring path on one round.
 
-        Returns ``(scores, executed_score_cells)``.  The fused path scores
-        only the mask-compacted positions (and accounts exactly those),
-        serves completed triplets through the executor's ``full3`` hook,
-        and records the ``epi4_applyscore_*`` series; the dense ablation
-        path reproduces the legacy full-grid behaviour.  With a reducer
+        Returns ``(scores, executed_score_cells)``.  Only the
+        mask-compacted positions are scored (and accounted), completed
+        triplets are served through the executor's ``full3`` hook, and
+        the ``epi4_applyscore_*`` series are recorded.  With a reducer
         and pruning active, the bound-first gate drops positions that
         provably cannot enter the top-k before completion runs.
         """
         chunk_cells = self._tuned_chunk_cells
         if self._pressure is not None:
             chunk_cells = self._pressure.effective_chunk_cells(chunk_cells)
-        if self.config.score_path == "dense":
-            scores = apply_score_dense(
-                operands,
-                self._low.pairs,
-                self._score_min,
-                self.scheme.n_real_snps,
-                max_chunk_cells=chunk_cells,
-            )
-            return scores, operands.block_size ** 4 * 81 * 2
         prune = reducer is not None and self._prune_active()
         scores, stats = score_round(
             operands,
@@ -1761,7 +1674,7 @@ class Epi4TensorSearch:
 
     def _score_round(
         self,
-        executor: "_KernelExecutor",
+        executor: "_SingleDeviceExecutor",
         operands: RoundOperands,
         reducer: TopKReducer | None = None,
     ) -> tuple[np.ndarray, int]:
@@ -1786,7 +1699,7 @@ class Epi4TensorSearch:
                     operands, self.encoded.n_controls, self.encoded.n_cases
                 )
             with self._phase_scope("score", executor.device_id, span="derive"):
-                scores, cells = self._apply_score_path(
+                scores, cells = self._apply_score(
                     executor, operands, reducer=reducer
                 )
             if self.config.selfcheck:
@@ -1816,7 +1729,7 @@ class Epi4TensorSearch:
 
     def _degraded_round(
         self,
-        executor: "_KernelExecutor",
+        executor: "_SingleDeviceExecutor",
         operands: RoundOperands,
         err: SelfCheckError,
         reducer: TopKReducer | None = None,
@@ -1831,7 +1744,7 @@ class Epi4TensorSearch:
             # completions come from the independent corners, unshared.
             # The bound gate stays active — the independent corners are
             # exact, so the bound is just as admissible on them.
-            scores, cells = self._apply_score_path(
+            scores, cells = self._apply_score(
                 executor, safe, triplet_cache=False, reducer=reducer
             )
         if self.config.selfcheck:
@@ -1865,48 +1778,6 @@ class _StagedGroup:
     rounds: list
     #: Wall seconds the stage task spent (for the overlap metric).
     stage_seconds: float
-
-
-def _full3_lookup(
-    search: "Epi4TensorSearch",
-    counters: KernelCounters,
-    device_id: int,
-    cache: OperandCache | None,
-    cls: int,
-    triple: tuple[int, int, int],
-    factory: Callable[[], np.ndarray],
-) -> tuple[np.ndarray, bool]:
-    """Shared completed-triplet (``full3``) cache hook for both executors.
-
-    The completed 27-cell table of a block triple is a pure function of
-    its (non-decreasing) block offsets — the corner slice is the same
-    sweep output and the completion gathers the same global pair tables
-    whichever round-role the triple plays — so the factory is
-    key-determined *in value* and the single-flight admission works
-    exactly like the combine/sweep entries.  The factory runs host-side
-    completion arithmetic (no device launch), so no launch accounting can
-    be perturbed by which concurrent request computes.
-    """
-    metrics = search.metrics
-    dev = str(device_id)
-    metrics.inc("epi4_operand_requests_total", kind="full3", device=dev)
-    if cache is None or not search._triplets_active():
-        metrics.inc(
-            "epi4_operand_executed_total", kind="full3", device=dev
-        )
-        return factory(), False
-    value, hit, evicted = cache.get_or_compute(
-        ("full3", cls, *triple), factory
-    )
-    counters.record_cache(hit, evicted)
-    metrics.inc(
-        "epi4_operand_cache_served_total"
-        if hit
-        else "epi4_operand_executed_total",
-        kind="full3",
-        device=dev,
-    )
-    return value, hit
 
 
 class _SingleDeviceExecutor:
@@ -2081,195 +1952,37 @@ class _SingleDeviceExecutor:
         triple: tuple[int, int, int],
         factory: Callable[[], np.ndarray],
     ) -> tuple[np.ndarray, bool]:
-        """Completed third-order table for a block triple (see
-        :func:`_full3_lookup`)."""
-        return _full3_lookup(
-            self._search,
-            self._gpu.counters,
-            self.device_id,
-            self._cache,
-            cls,
-            triple,
-            factory,
-        )
+        """Completed third-order table for a block triple.
 
-
-class _SamplePartitionExecutor:
-    """Kernel launches fanned across devices by sample range (§4.6's
-    alternative parallelization scheme).
-
-    Every device runs every round over its own word-aligned sample chunk;
-    partial corners are summed ("combining the frequency counts for each
-    genotype configuration between GPUs").  Operand handles are per-device
-    lists of combined chunks.  The round-operand cache composes: combined
-    chunk-lists and *merged* sweeps are cached under the same keys as the
-    single-device executor (hits are accounted on device 0, which also
-    hosts the merged-table scoring).
-    """
-
-    def __init__(
-        self,
-        search: "Epi4TensorSearch",
-        gpus: list[VirtualGPU],
-        cache: OperandCache | None = None,
-    ) -> None:
-        self._search = search
-        self._gpus = gpus
-        self._cache = cache
-        self._plane_chunks: list[list[BitMatrix]] = []
-        for cls in (0, 1):
-            planes = search.encoded.class_matrix(cls)
-            chunk_words = max(1, -(-planes.n_words // len(gpus)))
-            self._plane_chunks.append(planes.split_bits(chunk_words * 64))
-
-    @property
-    def device_id(self) -> int:
-        return self._gpus[0].device_id
-
-    def _active(self, cls: int) -> list[tuple[VirtualGPU, BitMatrix]]:
-        # Narrow sample counts can yield fewer chunks than devices; the
-        # surplus devices simply idle for that class.
-        chunks = self._plane_chunks[cls]
-        return list(zip(self._gpus, chunks))
-
-    def combine(self, cls: int, off_a: int, off_b: int) -> list[BitMatrix]:
+        The completed 27-cell table of a block triple is a pure function
+        of its (non-decreasing) block offsets — the corner slice is the
+        same sweep output and the completion gathers the same global pair
+        tables whichever round-role the triple plays — so the factory is
+        key-determined *in value* and the single-flight admission works
+        exactly like the combine/sweep entries.  The factory runs
+        host-side completion arithmetic (no device launch), so no launch
+        accounting can be perturbed by which concurrent request computes.
+        """
         metrics = self._search.metrics
         dev = str(self.device_id)
-        metrics.inc("epi4_operand_requests_total", kind="combine", device=dev)
-        if self._cache is None:
+        metrics.inc("epi4_operand_requests_total", kind="full3", device=dev)
+        if self._cache is None or not self._search._triplets_active():
             metrics.inc(
-                "epi4_operand_executed_total", kind="combine", device=dev
+                "epi4_operand_executed_total", kind="full3", device=dev
             )
-            return self._combine_cold(cls, off_a, off_b)
+            return factory(), False
         value, hit, evicted = self._cache.get_or_compute(
-            ("combine", cls, off_a, off_b),
-            lambda: self._combine_cold(cls, off_a, off_b),
-            nbytes=lambda chunks: sum(c.nbytes for c in chunks),
+            ("full3", cls, *triple), factory
         )
-        self._gpus[0].counters.record_cache(hit, evicted)
+        self._gpu.counters.record_cache(hit, evicted)
         metrics.inc(
             "epi4_operand_cache_served_total"
             if hit
             else "epi4_operand_executed_total",
-            kind="combine",
+            kind="full3",
             device=dev,
         )
-        return value
-
-    def _combine_cold(self, cls: int, off_a: int, off_b: int) -> list[BitMatrix]:
-        b = self._search.scheme.block_size
-        with self._search._phase_scope("combine", self.device_id):
-            return [
-                gpu.launch_combine(chunk, off_a, off_b, b)
-                for gpu, chunk in self._active(cls)
-            ]
-
-    def sweep3(
-        self,
-        cls: int,
-        off_a: int,
-        off_b: int,
-        combined: list[BitMatrix] | None = None,
-    ) -> np.ndarray:
-        metrics = self._search.metrics
-        dev = str(self.device_id)
-        metrics.inc("epi4_operand_requests_total", kind="sweep", device=dev)
-        if self._cache is None:
-            metrics.inc(
-                "epi4_operand_executed_total", kind="sweep", device=dev
-            )
-            if combined is None:
-                combined = self._combine_cold(cls, off_a, off_b)
-            return self._gemm3(combined, cls, off_b)
-        # Key-determined factory (in-hand ``combined`` ignored) — keeps
-        # lookup/launch totals order-invariant; see the single-device
-        # executor for the full rationale.
-        value, hit, evicted = self._cache.get_or_compute(
-            ("sweep", cls, off_a, off_b),
-            lambda: self._gemm3(
-                self.combine(cls, off_a, off_b), cls, off_b
-            ),
-        )
-        self._gpus[0].counters.record_cache(hit, evicted)
-        metrics.inc(
-            "epi4_operand_cache_served_total"
-            if hit
-            else "epi4_operand_executed_total",
-            kind="sweep",
-            device=dev,
-        )
-        return value
-
-    def _gemm3(
-        self, combined: list[BitMatrix], cls: int, t_start: int
-    ) -> np.ndarray:
-        b = self._search.scheme.block_size
-        t_stop = self._search.scheme.n_snps
-        with self._search._phase_scope("tensor3", self.device_id):
-            total: np.ndarray | None = None
-            for (gpu, planes_chunk), combined_chunk in zip(
-                self._active(cls), combined
-            ):
-                part = gpu.launch_tensor3(
-                    combined_chunk, planes_chunk, t_start, t_stop, b
-                )
-                total = part if total is None else total + part
-            assert total is not None
-            return total
-
-    def gemm4(
-        self, wx: list[BitMatrix], yz: list[BitMatrix], cls: int
-    ) -> np.ndarray:
-        b = self._search.scheme.block_size
-        with self._search._phase_scope("tensor4", self.device_id):
-            total: np.ndarray | None = None
-            for (gpu, _), wx_chunk, yz_chunk in zip(self._active(cls), wx, yz):
-                part = gpu.launch_tensor4(wx_chunk, yz_chunk, b)
-                total = part if total is None else total + part
-            assert total is not None
-            return total
-
-    def gemm4_batch(
-        self, wx: list[BitMatrix], yz_list: list[list[BitMatrix]], cls: int
-    ) -> list[np.ndarray]:
-        """4-way corners for a round group: each device fuses the group's
-        GEMMs over its own sample chunk; per-round partial corners are
-        summed across devices as in :meth:`gemm4`."""
-        if len(yz_list) == 1:
-            return [self.gemm4(wx, yz, cls) for yz in yz_list]
-        b = self._search.scheme.block_size
-        with self._search._phase_scope("tensor4", self.device_id, span="batch"):
-            totals: list[np.ndarray | None] = [None] * len(yz_list)
-            for d, (gpu, _) in enumerate(self._active(cls)):
-                parts = gpu.launch_tensor4_batch(
-                    wx[d], [yz[d] for yz in yz_list], b
-                )
-                for k, part in enumerate(parts):
-                    totals[k] = part if totals[k] is None else totals[k] + part
-            assert all(t is not None for t in totals)
-            return totals  # type: ignore[return-value]
-
-    def account_score(self, n_cells: int) -> None:
-        # Scoring of the merged tables runs on the first device.
-        self._gpus[0].account_score_cells(n_cells)
-
-    def full3(
-        self,
-        cls: int,
-        triple: tuple[int, int, int],
-        factory: Callable[[], np.ndarray],
-    ) -> tuple[np.ndarray, bool]:
-        """Completed third-order table for a block triple; completion of
-        the merged corners runs on the first device (like scoring)."""
-        return _full3_lookup(
-            self._search,
-            self._gpus[0].counters,
-            self.device_id,
-            self._cache,
-            cls,
-            triple,
-            factory,
-        )
+        return value, hit
 
 
 def search_best_quad(

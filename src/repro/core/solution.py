@@ -92,7 +92,7 @@ class Solution:
 
     def to_pair(self) -> list:
         """``[score, packed]`` — the canonical JSON wire form shared by
-        the checkpoint, the journal and the shard artifacts.
+        the journal and the shard artifacts.
 
         ``json.dumps`` serializes the float via ``repr`` (shortest
         round-trip), so the pair survives a JSON round-trip bit-exactly —

@@ -49,7 +49,7 @@ class ShardMergeError(ValueError):
 
 
 #: Identity clauses compared across shards, in fingerprint order —
-#: the structured counterparts of the ``M r c k B E S K P G`` clauses.
+#: the structured counterparts of the ``M r c k B E S K G`` clauses.
 IDENTITY_CLAUSES = (
     "n_snps",
     "n_real_snps",
@@ -59,7 +59,6 @@ IDENTITY_CLAUSES = (
     "engine",
     "score",
     "top_k",
-    "partition",
     "n_gpus",
 )
 

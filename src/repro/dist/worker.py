@@ -246,7 +246,6 @@ def shard_identity(search) -> dict:
         "engine": search.cluster.gpus[0].engine.name,
         "score": search._score_name,
         "top_k": search.config.top_k,
-        "partition": search.config.partition,
         "n_gpus": search.cluster.n_gpus,
     }
 
@@ -257,7 +256,7 @@ def solutions_from_pairs(pairs) -> list[Solution]:
 
 
 def _write_atomic(path: str, text: str) -> None:
-    from repro.core.checkpoint import fsync_directory
+    from repro.utils.fs import fsync_directory
 
     tmp = path + ".tmp"
     with open(tmp, "w", encoding="utf-8") as fh:

@@ -22,10 +22,10 @@ from __future__ import annotations
 import os
 from typing import Any, Iterable
 
-from repro.core.checkpoint import fsync_directory
 from repro.obs.manifest import RunManifest
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.trace import SpanRecord, Tracer, trace_lines
+from repro.utils.fs import fsync_directory
 
 __all__ = [
     "write_trace",

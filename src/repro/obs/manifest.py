@@ -190,7 +190,6 @@ def build_run_manifest(
             "spec": result.spec_name,
             "engine": result.engine_name,
             "n_devices": result.n_devices,
-            "partition": search.config.partition,
             "block_size": scheme.block_size,
             "n_blocks": scheme.nb,
             "n_rounds": scheme.n_rounds,

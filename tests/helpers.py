@@ -1,0 +1,64 @@
+"""Test-only references shared across the search suites.
+
+- :func:`brute_force_topk` — an independent top-k oracle: per-quad
+  contingency tables counted straight from the genotypes and scored with
+  :class:`~repro.scoring.k2.K2Score`.  No bit-planes, tensor GEMMs,
+  completion, operand cache or pruning sit between the dataset and the
+  ranking, so agreement with the search checks every one of those layers.
+- :func:`cut_journal` — the on-disk state of a run killed right after a
+  given number of durable journal commits.
+"""
+
+from __future__ import annotations
+
+from itertools import combinations
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+from repro.contingency import contingency_tables_by_class
+from repro.core.journal import _read_frame
+from repro.core.solution import Solution
+from repro.datasets import Dataset
+from repro.scoring.k2 import K2Score
+from repro.scoring.lgamma_table import LgammaTable
+
+
+def brute_force_topk(dataset: Dataset, k: int) -> list[Solution]:
+    """The ``k`` best quads of ``dataset`` under K2, ranked like the
+    search's reducer (score, then packed quad index)."""
+    quads = list(combinations(range(dataset.n_snps), 4))
+    tables = [contingency_tables_by_class(dataset, quad) for quad in quads]
+    controls = np.stack([t0 for t0, _ in tables])
+    cases = np.stack([t1 for _, t1 in tables])
+    score = K2Score(LgammaTable.for_samples(dataset.n_samples))
+    scores = score(controls, cases, order=4)
+    ranked = sorted(
+        Solution.from_quad(quad, float(s)) for quad, s in zip(quads, scores)
+    )
+    return ranked[:k]
+
+
+def assert_matches_oracle(result, expected: list[Solution]) -> None:
+    """Exact quads, scores to ``rel=1e-9`` (the oracle sums each table's
+    lgamma terms in its own order)."""
+    got = result.top_solutions
+    assert [s.quad for s in got] == [s.quad for s in expected]
+    assert [s.score for s in got] == pytest.approx(
+        [s.score for s in expected], rel=1e-9
+    )
+
+
+def cut_journal(path: str | Path, n_commits: int) -> list[int]:
+    """Truncate a journal to its header plus its first ``n_commits``
+    commit frames, at a frame boundary.  Returns the kept iterations."""
+    path = Path(path)
+    data = path.read_bytes()
+    _header, offset = _read_frame(data, 0)
+    kept = []
+    for _ in range(n_commits):
+        record, offset = _read_frame(data, offset)
+        kept.append(record["wi"])
+    path.write_bytes(data[:offset])
+    return kept

@@ -473,7 +473,7 @@ class TestDurability:
 
     def test_bare_artifact_write_in_durability_module(self, tmp_path):
         root = write_tree(tmp_path, {
-            "repro/core/checkpoint.py": """
+            "repro/core/journal.py": """
                 def dump(path, text):
                     with open(path, "w") as fh:
                         fh.write(text)
@@ -484,7 +484,7 @@ class TestDurability:
 
     def test_write_with_fsync_not_bare(self, tmp_path):
         root = write_tree(tmp_path, {
-            "repro/core/checkpoint.py": """
+            "repro/core/journal.py": """
                 import os
 
                 def dump(path, text):
@@ -498,7 +498,7 @@ class TestDurability:
 
     def test_read_open_ignored(self, tmp_path):
         root = write_tree(tmp_path, {
-            "repro/core/checkpoint.py": """
+            "repro/core/journal.py": """
                 def load(path):
                     with open(path) as fh:
                         return fh.read()

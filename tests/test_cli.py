@@ -129,15 +129,16 @@ class TestQc:
 
 class TestCheckpointFlag:
     def test_search_with_checkpoint(self, tmp_path, capsys):
-        ckpt = tmp_path / "run.ckpt"
+        journal = tmp_path / "run.journal"
         args = ["search", "--snps", "10", "--samples", "80",
-                "--block-size", "5", "--checkpoint", str(ckpt)]
+                "--block-size", "5", "--journal", str(journal)]
         assert main(args) == 0
         first = capsys.readouterr().out
-        assert ckpt.exists()
+        assert journal.exists()
         assert main(args) == 0  # resume: nothing left to do, same answer
         second = capsys.readouterr().out
         assert first.splitlines()[1] == second.splitlines()[1]  # same #1 line
+        assert "0 commit(s) appended" in second
 
 
 class TestGenerate:

@@ -29,7 +29,6 @@ configs = st.fixed_dictionaries(
         "spec": st.sampled_from([TITAN_RTX, A100_PCIE, A100_SXM4]),
         "n_gpus": st.integers(1, 3),
         "score": st.sampled_from(["k2", "gtest"]),
-        "partition": st.sampled_from(["outer", "samples"]),
         "seed": st.integers(0, 2**31),
     }
 )
@@ -60,11 +59,7 @@ def test_search_always_matches_brute_force(cfg):
     rng.shuffle(phenotypes)
     ds = Dataset(genotypes=genotypes, phenotypes=phenotypes)
 
-    config = SearchConfig(
-        block_size=cfg["block_size"],
-        score=cfg["score"],
-        partition=cfg["partition"],
-    )
+    config = SearchConfig(block_size=cfg["block_size"], score=cfg["score"])
     result = Epi4TensorSearch(
         ds, config, spec=cfg["spec"], n_gpus=cfg["n_gpus"]
     ).run()

@@ -191,12 +191,3 @@ class TestSequentialThreadedStability:
                 build_run_manifest(search, result)["results"]["top_k_sha256"]
             )
         assert len(digests) == 1
-
-    def test_samples_partition_same_topk_digest(self):
-        digests = set()
-        for partition in ("outer", "samples"):
-            search, result, _ = _search(n_gpus=2, partition=partition)
-            digests.add(
-                build_run_manifest(search, result)["results"]["top_k_sha256"]
-            )
-        assert len(digests) == 1

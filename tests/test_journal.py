@@ -19,11 +19,17 @@ from repro.core.journal import (
     JournalError,
     RoundJournal,
     _frame,
+    domain_clause,
+    search_fingerprint,
 )
 from repro.core.reduction import TopKReducer
+from repro.core.search import Epi4TensorSearch, SearchConfig
 from repro.core.solution import Solution
+from repro.datasets import generate_random_dataset
+from repro.perfmodel.workload import outer_iteration_tensor_ops
+from tests.helpers import cut_journal
 
-FP = "M8r8c48k48B4Eand_popcSk2K3PouterG1"
+FP = "M8r8c48k48B4Eand_popcSk2K3G1"
 
 
 def _sol(score, packed=7):
@@ -32,6 +38,15 @@ def _sol(score, packed=7):
 
 def _open(path, fingerprint=FP, **kwargs):
     return RoundJournal.open(path, fingerprint, **kwargs)
+
+
+def _fingerprint(**overrides):
+    base = dict(
+        n_snps=16, n_real_snps=13, n_controls=60, n_cases=60, block_size=4,
+        engine_kind="and_popc", score_name="k2", top_k=1, n_gpus=1,
+    )
+    base.update(overrides)
+    return search_fingerprint(**base)
 
 
 class TestFreshAndResume:
@@ -115,6 +130,30 @@ class TestIdentityGuard:
             fh.write(_frame({"type": "mystery"}))
         with pytest.raises(JournalError, match="mystery"):
             _open(path)
+
+
+class TestSearchFingerprint:
+    def test_fingerprint_mismatch_rejected(self, tmp_path):
+        path = tmp_path / "run.journal"
+        _open(path, fingerprint=_fingerprint()).close()
+        with pytest.raises(JournalError, match="different search"):
+            _open(path, fingerprint=_fingerprint(block_size=8))
+
+    def test_every_clause_is_part_of_the_identity(self):
+        changed = dict(
+            n_snps=20, n_real_snps=14, n_controls=61, n_cases=59,
+            block_size=8, engine_kind="xor_popc", score_name="gtest",
+            top_k=3, n_gpus=2,
+        )
+        fingerprints = {_fingerprint()} | {
+            _fingerprint(**{key: value}) for key, value in changed.items()
+        }
+        assert len(fingerprints) == 1 + len(changed)
+
+    def test_only_a_restricted_domain_adds_a_clause(self):
+        assert domain_clause(4, [3, 1, 0, 2]) == ""
+        assert domain_clause(4, [0, 1]).startswith("+W")
+        assert domain_clause(4, [0, 1]) != domain_clause(4, [2, 3])
 
 
 class TestTornTailRecovery:
@@ -237,3 +276,49 @@ class TestMetrics:
             journal.export_metrics(reg)
             assert reg.total("epi4_journal_commits_total") == 1.0
             assert reg.total("epi4_journal_replayed_total") == 0.0
+
+
+class TestSearchResume:
+    """``Epi4TensorSearch.run(journal_path=...)`` resumes from a journal
+    cut back to a prefix of its commits, as a killed run leaves it."""
+
+    def test_resume_skips_completed_and_matches(self, tmp_path):
+        ds = generate_random_dataset(16, 120, seed=2)
+        path = tmp_path / "run.journal"
+        reference = Epi4TensorSearch(ds, SearchConfig(block_size=4)).run()
+
+        # Simulate a crash after two outer iterations: run fully, then
+        # cut the journal back to the commits of iterations {0, 1}.
+        Epi4TensorSearch(ds, SearchConfig(block_size=4)).run(journal_path=path)
+        assert cut_journal(path, 2) == [0, 1]
+
+        resumed = Epi4TensorSearch(ds, SearchConfig(block_size=4)).run(
+            journal_path=path
+        )
+        assert resumed.solution == reference.solution
+        # Only iterations 2 and 3 were re-executed.
+        expected_ops = sum(
+            outer_iteration_tensor_ops(wi, 4, 4, 120) for wi in (2, 3)
+        )
+        assert resumed.counters.total_tensor_ops_raw == expected_ops
+
+    def test_fully_completed_journal_runs_nothing(self, tmp_path):
+        ds = generate_random_dataset(16, 120, seed=4)
+        path = tmp_path / "run.journal"
+        reference = Epi4TensorSearch(ds, SearchConfig(block_size=4)).run(
+            journal_path=path
+        )
+        resumed = Epi4TensorSearch(ds, SearchConfig(block_size=4)).run(
+            journal_path=path
+        )
+        assert resumed.solution == reference.solution
+        assert resumed.counters.total_tensor_ops_raw == 0
+
+    def test_config_change_rejected(self, tmp_path):
+        ds = generate_random_dataset(16, 120, seed=5)
+        path = tmp_path / "run.journal"
+        Epi4TensorSearch(ds, SearchConfig(block_size=4)).run(journal_path=path)
+        with pytest.raises(JournalError, match="different search"):
+            Epi4TensorSearch(ds, SearchConfig(block_size=8)).run(
+                journal_path=path
+            )

@@ -107,33 +107,6 @@ class TestMultiGPU:
         )
         assert assigned == list(range(res.block_scheme.nb))
 
-    def test_sample_partition_same_result(self):
-        # §4.6's alternative scheme: functionally identical output.
-        ds = generate_random_dataset(16, 400, seed=15)
-        outer = Epi4TensorSearch(ds, SearchConfig(block_size=4), n_gpus=4).run()
-        samples = Epi4TensorSearch(
-            ds, SearchConfig(block_size=4, partition="samples"), n_gpus=4
-        ).run()
-        assert outer.solution == samples.solution
-
-    def test_sample_partition_spreads_and_conserves_work(self):
-        ds = generate_random_dataset(16, 600, seed=16)
-        outer = Epi4TensorSearch(ds, SearchConfig(block_size=4), n_gpus=3).run()
-        samples = Epi4TensorSearch(
-            ds, SearchConfig(block_size=4, partition="samples"), n_gpus=3
-        ).run()
-        loads = [c.total_tensor_ops_raw for c in samples.per_device_counters]
-        assert all(load > 0 for load in loads)
-        assert sum(loads) == outer.counters.total_tensor_ops_raw
-
-    def test_sample_partition_single_gpu_falls_back(self):
-        ds = generate_random_dataset(12, 120, seed=17)
-        res = Epi4TensorSearch(
-            ds, SearchConfig(block_size=4, partition="samples"), n_gpus=1
-        ).run()
-        base = Epi4TensorSearch(ds, SearchConfig(block_size=4)).run()
-        assert res.solution == base.solution
-
 
 class TestTopK:
     def test_ranked_list_matches_brute_force(self):

@@ -5,7 +5,8 @@ The operand cache only changes *which launches execute*; the thread-parallel
 executor only changes *which host thread drives which outer iteration*.
 Neither may perturb a single result bit: ``SearchResult.solution`` and
 ``top_solutions`` are compared exactly (packed indices and float scores),
-across engines, modes, partitions and checkpoint resume.
+across engines, modes, threading and journal resume — and against the
+independent brute-force oracle of :mod:`tests.helpers`.
 """
 
 import pytest
@@ -14,6 +15,7 @@ from repro.core.search import Epi4TensorSearch, SearchConfig
 from repro.datasets import generate_random_dataset
 from repro.device.cluster import ScheduleResult
 from repro.perfmodel.workload import search_workload
+from tests.helpers import assert_matches_oracle, brute_force_topk, cut_journal
 
 
 def _run(ds, n_gpus=1, **cfg):
@@ -96,16 +98,6 @@ class TestThreadedEquivalence:
         )
         _assert_identical(cold, hot)
 
-    def test_samples_partition_with_cache(self):
-        ds = generate_random_dataset(12, 180, seed=4)
-        cold = _run(ds, block_size=4, top_k=2)
-        sam = _run(
-            ds, n_gpus=3, partition="samples", cache_mb=float("inf"),
-            block_size=4, top_k=2,
-        )
-        _assert_identical(cold, sam)
-        assert sam.cache_stats.hits > 0
-
     def test_concurrency_stress_repeated_runs(self):
         # Tiny blocks + 4 devices + small budget: maximum scheduling and
         # eviction nondeterminism.  Results must never vary.
@@ -158,31 +150,29 @@ class TestCheckpointResume:
     def test_resume_with_cache_and_threads(self, tmp_path):
         ds = generate_random_dataset(16, 130, seed=12)
         base = dict(block_size=4, top_k=3, cache_mb=float("inf"))
-        path = tmp_path / "ck.json"
+        path = tmp_path / "run.journal"
 
         # Run the full search once for the reference.
         reference = _run(ds, **base)
 
         # First attempt: sequential run under the same fingerprint (the
         # fingerprint pins n_gpus — resuming under a different device count
-        # is refused by design), then simulate pre-emption by truncating
-        # the checkpoint to a prefix of completed iterations.
+        # is refused by design), then simulate pre-emption by cutting the
+        # journal back to its first two commits.
         search = Epi4TensorSearch(
             ds, SearchConfig(host_threads=1, **base), n_gpus=4
         )
-        full = search.run(checkpoint_path=str(path))
-        import json
+        full = search.run(journal_path=str(path))
+        kept = cut_journal(path, 2)
 
-        payload = json.loads(path.read_text())
-        payload["completed"] = payload["completed"][:2]
-        path.write_text(json.dumps(payload))
-
-        # Resume (threaded + cached) from the truncated checkpoint.
+        # Resume (threaded + cached) from the cut journal.
         resumed = Epi4TensorSearch(
             ds, SearchConfig(host_threads=4, **base), n_gpus=4
-        ).run(checkpoint_path=str(path))
+        ).run(journal_path=str(path))
         _assert_identical(reference, resumed)
         _assert_identical(full, resumed)
+        rerun = sorted(wi for dev in resumed.executed_assignment for wi in dev)
+        assert rerun == sorted(set(range(resumed.block_scheme.nb)) - set(kept))
 
     def test_progress_callback_threadsafe(self):
         ds = generate_random_dataset(12, 120, seed=13)
@@ -206,20 +196,20 @@ class TestCheckpointResume:
 
 class TestFusedScorePathEquivalence:
     """The fused applyScore (mask-first compaction + staged scorer +
-    cross-round triplet reuse) must be bit-identical to the dense legacy
-    path, with or without the triplet cache, chunking, autotune or faults.
+    cross-round triplet reuse) must match the brute-force oracle, and be
+    bit-identical with or without the triplet cache, chunking, autotune or
+    faults.
     """
 
     @pytest.mark.parametrize("engine_kind", ["and_popc", "xor_popc"])
     @pytest.mark.parametrize("mode", ["dense", "packed"])
-    def test_dense_path_matches_fused_grid(self, engine_kind, mode):
+    def test_oracle_matches_fused_grid(self, engine_kind, mode):
         ds = generate_random_dataset(14, 120, seed=17)
         base = dict(
             block_size=4, engine_kind=engine_kind, engine_mode=mode, top_k=4
         )
         fused = _run(ds, cache_mb=float("inf"), **base)
-        dense = _run(ds, score_path="dense", **base)
-        _assert_identical(fused, dense)
+        assert_matches_oracle(fused, brute_force_topk(ds, 4))
 
     def test_triplet_cache_off_matches_on(self):
         ds = generate_random_dataset(20, 140, seed=4)
@@ -297,17 +287,10 @@ class TestFusedScorePathEquivalence:
         # Executed score cells follow the compacted volume.
         assert res.counters.score_cells == scheme.unique_quads * 81 * 2
 
-    def test_dense_path_keeps_dense_accounting(self):
-        ds = generate_random_dataset(16, 120, seed=3)
-        res = _run(ds, block_size=4, score_path="dense")
-        wl = search_workload(res.block_scheme.n_snps, 120, 4)
-        assert res.counters.score_cells == wl.score_cells_dense
-
     def test_fused_paths_match_under_faults(self):
         # Degraded rounds purge the round's triplets and rebuild through
-        # the independent path — still bit-identical to the dense baseline.
+        # the independent path — still matching the brute-force oracle.
         ds = generate_random_dataset(16, 120, seed=21)
-        dense = _run(ds, block_size=4, top_k=3, score_path="dense")
         spec = "corrupt:count=3;seed=5"
         fused = _run(
             ds,
@@ -317,7 +300,7 @@ class TestFusedScorePathEquivalence:
             inject_faults=spec,
             max_retries=0,
         )
-        _assert_identical(dense, fused)
+        assert_matches_oracle(fused, brute_force_topk(ds, 3))
         assert fused.fault_log.total_degraded_rounds > 0
 
 
@@ -337,7 +320,8 @@ class TestPruneEquivalence:
     """Branch-and-bound pruning is a pure work eliminator: every cell of
     the configuration matrix must produce *bit-identical* results with the
     gate on and off — engines, modes, batching, threading, resume and
-    fault-degraded rounds included."""
+    fault-degraded rounds included — and must match the brute-force
+    oracle."""
 
     @pytest.mark.parametrize("engine_kind", ["and_popc", "xor_popc"])
     @pytest.mark.parametrize("mode", ["dense", "packed"])
@@ -365,19 +349,18 @@ class TestPruneEquivalence:
             dict(batch_rounds=8, n_streams=2),
             dict(batch_rounds=1, n_streams=3),
             dict(batch_rounds=8, cache_mb=float("inf")),
-            dict(score_path="dense"),
+            dict(),
         ],
         ids=["batched", "batched-streams", "streams", "batched-cached",
-             "dense-path"],
+             "default"],
     )
     def test_pipeline_variants(self, extra):
-        # score_path="dense" never prunes (the gate is fused-path only);
-        # it rides along to pin the config knob as result-neutral there.
         ds = generate_random_dataset(16, 140, seed=13)
         base = dict(block_size=4, top_k=3)
         off = _run(ds, prune=False, **base)
         on = _run(ds, prune=True, **base, **extra)
         _assert_identical(off, on)
+        assert_matches_oracle(on, brute_force_topk(ds, 3))
 
     def test_threaded_pruned_matches_sequential_unpruned(self):
         ds = generate_random_dataset(16, 140, seed=5)
@@ -388,22 +371,18 @@ class TestPruneEquivalence:
             _assert_identical(off, on)
 
     def test_resume_with_pruning(self, tmp_path):
-        import json
-
         ds = generate_random_dataset(16, 130, seed=12)
         base = dict(block_size=4, top_k=3, prune=True)
         reference = _run(ds, block_size=4, top_k=3, prune=False)
-        path = tmp_path / "ck.json"
+        path = tmp_path / "run.journal"
         search = Epi4TensorSearch(ds, SearchConfig(**base))
-        search.run(checkpoint_path=str(path))
-        payload = json.loads(path.read_text())
-        payload["completed"] = payload["completed"][:2]
-        path.write_text(json.dumps(payload))
-        # The resumed run warm-starts its reducer from the checkpoint's
+        search.run(journal_path=str(path))
+        cut_journal(path, 2)
+        # The resumed run warm-starts its reducer from the journal's
         # partial top-k — the prune threshold starts tight, not at +inf —
         # and must still reproduce the unpruned result bit for bit.
         resumed = Epi4TensorSearch(ds, SearchConfig(**base)).run(
-            checkpoint_path=str(path)
+            journal_path=str(path)
         )
         _assert_identical(reference, resumed)
 

@@ -3,22 +3,20 @@
 The contract (ISSUE acceptance criteria): with fault injection enabled —
 transient faults, a persistent device failure, and forced self-check
 degradation — :meth:`Epi4TensorSearch.run` returns bit-identical
-``top_solutions`` to the fault-free baseline across both engines and both
-partitions, and the :class:`FaultLog` accounts for every injected fault.
-A search with all-but-one device quarantined still completes; a
-corrupted-checkpoint resume recovers without losing committed ``Wi``
-iterations beyond the rotated backup.
+``top_solutions`` to the fault-free baseline across both engines, and the
+:class:`FaultLog` accounts for every injected fault.  A search with
+all-but-one device quarantined still completes; a resume from a journal
+with a torn tail recovers every durably committed ``Wi`` iteration.
 
 The whole suite is marked ``faults`` so CI can replay it under a seed
 matrix (``EPI4TENSOR_FAULT_SEED``).
 """
 
 import os
-import warnings
 
 import pytest
 
-from repro.core.checkpoint import SearchCheckpoint, search_fingerprint
+from repro.core.journal import RoundJournal, _frame
 from repro.core.resilience import SearchAbortedError
 from repro.core.search import Epi4TensorSearch, SearchConfig
 from repro.datasets import generate_random_dataset
@@ -49,21 +47,14 @@ def _run(dataset, *, n_gpus=1, **config_kwargs):
 
 class TestBitIdenticalUnderFaults:
     @pytest.mark.parametrize("engine_kind", ["and_popc", "xor_popc"])
-    @pytest.mark.parametrize("partition", ["outer", "samples"])
-    def test_transient_faults_all_engines_and_partitions(
-        self, engine_kind, partition
-    ):
+    def test_transient_faults_all_engines_and_partitions(self, engine_kind):
+        # The outer-loop split is the only partition scheme.
         ds = _dataset()
-        n_gpus = 2 if partition == "samples" else 1
-        _, baseline = _run(
-            ds, n_gpus=n_gpus, engine_kind=engine_kind, partition=partition
-        )
+        _, baseline = _run(ds, engine_kind=engine_kind)
         spec = f"transient:op=tensor4,count=3;seed={FAULT_SEED}"
         search, faulty = _run(
             ds,
-            n_gpus=n_gpus,
             engine_kind=engine_kind,
-            partition=partition,
             inject_faults=spec,
             max_retries=3,
         )
@@ -197,25 +188,6 @@ class TestDegradedFleet:
         with pytest.raises(SearchAbortedError):
             search.run()
 
-    def test_samples_partition_aborts_when_a_device_dies(self):
-        # Sample chunks are irreplaceable: every device owns part of every
-        # round, so a dead device ends the search after retries.  (Needs
-        # >= 2 sample words per class so device 1 actually owns a chunk.)
-        ds = _dataset(8, 256)
-        search = Epi4TensorSearch(
-            ds,
-            SearchConfig(
-                block_size=4,
-                partition="samples",
-                inject_faults="persistent:device=1,at=4",
-                max_retries=1,
-                backoff_base_ms=0.0,
-            ),
-            n_gpus=2,
-        )
-        with pytest.raises(SearchAbortedError):
-            search.run()
-
     def test_fresh_run_after_aborted_run_is_clean(self):
         # Resilience state must reset per run(): disable injection and the
         # same search object completes normally.
@@ -242,8 +214,8 @@ class TestDegradedFleet:
 
 class TestCheckpointRecoveryUnderFaults:
     def test_corrupted_checkpoint_resume_recovers_committed_work(self, tmp_path):
-        ds = _dataset(12, 96)  # 3 outer iterations => >= 2 checkpoint saves
-        ckpt = tmp_path / "search.ckpt"
+        ds = _dataset(12, 96)  # 3 outer iterations => >= 2 journal commits
+        path = tmp_path / "search.journal"
         config = dict(block_size=4, top_k=3, backoff_base_ms=0.0)
         _, baseline = _run(ds, **config)
 
@@ -259,38 +231,26 @@ class TestCheckpointRecoveryUnderFaults:
             n_gpus=1,
         )
         with pytest.raises(SearchAbortedError):
-            search1.run(checkpoint_path=ckpt)
-        assert ckpt.exists()
-        assert ckpt.with_suffix(".ckpt.bak").exists()
+            search1.run(journal_path=path)
+        committed = path.read_bytes()
 
-        # Pre-emption garbles the main checkpoint file.
-        ckpt.write_text("{\"version\": 2, \"truncat")
+        # Pre-emption tears the next commit frame half-way through.
+        torn = _frame({"type": "commit", "wi": 2, "solutions": []})[:15]
+        path.write_bytes(committed + torn)
 
-        # The loader falls back to the rotated backup: committed work is
-        # only lost as far back as the backup reaches (>= 1 iteration).
-        fingerprint = search_fingerprint(
-            search1.encoded.n_snps,
-            search1.encoded.n_real_snps,
-            search1.encoded.n_controls,
-            search1.encoded.n_cases,
-            4,
-            search1.cluster.gpus[0].engine.name,
-            search1._score_name,
-            3,
-            "outer",
-            1,
-        )
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")  # fallback warns, fresh would too
-            with pytest.warns(RuntimeWarning, match="corrupted"):
-                recovered = SearchCheckpoint.load(ckpt, fingerprint)
-        assert recovered.completed  # committed iterations survived
+        # Recovery drops the torn tail and keeps every durable commit.
+        with pytest.warns(RuntimeWarning, match="torn"):
+            with RoundJournal.open(path, search1.fingerprint()) as journal:
+                assert journal.completed == {0, 1}
+        assert path.read_bytes() == committed
 
-        # Run 2: fault-free resume completes and matches the baseline.
+        # Run 2: fault-free resume re-executes only the lost iteration
+        # and matches the baseline.
         search2 = Epi4TensorSearch(
             ds, SearchConfig(**config), n_gpus=1
         )
-        resumed = search2.run(checkpoint_path=ckpt)
+        resumed = search2.run(journal_path=path)
+        assert resumed.executed_assignment == [[2]]
         assert _solutions(resumed) == _solutions(baseline)
 
 

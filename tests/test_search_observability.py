@@ -92,13 +92,6 @@ class TestSpanTaxonomy:
         assert "run#0/device[0]#0" in paths
         assert "run#0/device[1]#0" in paths
 
-    def test_samples_partition_taxonomy(self):
-        tr = Tracer()
-        _run(tracer=tr, n_gpus=2, partition="samples")
-        paths = span_tree_shape(tr.records())
-        assert "run#0/device[0]#0" in paths
-        assert any("/round[" in p for p in paths)
-
     def test_default_tracer_is_noop(self):
         search, result = _run(host_threads=1)
         assert search.tracer.records() == []

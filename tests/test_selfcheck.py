@@ -70,12 +70,3 @@ class TestSearchIntegration:
         ).run()
         base = Epi4TensorSearch(ds, SearchConfig(block_size=4)).run()
         assert res.solution == base.solution
-
-    def test_selfcheck_with_sample_partition(self):
-        ds = generate_random_dataset(12, 200, seed=5)
-        res = Epi4TensorSearch(
-            ds,
-            SearchConfig(block_size=4, selfcheck=True, partition="samples"),
-            n_gpus=3,
-        ).run()
-        assert res.best_score < float("inf")

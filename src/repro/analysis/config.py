@@ -170,7 +170,7 @@ GUARDED_BY: tuple[GuardSpec, ...] = (
         module="repro.core.resilience",
         cls="ResilientWorkQueue",
         lock="_cond",
-        fields=("_pending", "_excluded", "_workers", "_in_flight", "_completed"),
+        fields=("_pending", "_excluded", "_workers", "_in_flight"),
     ),
     GuardSpec(
         module="repro.core.watchdog",

@@ -47,11 +47,6 @@ def _add_search(sub: argparse._SubParsersAction) -> None:
         "chunks of this many bits and sum the partial corners (the "
         "paper's large-N Turing mitigation; must be a multiple of 64)",
     )
-    p.add_argument(
-        "--pressure-relax-rounds", type=int, default=64, metavar="R",
-        help="consecutive clean rounds before the memory-pressure "
-        "governor re-expands one degradation level (default: 64)",
-    )
     p.add_argument("--top-k", type=int, default=1, help="ranked results to report")
     p.add_argument(
         "--permutations", type=int, default=0,
@@ -124,7 +119,7 @@ def _add_search(sub: argparse._SubParsersAction) -> None:
     p.add_argument(
         "--inject-faults", default=None, metavar="SPEC",
         help="deterministic fault-injection spec for resilience testing, "
-        "e.g. 'transient:op=tensor4,count=2;hang:count=1;oom:p=0.01;seed=7' "
+        "e.g. 'transient:op=tensor4,count=2;hang:count=1;seed=7' "
         "(results stay bit-identical; see repro.device.faults)",
     )
     p.add_argument(
@@ -132,18 +127,6 @@ def _add_search(sub: argparse._SubParsersAction) -> None:
         help="per-launch hang watchdog deadline; a launch exceeding it is "
         "cancelled and retried like any device fault (default: off; "
         "required when the fault spec contains 'hang' rules)",
-    )
-    p.add_argument(
-        "--pressure", default="on", choices=("on", "off"),
-        help="memory-pressure governor: degrade footprint (cache budget, "
-        "batch_rounds, chunk cells, triplet cache — all result-neutral) "
-        "and retry on device OOM instead of aborting (default: on)",
-    )
-    p.add_argument(
-        "--probation-rounds", type=int, default=None, metavar="K",
-        help="readmit a quarantined device after K committed iterations "
-        "via a canary iteration (exponential re-quarantine on failure; "
-        "default: quarantine is permanent)",
     )
     p.add_argument(
         "--prune", default="on", choices=("on", "off"),
@@ -314,9 +297,6 @@ def _search_config_from_args(args: argparse.Namespace):
         quarantine_after=args.quarantine_after,
         inject_faults=args.inject_faults,
         deadline_ms=args.deadline_ms,
-        pressure=args.pressure == "on",
-        pressure_relax_rounds=args.pressure_relax_rounds,
-        probation_rounds=args.probation_rounds,
         prune=args.prune == "on",
         prune_sync_rounds=args.prune_sync_rounds,
         **config_kwargs,
@@ -569,14 +549,6 @@ def _cmd_search(args: argparse.Namespace) -> int:
                 print(f"watchdog  : {fl.total_watchdog_trips} stalled "
                       f"launch(es) cancelled at deadline "
                       f"{config.deadline_ms:.0f} ms")
-            if fl.total_pressure_degrades:
-                level = result.metrics.total("epi4_pressure_level")
-                print(f"pressure  : {fl.total_pressure_degrades} ladder "
-                      f"step(s) down under memory pressure "
-                      f"(final level {level:.0f})")
-            if fl.total_canaries:
-                print(f"probation : {fl.total_canaries} canary iteration(s), "
-                      f"{fl.total_readmits} device(s) readmitted")
         if args.journal:
             commits = result.metrics.total("epi4_journal_commits_total")
             replayed = result.metrics.total("epi4_journal_replayed_total")

@@ -234,31 +234,6 @@ class OperandCache:
             self._hits += 1
             return entry[0]
 
-    def resize(self, capacity_bytes: float) -> int:
-        """Change the byte budget in place, evicting LRU entries to fit.
-
-        The memory-pressure governor uses this to shrink the cache under
-        ``DeviceMemoryError`` and restore it once pressure clears.
-        Returns the number of entries evicted to honour the new budget.
-
-        Raises:
-            ValueError: if ``capacity_bytes`` is not positive (use
-                :data:`UNBOUNDED` for no budget, never 0).
-        """
-        if capacity_bytes <= 0:
-            raise ValueError(
-                f"capacity_bytes must be > 0 (got {capacity_bytes})"
-            )
-        evicted = 0
-        with self._lock:
-            self.capacity_bytes = capacity_bytes
-            while self._current_bytes > self.capacity_bytes:
-                _, (_, old_size) = self._entries.popitem(last=False)
-                self._current_bytes -= old_size
-                self._evictions += 1
-                evicted += 1
-        return evicted
-
     def invalidate(self, key: Hashable) -> bool:
         """Drop ``key`` if resident (e.g. after a degraded round purges the
         completed-triplet entries it can no longer trust).

@@ -114,9 +114,7 @@ class FaultIncident:
         kind: fault kind as reported by the exception / detector.
         action: what the resilience layer did — ``"retry"``,
             ``"requeue"``, ``"quarantine"``, ``"degraded"``,
-            ``"watchdog"`` (a launch cancelled by deadline),
-            ``"degrade"`` / ``"expand"`` (memory-pressure ladder moves),
-            ``"canary"`` / ``"readmit"`` (quarantine probation) or
+            ``"watchdog"`` (a launch cancelled by deadline) or
             ``"abort"``.
         wait_seconds: backoff wait preceding a retry (0 otherwise).
     """
@@ -144,20 +142,13 @@ class DeviceFaultLog:
         backoff_seconds: total time spent in backoff.
         degraded_rounds: rounds re-executed through the independent
             bitwise path after corruption / self-check failure.
-        quarantined: whether the device is *currently* quarantined
-            (probation readmission clears it).
+        quarantined: whether the device is quarantined.
         consecutive_exhausted: current run of exhausted iterations
             (internal quarantine trigger state).
         failures_by_kind: failure count per fault kind (``transient``,
             ``hang``, ...) — the watchdog conservation law compares the
             ``hang`` entry against trip counts.
         watchdog_trips: launches on this device cancelled by deadline.
-        pressure_degrades: memory-pressure ladder steps this device's
-            ``DeviceMemoryError`` triggered.
-        pressure_expands: ladder releases credited to this device's
-            clean rounds.
-        canaries: probation canary iterations run on this device.
-        readmits: times the device was readmitted from quarantine.
     """
 
     device_id: int
@@ -172,10 +163,6 @@ class DeviceFaultLog:
     consecutive_exhausted: int = 0
     failures_by_kind: dict = field(default_factory=dict)
     watchdog_trips: int = 0
-    pressure_degrades: int = 0
-    pressure_expands: int = 0
-    canaries: int = 0
-    readmits: int = 0
 
 
 @dataclass
@@ -274,43 +261,6 @@ class FaultLog:
                 FaultIncident(device_id, None, op, "hang", "watchdog")
             )
 
-    def record_pressure(
-        self, device_id: int, wi: int | None, level: int, step: str, action: str
-    ) -> None:
-        """One memory-pressure ladder move (``action`` is ``"degrade"``
-        or ``"expand"``; ``step`` names the knob, e.g.
-        ``"halve-batch-rounds"``)."""
-        with self._lock:
-            dev = self.devices[device_id]
-            if action == "degrade":
-                dev.pressure_degrades += 1
-            else:
-                dev.pressure_expands += 1
-            self.incidents.append(
-                FaultIncident(device_id, wi, step, f"level-{level}", action)
-            )
-
-    def record_canary(self, device_id: int, wi: int | None, ok: bool) -> None:
-        """One probation canary iteration (``ok`` = it committed)."""
-        with self._lock:
-            self.devices[device_id].canaries += 1
-            self.incidents.append(
-                FaultIncident(
-                    device_id, wi, "canary", "ok" if ok else "fail", "canary"
-                )
-            )
-
-    def record_readmit(self, device_id: int) -> None:
-        """A canary succeeded: the device leaves quarantine."""
-        with self._lock:
-            dev = self.devices[device_id]
-            dev.readmits += 1
-            dev.quarantined = False
-            dev.consecutive_exhausted = 0
-            self.incidents.append(
-                FaultIncident(device_id, None, "device", "probation", "readmit")
-            )
-
     # ------------------------------------------------------------------ #
     # Aggregates
 
@@ -338,26 +288,6 @@ class FaultLog:
     def total_watchdog_trips(self) -> int:
         with self._lock:
             return sum(d.watchdog_trips for d in self.devices)
-
-    @property
-    def total_pressure_degrades(self) -> int:
-        with self._lock:
-            return sum(d.pressure_degrades for d in self.devices)
-
-    @property
-    def total_pressure_expands(self) -> int:
-        with self._lock:
-            return sum(d.pressure_expands for d in self.devices)
-
-    @property
-    def total_canaries(self) -> int:
-        with self._lock:
-            return sum(d.canaries for d in self.devices)
-
-    @property
-    def total_readmits(self) -> int:
-        with self._lock:
-            return sum(d.readmits for d in self.devices)
 
     def failures_by_kind(self) -> dict:
         """Failure counts summed over devices, keyed by fault kind."""
@@ -392,9 +322,6 @@ class FaultLog:
                 or d.degraded_rounds
                 or d.quarantined
                 or d.watchdog_trips
-                or d.pressure_degrades
-                or d.canaries
-                or d.readmits
                 for d in self.devices
             )
 
@@ -423,22 +350,6 @@ class FaultLog:
                 registry.inc(
                     "epi4_watchdog_trips_total", d.watchdog_trips, device=dev
                 )
-                registry.inc(
-                    "epi4_pressure_degrade_total",
-                    d.pressure_degrades,
-                    device=dev,
-                )
-                registry.inc(
-                    "epi4_pressure_expand_total",
-                    d.pressure_expands,
-                    device=dev,
-                )
-                registry.inc(
-                    "epi4_probation_canaries_total", d.canaries, device=dev
-                )
-                registry.inc(
-                    "epi4_probation_readmits_total", d.readmits, device=dev
-                )
             actions: dict[str, int] = {}
             for incident in self.incidents:
                 actions[incident.action] = actions.get(incident.action, 0) + 1
@@ -453,8 +364,6 @@ class FaultLog:
             lines = []
             for d in self.devices:
                 state = "QUARANTINED" if d.quarantined else "healthy"
-                if d.readmits and not d.quarantined:
-                    state = f"healthy (readmitted x{d.readmits})"
                 line = (
                     f"device {d.device_id}: {state}; "
                     f"{d.attempts} attempts, {d.failures} failures, "
@@ -462,121 +371,10 @@ class FaultLog:
                     f"backoff), {d.requeues} requeues, "
                     f"{d.degraded_rounds} degraded rounds"
                 )
-                extras = []
                 if d.watchdog_trips:
-                    extras.append(f"{d.watchdog_trips} watchdog trips")
-                if d.pressure_degrades:
-                    extras.append(
-                        f"{d.pressure_degrades} pressure degrades"
-                    )
-                if d.canaries:
-                    extras.append(f"{d.canaries} canaries")
-                if extras:
-                    line += ", " + ", ".join(extras)
+                    line += f", {d.watchdog_trips} watchdog trips"
                 lines.append(line)
             return lines
-
-
-@dataclass(frozen=True)
-class ProbationPolicy:
-    """When and how a quarantined device may earn its way back.
-
-    Cooldowns are measured in *committed outer iterations*, not
-    wall-clock time, so probation schedules are deterministic and
-    test-controllable: after ``cooldown_rounds`` commits land cluster-
-    wide, the device runs one **canary** iteration.  Success readmits
-    it; failure re-quarantines with the cooldown scaled by
-    ``backoff_factor`` (exponential), up to ``max_canaries`` total
-    canary attempts per device — after that the device is retired for
-    the rest of the run (a persistent storm, not a transient one).
-
-    Attributes:
-        cooldown_rounds: commits to wait before the first canary.
-        backoff_factor: cooldown multiplier after each failed canary.
-        max_canaries: canary attempts per device before giving up.
-    """
-
-    cooldown_rounds: int
-    backoff_factor: float = 2.0
-    max_canaries: int = 5
-
-    def __post_init__(self) -> None:
-        if self.cooldown_rounds < 1:
-            raise ValueError(
-                f"cooldown_rounds must be >= 1, got {self.cooldown_rounds}"
-            )
-        if self.backoff_factor < 1.0:
-            raise ValueError(
-                f"backoff_factor must be >= 1.0, got {self.backoff_factor}"
-            )
-        if self.max_canaries < 1:
-            raise ValueError(
-                f"max_canaries must be >= 1, got {self.max_canaries}"
-            )
-
-
-@dataclass
-class _ProbationState:
-    cooldown: float
-    quarantined_at: int
-    canaries: int = 0
-
-
-class ProbationManager:
-    """Per-device probation bookkeeping (thread-safe, search-agnostic).
-
-    The search calls :meth:`on_quarantine` when it quarantines a device,
-    parks the device's worker until the cluster-wide commit count
-    reaches :meth:`due_at`, then runs a canary and reports the outcome
-    via :meth:`on_canary_success` / :meth:`on_canary_failure`.
-    """
-
-    def __init__(self, policy: ProbationPolicy) -> None:
-        self.policy = policy
-        self._lock = threading.Lock()
-        self._states: dict[int, _ProbationState] = {}
-
-    def on_quarantine(self, device_id: int, committed: int) -> None:
-        """Start (or restart) probation for a freshly quarantined device."""
-        with self._lock:
-            state = self._states.get(device_id)
-            if state is None:
-                self._states[device_id] = _ProbationState(
-                    cooldown=float(self.policy.cooldown_rounds),
-                    quarantined_at=committed,
-                )
-            else:
-                state.quarantined_at = committed
-
-    def due_at(self, device_id: int) -> int:
-        """Commit count at which this device's next canary is due."""
-        with self._lock:
-            state = self._states[device_id]
-            return state.quarantined_at + max(1, int(state.cooldown))
-
-    def may_probe(self, device_id: int) -> bool:
-        """Whether the device still has canary attempts left."""
-        with self._lock:
-            state = self._states.get(device_id)
-            if state is None:
-                return True
-            return state.canaries < self.policy.max_canaries
-
-    def on_canary_failure(self, device_id: int, committed: int) -> bool:
-        """Record a failed canary; returns ``True`` while another canary
-        attempt remains (cooldown is backed off exponentially)."""
-        with self._lock:
-            state = self._states[device_id]
-            state.canaries += 1
-            state.cooldown *= self.policy.backoff_factor
-            state.quarantined_at = committed
-            return state.canaries < self.policy.max_canaries
-
-    def on_canary_success(self, device_id: int) -> None:
-        """The device is readmitted; probation state resets so a future
-        quarantine starts from the base cooldown again."""
-        with self._lock:
-            self._states.pop(device_id, None)
 
 
 class ResilientWorkQueue:
@@ -603,14 +401,7 @@ class ResilientWorkQueue:
         self._excluded: dict[int, set[int]] = {}
         self._workers: set[int] = set()
         self._in_flight = 0
-        self._completed = 0
         self._cond = threading.Condition()
-
-    @property
-    def committed(self) -> int:
-        """Iterations committed via :meth:`done` so far."""
-        with self._cond:
-            return self._completed
 
     @property
     def unfinished(self) -> bool:
@@ -677,33 +468,7 @@ class ResilientWorkQueue:
         """The iteration committed; release its in-flight slot."""
         with self._cond:
             self._in_flight -= 1
-            self._completed += 1
             self._cond.notify_all()
-
-    def wait_probation(self, target_commits: int) -> str:
-        """Park a quarantined device's worker until its canary is due.
-
-        The caller must have :meth:`unregister`-ed first (a parked
-        worker takes no part in the abort calculus).  Returns:
-
-        - ``"due"`` — ``target_commits`` iterations have committed; run
-          the canary.
-        - ``"emergency"`` — work remains but *no* registered worker is
-          left to advance the commit count (the whole fleet is
-          quarantined); the canary should run immediately, cooldown
-          notwithstanding, or the search can never finish.
-        - ``"drained"`` — the search completed without this device; no
-          canary is needed.
-        """
-        with self._cond:
-            while True:
-                if not self._pending and self._in_flight == 0:
-                    return "drained"
-                if self._completed >= target_commits:
-                    return "due"
-                if not self._workers and self._in_flight == 0:
-                    return "emergency"
-                self._cond.wait()
 
     def requeue(self, wi: int, exclude_device: int) -> None:
         """Return a failed iteration to the queue for other devices."""

@@ -72,12 +72,9 @@ from repro.core.blocks import BlockScheme
 from repro.core.journal import RoundJournal, domain_clause, search_fingerprint
 from repro.core.operand_cache import CacheStats, OperandCache
 from repro.core.pairwise import LowOrderTables, pairw_pop
-from repro.core.pressure import PressureGovernor
 from repro.core.reduction import TopKReducer, reduce_solutions
 from repro.core.resilience import (
     FaultLog,
-    ProbationManager,
-    ProbationPolicy,
     ResilientWorkQueue,
     RetryPolicy,
     SearchAbortedError,
@@ -100,7 +97,6 @@ from repro.device.faults import (
     FaultyGPU,
     parse_fault_spec,
 )
-from repro.device.memory import DeviceMemoryError
 from repro.device.specs import A100_PCIE, GPUSpec
 from repro.device.streams import HostStream, stage_lookahead
 from repro.device.virtual_gpu import KernelCounters, VirtualGPU
@@ -187,22 +183,6 @@ class SearchConfig:
             the normal retry/requeue/quarantine path.  Required whenever
             the fault spec contains ``hang`` rules (an injected stall
             without a watchdog would never return).
-        pressure: enable the memory-pressure governor (see
-            :mod:`repro.core.pressure`): every
-            :class:`~repro.device.memory.DeviceMemoryError` steps a
-            deterministic degradation ladder (cache budget →
-            batch_rounds → chunk cells → triplet cache) and retries at
-            the reduced footprint instead of aborting.  Every ladder
-            knob is result-neutral, so results stay bit-identical.
-        pressure_relax_rounds: consecutive clean rounds before the
-            governor re-expands one pressure level.
-        probation_rounds: cooldown (in committed outer iterations)
-            before a quarantined device runs a readmission canary; on
-            canary success the device returns to service, on failure it
-            re-quarantines with exponentially increased cooldown.
-            ``None`` (the default) keeps quarantine permanent for the
-            run.  Only the thread-parallel executor parks and readmits
-            workers; the sequential replay ignores probation.
         prune: enable the admissible branch-and-bound gate (see
             :mod:`repro.scoring.bounds`): quads whose K2 lower bound
             exceeds the current top-k threshold are dropped before
@@ -241,9 +221,6 @@ class SearchConfig:
     autotune: bool = False
     batch_rounds: int = 1
     deadline_ms: float | None = None
-    pressure: bool = True
-    pressure_relax_rounds: int = 64
-    probation_rounds: int | None = None
     prune: bool = True
     prune_sync_rounds: int | None = None
 
@@ -263,6 +240,11 @@ class SearchConfig:
                 "sample_chunk_bits must be a positive multiple of 64, "
                 f"got {self.sample_chunk_bits}"
             )
+        if self.max_chunk_cells < 81:
+            raise ValueError(
+                "max_chunk_cells must be >= 81 (one 81-cell table), "
+                f"got {self.max_chunk_cells}"
+            )
         if self.top_k < 1:
             raise ValueError(f"top_k must be >= 1, got {self.top_k}")
         if self.cache_mb is not None and (
@@ -278,15 +260,6 @@ class SearchConfig:
         if self.deadline_ms is not None and not self.deadline_ms > 0:
             raise ValueError(
                 f"deadline_ms must be > 0, got {self.deadline_ms}"
-            )
-        if self.pressure_relax_rounds < 1:
-            raise ValueError(
-                "pressure_relax_rounds must be >= 1, "
-                f"got {self.pressure_relax_rounds}"
-            )
-        if self.probation_rounds is not None and self.probation_rounds < 1:
-            raise ValueError(
-                f"probation_rounds must be >= 1, got {self.probation_rounds}"
             )
         if self.prune_sync_rounds is not None and self.prune_sync_rounds < 1:
             raise ValueError(
@@ -459,6 +432,11 @@ class Epi4TensorSearch:
                 f"{encoded.n_snps} SNPs exceed the 16-bit index limit "
                 f"({MAX_SNP_INDEX + 1})"
             )
+        if not encoded.n_controls or not encoded.n_cases:
+            empty = "controls (class 0)" if not encoded.n_controls else "cases (class 1)"
+            raise ValueError(
+                f"dataset has no {empty}; the search needs both phenotype classes"
+            )
         self.encoded = encoded
         self.scheme = BlockScheme(
             n_snps=encoded.n_snps,
@@ -553,8 +531,6 @@ class Epi4TensorSearch:
         self._backoff_rng = random.Random(0)
         self.fault_log = FaultLog.for_devices(self.cluster.n_gpus)
         self._watchdog: LaunchWatchdog | None = None
-        self._pressure: PressureGovernor | None = None
-        self._probation: ProbationManager | None = None
         # Cross-shard threshold sharing (see repro.dist.threshold): peer
         # candidates live in a separate reducer consulted only by the
         # prune threshold — they never enter this run's own results.
@@ -725,8 +701,6 @@ class Epi4TensorSearch:
                 schedule = self._make_schedule()
                 self._prepare_devices()
                 self._cache = OperandCache.create(self.config.cache_mb)
-                if self._pressure is not None:
-                    self._pressure.attach_cache(self._cache)
                 self._tuned_chunk_cells = self.config.max_chunk_cells
                 self._tuned_batch_rounds = self.config.batch_rounds
                 self.autotune_decision = None
@@ -805,8 +779,6 @@ class Epi4TensorSearch:
         if self._cache is not None:
             self._cache.stats.export_metrics(self.metrics)
         self.fault_log.export_metrics(self.metrics)
-        if self._pressure is not None:
-            self._pressure.export_metrics(self.metrics)
         if journal is not None:
             journal.export_metrics(self.metrics)
         positions = self.metrics.total("epi4_applyscore_positions_total")
@@ -886,18 +858,6 @@ class Epi4TensorSearch:
             if self.config.deadline_ms is not None
             else None
         )
-        self._pressure = (
-            PressureGovernor(relax_after=self.config.pressure_relax_rounds)
-            if self.config.pressure
-            else None
-        )
-        self._probation = (
-            ProbationManager(
-                ProbationPolicy(cooldown_rounds=self.config.probation_rounds)
-            )
-            if self.config.probation_rounds is not None
-            else None
-        )
 
     def _wrap_gpu(self, gpu: VirtualGPU):
         """Route a device's launches through the fault injector and hang
@@ -914,11 +874,6 @@ class Epi4TensorSearch:
         Returns ``None`` on success, or the last :class:`DeviceFault`
         once the policy is exhausted (the caller decides between requeue,
         quarantine and abort).
-
-        A :class:`DeviceMemoryError` is not a device *fault*: it steps the
-        pressure governor's ladder and retries at the reduced footprint
-        without consuming the retry budget (the loop is bounded by the
-        ladder depth, after which the error propagates).
         """
         policy = self._retry_policy
         last: DeviceFault | None = None
@@ -929,12 +884,6 @@ class Epi4TensorSearch:
                 self._injector.begin_iteration(device_id, wi)
             try:
                 attempt_fn()
-            except DeviceMemoryError:
-                if self._pressure is None or not self._escalate_pressure(
-                    device_id, wi
-                ):
-                    raise  # no governor / ladder exhausted: nothing to give
-                continue
             except DeviceFault as fault:
                 last = fault
                 self.fault_log.record_failure(device_id, wi, fault.op, fault.kind)
@@ -953,27 +902,6 @@ class Epi4TensorSearch:
                 if self._injector is not None:
                     self._injector.begin_iteration(device_id, None)
         return last
-
-    def _escalate_pressure(self, device_id: int, wi: int | None) -> bool:
-        """One ladder step down after a :class:`DeviceMemoryError`.
-
-        Returns ``True`` when a step was applied (retry at the reduced
-        footprint), ``False`` when the ladder is exhausted."""
-        governor = self._pressure
-        step = governor.escalate()
-        if step is None:
-            return False
-        level = governor.level
-        self.fault_log.record_pressure(device_id, wi, level, step, "degrade")
-        with self.tracer.span(
-            "pressure",
-            parent_span=self._run_span,
-            dev=device_id,
-            level=level,
-            step=step,
-        ):
-            pass
-        return True
 
     def _note_exhausted(
         self, device_id: int, wi: int, fault: DeviceFault
@@ -1054,12 +982,9 @@ class Epi4TensorSearch:
         A worker that exhausts its retries on an iteration requeues it
         for the surviving devices (the queue excludes the surrendering
         device); after ``quarantine_after`` consecutive exhausted
-        iterations the device is quarantined.  Without probation its
-        worker exits for good; with ``probation_rounds`` set the worker
-        parks, waits out the cooldown (in cluster-wide commits), then
-        runs a readmission canary (see :meth:`_probation_cycle`).  The
-        queue raises :class:`SearchAbortedError` if work remains that no
-        surviving device may run."""
+        iterations the device is quarantined and its worker exits for the
+        rest of the run.  The queue raises :class:`SearchAbortedError` if
+        work remains that no surviving device may run."""
         queue = ResilientWorkQueue(
             wi for wi in range(self.scheme.nb) if wi not in done
         )
@@ -1086,13 +1011,7 @@ class Epi4TensorSearch:
                             continue
                         queue.requeue(wi, dev)
                         if self._note_exhausted(dev, wi, fault):
-                            if self._probation is None:
-                                return  # quarantined for the rest of the run
-                            if not self._probation_cycle(
-                                dev, queue, executor, run_iteration
-                            ):
-                                return  # probation retired the device
-                            # Readmitted: back to normal work.
+                            return  # quarantined for the rest of the run
             finally:
                 queue.unregister(dev)
 
@@ -1112,83 +1031,13 @@ class Epi4TensorSearch:
             for future in futures:
                 future.result()  # re-raise the first worker failure
         if queue.unfinished:
-            # Every worker retired (probation gave up on the whole fleet)
-            # with work still pending — fail loudly, never silently drop
-            # iterations from the exhaustive search.
+            # Every worker exited (quarantined) with work still pending —
+            # fail loudly, never silently drop iterations from the
+            # exhaustive search.
             raise SearchAbortedError(
-                "work remains but every device retired from probation; "
+                "work remains but every device was quarantined; "
                 "search cannot complete"
             )
-
-    def _probation_cycle(
-        self, dev: int, queue: ResilientWorkQueue, executor, run_iteration
-    ) -> bool:
-        """Park a freshly quarantined device until its canary is due, then
-        probe for readmission.  Returns ``True`` when the device earned
-        its way back into service, ``False`` when probation retired it
-        (or the search finished without it).
-
-        The parked worker unregisters so the queue's abort/emergency
-        calculus ignores it; an ``"emergency"`` wake (whole fleet parked,
-        work pending) runs the canary immediately, cooldown
-        notwithstanding — the alternative is a search that can never
-        finish."""
-        probation = self._probation
-        probation.on_quarantine(dev, queue.committed)
-        queue.unregister(dev)
-        while True:
-            if not probation.may_probe(dev):
-                return False
-            state = queue.wait_probation(probation.due_at(dev))
-            if state == "drained":
-                return False
-            # "due" or "emergency": run one single-attempt canary.
-            queue.register(dev)
-            wi = queue.get(dev)
-            if wi is None:
-                queue.unregister(dev)
-                return False
-            if self._run_canary(dev, wi, executor, run_iteration):
-                queue.done(wi)
-                self.cluster.unquarantine(dev)
-                self.fault_log.record_readmit(dev)
-                probation.on_canary_success(dev)
-                return True
-            queue.requeue(wi, dev)
-            queue.unregister(dev)
-            if not probation.on_canary_failure(dev, queue.committed):
-                return False
-
-    def _run_canary(
-        self, dev: int, wi: int, executor, run_iteration
-    ) -> bool:
-        """One probation canary: a single attempt, no retries — a device
-        asking back into service must complete an iteration cleanly."""
-        self.fault_log.record_attempt(dev)
-        if self._injector is not None:
-            self._injector.begin_iteration(dev, wi)
-        try:
-            with self.tracer.span(
-                "canary", parent_span=self._run_span, dev=dev, wi=wi
-            ):
-                run_iteration(executor, wi)
-        except DeviceFault as fault:
-            self.fault_log.record_failure(dev, wi, fault.op, fault.kind)
-            self.fault_log.record_canary(dev, wi, False)
-            return False
-        except DeviceMemoryError:
-            # A canary gets no pressure retry: failing it closed is safe
-            # (the iteration requeues; healthy devices carry the ladder).
-            self.fault_log.record_failure(dev, wi, "canary", "oom")
-            self.fault_log.record_canary(dev, wi, False)
-            return False
-        else:
-            self.fault_log.record_success(dev)
-            self.fault_log.record_canary(dev, wi, True)
-            return True
-        finally:
-            if self._injector is not None:
-                self._injector.begin_iteration(dev, None)
 
     def _make_schedule(self) -> ScheduleResult:
         costs = [
@@ -1276,20 +1125,17 @@ class Epi4TensorSearch:
         cache disabled every request recomputes, launch-for-launch the
         seed driver at ``batch_rounds == 1``.
 
-        Rounds sharing one ``(Wi, Xi)`` pair are grouped by the tuned,
-        pressure-governed ``batch_rounds`` and their ``yz``/4-way launches
-        fused; ``n_streams > 1`` stages groups ahead on a host stream
+        Rounds sharing one ``(Wi, Xi)`` pair are grouped by the tuned
+        ``batch_rounds`` and their ``yz``/4-way launches fused;
+        ``n_streams > 1`` stages groups ahead on a host stream
         (:meth:`_run_rounds_pipelined`).  Every configuration is
         bit-identical.
         """
         assert self._low is not None, "_prepare_devices must run first"
-        batch = max(1, self._tuned_batch_rounds)
-        if self._pressure is not None:
-            batch = self._pressure.effective_batch_rounds(batch)
         return self._run_rounds_pipelined(
             executor,
             outer_iters,
-            batch,
+            max(1, self._tuned_batch_rounds),
             stage_lookahead(self.config.n_streams),
             parent_span,
         )
@@ -1524,16 +1370,6 @@ class Epi4TensorSearch:
         self.metrics.observe(
             "epi4_round_seconds", time.perf_counter() - round_t0, device=dev
         )
-        if self._pressure is not None:
-            step = self._pressure.note_clean_round()
-            if step is not None:
-                self.fault_log.record_pressure(
-                    executor.device_id,
-                    None,
-                    self._pressure.level,
-                    step,
-                    "expand",
-                )
         if self._sync_enabled():
             due = False
             with self._sync_lock:
@@ -1549,15 +1385,6 @@ class Epi4TensorSearch:
                 self._progress_callback(
                     self._rounds_done, self.scheme.n_rounds, self._best_seen
                 )
-
-    def _triplets_active(self) -> bool:
-        """Whether cross-round triplet caching is on right now: the
-        configured switch, possibly overridden by pressure level 4."""
-        if not self.config.cache_triplets:
-            return False
-        if self._pressure is not None:
-            return self._pressure.triplets_enabled(True)
-        return True
 
     # ------------------------------------------------------------------ #
     # Branch-and-bound pruning (see repro.scoring.bounds)
@@ -1639,16 +1466,13 @@ class Epi4TensorSearch:
         and pruning active, the bound-first gate drops positions that
         provably cannot enter the top-k before completion runs.
         """
-        chunk_cells = self._tuned_chunk_cells
-        if self._pressure is not None:
-            chunk_cells = self._pressure.effective_chunk_cells(chunk_cells)
         prune = reducer is not None and self._prune_active()
         scores, stats = score_round(
             operands,
             self._low.pairs,
             self._score_min,
             self.scheme.n_real_snps,
-            max_chunk_cells=chunk_cells,
+            max_chunk_cells=self._tuned_chunk_cells,
             staged_kernel=self._staged,
             full3_provider=executor.full3 if triplet_cache else None,
             bound_kernel=self._bound_kernel if prune else None,
@@ -1966,7 +1790,7 @@ class _SingleDeviceExecutor:
         metrics = self._search.metrics
         dev = str(self.device_id)
         metrics.inc("epi4_operand_requests_total", kind="full3", device=dev)
-        if self._cache is None or not self._search._triplets_active():
+        if self._cache is None or not self._search.config.cache_triplets:
             metrics.inc(
                 "epi4_operand_executed_total", kind="full3", device=dev
             )

@@ -165,20 +165,12 @@ class VirtualCluster:
         return [g for g in self.gpus if g.device_id not in self.quarantined]
 
     def quarantine(self, device_id: int) -> None:
-        """Remove a device from service (until probation readmits it)."""
+        """Remove a device from service for the rest of the run."""
         if not 0 <= device_id < self.n_gpus:
             raise ValueError(
                 f"device_id {device_id} outside cluster of {self.n_gpus} GPUs"
             )
         self.quarantined.add(device_id)
-
-    def unquarantine(self, device_id: int) -> None:
-        """Return a quarantined device to service (probation passed)."""
-        if not 0 <= device_id < self.n_gpus:
-            raise ValueError(
-                f"device_id {device_id} outside cluster of {self.n_gpus} GPUs"
-            )
-        self.quarantined.discard(device_id)
 
     def reset_quarantine(self) -> None:
         """Return every device to service (start of a fresh run)."""

@@ -13,7 +13,7 @@ degraded re-execution) lives in :mod:`repro.core.resilience` and
 Fault model
 -----------
 
-Five fault kinds are modelled:
+Four fault kinds are modelled:
 
 ``transient``
     The launch raises :class:`DeviceFault`; retrying the same launch (or
@@ -42,12 +42,6 @@ Five fault kinds are modelled:
     without an armed watchdog is a configuration error (nothing would
     ever cancel the stall); :class:`FaultyGPU` degrades it to an
     immediate hang fault so unit tests stay hang-free.
-``oom``
-    The launch raises
-    :class:`~repro.device.memory.DeviceMemoryError` — a simulated
-    device allocation failure.  Recovery is *not* the retry path: the
-    memory-pressure governor (:mod:`repro.core.pressure`) steps its
-    degradation ladder and re-runs the iteration at a reduced footprint.
 
 Triggers are count-based (``count=N``: the first N matching launches),
 position-based (``at=N``: exactly the Nth matching launch, 1-based) or
@@ -78,7 +72,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.device.memory import DeviceMemoryError
 from repro.device.virtual_gpu import VirtualGPU
 
 #: Kernel names a rule's ``op=`` filter may name (launch vocabulary of
@@ -92,7 +85,7 @@ LAUNCH_OPS = (
     "applyScore",
 )
 
-FAULT_KINDS = ("transient", "persistent", "corrupt", "hang", "oom")
+FAULT_KINDS = ("transient", "persistent", "corrupt", "hang")
 
 #: Keys each fault kind accepts in a spec clause.  All kinds share the
 #: same filter/trigger vocabulary today, but the table is consulted
@@ -134,7 +127,7 @@ class FaultRule:
 
     Attributes:
         kind: one of :data:`FAULT_KINDS` (``transient``, ``persistent``,
-            ``corrupt``, ``hang``, ``oom``).
+            ``corrupt``, ``hang``).
         op: kernel-name filter (``None`` = any launch; ``corrupt`` rules
             default to — and must target — ``tensor4``).
         device: device-id filter (``None`` = any device).
@@ -308,17 +301,10 @@ class InjectionStats:
     persistent: int = 0
     corrupt: int = 0
     hang: int = 0
-    oom: int = 0
 
     @property
     def total(self) -> int:
-        return (
-            self.transient
-            + self.persistent
-            + self.corrupt
-            + self.hang
-            + self.oom
-        )
+        return self.transient + self.persistent + self.corrupt + self.hang
 
 
 class FaultInjector:
@@ -375,9 +361,6 @@ class FaultInjector:
         Raises:
             DeviceFault: for transient faults and on every launch of a
                 dead device.
-            DeviceMemoryError: for ``oom`` rules (simulated allocation
-                failure; recovered by the pressure governor, not the
-                retry path).
         """
         with self._lock:
             wi = self._context.get(device_id)
@@ -399,12 +382,6 @@ class FaultInjector:
                 if rule.kind == "transient":
                     self.stats.transient += 1
                     raise DeviceFault(device_id, op, "transient", wi)
-                if rule.kind == "oom":
-                    self.stats.oom += 1
-                    raise DeviceMemoryError(
-                        f"injected oom on device {device_id} in {op!r}"
-                        + (f" during outer iteration {wi}" if wi is not None else "")
-                    )
                 if rule.kind == "hang":
                     self.stats.hang += 1
                     return "hang"
@@ -480,7 +457,7 @@ class FaultyGPU:
             return None
         try:
             return self._injector.on_launch(self._gpu.device_id, op)
-        except (DeviceFault, DeviceMemoryError):
+        except DeviceFault:
             self._gpu.counters.record_fault()
             raise
 

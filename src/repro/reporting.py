@@ -216,16 +216,6 @@ def format_search_report(
                 f"  watchdog: {fl.total_watchdog_trips} stalled launch(es) "
                 "cancelled at the deadline"
             )
-        if fl.total_pressure_degrades:
-            add(
-                f"  pressure: {fl.total_pressure_degrades} ladder step(s) "
-                f"down, {fl.total_pressure_expands} re-expanded"
-            )
-        if fl.total_canaries:
-            add(
-                f"  probation: {fl.total_canaries} canary iteration(s), "
-                f"{fl.total_readmits} readmission(s)"
-            )
         for line in fl.summary_lines():
             add(f"  {line}")
         if c.faults_injected:

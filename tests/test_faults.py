@@ -254,8 +254,8 @@ class TestPerKindKeyRejection:
             parse_fault_spec("transient:count=1;hang:bogus=1")
 
     def test_error_carries_the_offending_clause_text(self):
-        with pytest.raises(ValueError, match=r"'oom:frobnicate=3'"):
-            parse_fault_spec("transient;oom:frobnicate=3")
+        with pytest.raises(ValueError, match=r"'hang:frobnicate=3'"):
+            parse_fault_spec("transient;hang:frobnicate=3")
 
     def test_duplicate_key_rejected_with_clause_index(self):
         with pytest.raises(ValueError, match=r"clause 1.*duplicate key 'count'"):
@@ -278,7 +278,7 @@ class TestReprRoundTrip:
             "persistent:device=1,at=3",
             "corrupt:iter=0",
             "hang:op=tensor4,p=0.25",
-            "oom:device=2,count=4",
+            "transient:device=2,count=4",
         ],
     )
     def test_rule_round_trips(self, spec):
@@ -287,7 +287,7 @@ class TestReprRoundTrip:
 
     def test_plan_round_trips(self):
         plan = parse_fault_spec(
-            "transient:p=0.5;hang:op=tensor4;oom:count=2;seed=42"
+            "transient:p=0.5;hang:op=tensor4;persistent:count=2;seed=42"
         )
         clone = eval(repr(plan), dict(self._NAMESPACE))
         assert clone == plan
@@ -304,18 +304,15 @@ class TestHangAndOomInjection:
         assert inj.stats.hang == 2
         assert inj.stats.total == 2
 
-    def test_on_launch_raises_device_memory_error_for_oom(self):
-        from repro.device.memory import DeviceMemoryError
-
-        inj = FaultInjector(parse_fault_spec("oom:count=1"))
-        with pytest.raises(DeviceMemoryError, match="injected oom"):
-            inj.on_launch(1, "tensor4")
-        assert inj.on_launch(1, "tensor4") is None
-        assert inj.stats.oom == 1
+    def test_oom_is_not_a_fault_kind(self):
+        # Device memory is checked once, up front (check_fits); there is
+        # no runtime out-of-memory fault to inject.
+        with pytest.raises(ValueError, match="unknown fault kind 'oom'"):
+            parse_fault_spec("oom:op=tensor4,count=1")
 
     def test_plan_has_hang_property(self):
         assert parse_fault_spec("hang").has_hang
-        assert not parse_fault_spec("transient;oom").has_hang
+        assert not parse_fault_spec("transient;corrupt").has_hang
 
     def test_hang_without_watchdog_degrades_to_immediate_fault(self):
         gpu = VirtualGPU(A100_PCIE, device_id=2)

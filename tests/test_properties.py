@@ -410,8 +410,7 @@ class TestResilienceConservation:
     """Conservation laws tying the resilience metrics to the FaultLog.
 
     Every watchdog trip produces exactly one ``hang`` failure and one
-    ``watchdog`` incident; every pressure degrade is exactly one ladder
-    step in the incident log.  A drift between these books would mean a
+    ``watchdog`` incident.  A drift between these books would mean a
     trip was dropped or double-counted somewhere in the recovery path.
     """
 
@@ -440,33 +439,6 @@ class TestResilienceConservation:
         assert fl.total_watchdog_trips == n_hangs
         assert fl.failures_by_kind().get("hang", 0) == n_hangs
         assert fl.incident_count("watchdog") == n_hangs
-
-    @given(seed=st.integers(0, 2**16), n_ooms=st.sampled_from([1, 2, 3]))
-    @settings(max_examples=6, deadline=None)
-    def test_pressure_degrades_equal_ladder_incidents(self, seed, n_ooms):
-        from repro.datasets import generate_random_dataset
-
-        ds = generate_random_dataset(12, 64, seed=seed)
-        search = Epi4TensorSearch(
-            ds,
-            SearchConfig(
-                block_size=4,
-                top_k=2,
-                inject_faults=f"oom:op=tensor4,count={n_ooms};seed={seed}",
-                backoff_base_ms=0.0,
-            ),
-        )
-        search.run()
-        fl = search.fault_log
-        degrades = search.metrics.total("epi4_pressure_degrade_total")
-        assert degrades == n_ooms
-        assert fl.total_pressure_degrades == n_ooms
-        assert fl.incident_count("degrade") == n_ooms
-        # Each degrade incident names one ladder step, in ladder order.
-        from repro.core.pressure import LADDER
-
-        steps = [i.op for i in fl.incidents if i.action == "degrade"]
-        assert steps == list(LADDER[:n_ooms])
 
 
 class TestShardPlanPartition:

@@ -5,7 +5,7 @@ import pytest
 
 from repro.contingency import best_quad_brute_force
 from repro.core.search import Epi4TensorSearch, SearchConfig, search_best_quad
-from repro.datasets import encode_dataset, generate_random_dataset
+from repro.datasets import Dataset, encode_dataset, generate_random_dataset
 from repro.device.specs import A100_PCIE, TITAN_RTX
 from repro.perfmodel.workload import search_workload
 from repro.scoring import K2Score, make_score
@@ -195,6 +195,14 @@ class TestValidationErrors:
         enc = encode_dataset(generate_random_dataset(10, 50, seed=0))
         with pytest.raises(ValueError, match="multiple"):
             Epi4TensorSearch(enc, SearchConfig(block_size=4))
+
+    @pytest.mark.parametrize("label,missing", [(0, "cases"), (1, "controls")])
+    def test_rejects_empty_phenotype_class(self, label, missing):
+        # Caught at the boundary, before the memory model sees N0 or N1 == 0.
+        ds = generate_random_dataset(8, 50, seed=0)
+        one_class = Dataset(ds.genotypes, np.full(ds.n_samples, label, np.int8))
+        with pytest.raises(ValueError, match=f"no {missing}"):
+            Epi4TensorSearch(one_class, SearchConfig(block_size=4))
 
     def test_accepts_preencoded_dataset(self):
         ds = generate_random_dataset(12, 90, seed=3)

@@ -1,6 +1,6 @@
 """Ablation: the fused ``applyScore`` hot path vs the dense legacy scorer.
 
-Four cells on the same workload:
+Three cells on the same workload:
 
 - ``dense``          — the legacy full-grid completion + scoring
   (:func:`~repro.core.apply_score.apply_score_dense`), the pre-fusion
@@ -13,16 +13,14 @@ Four cells on the same workload:
   staged-lgamma scorer, no operand cache (every round completes its own
   third-order tables);
 - ``fused+triplets`` — adds the cross-round completed-triplet cache
-  (unbounded budget), so each block triple is completed once per sweep;
-- ``fused+autotune`` — adds the calibration pass that picks
-  ``max_chunk_cells`` on the actual dataset.
+  (unbounded budget), so each block triple is completed once per sweep.
 
 Reported per search cell: total wall, the ``score``-phase wall, the
 compaction ratio, the full3 cache hit rate and the executed score-cell
 volume; the ``dense`` cell reports both scorers' summed seconds.  Hard
 bars:
 
-- the three search cells' ranked top-k digests (``top_k_sha256``) are
+- the two search cells' ranked top-k digests (``top_k_sha256``) are
   identical, and the dense and fused scorers return bit-identical score
   grids on every round;
 - the fused scorer is >=1.5x faster than the dense one on the same
@@ -64,9 +62,8 @@ BLOCK = 8
 RESULTS_PATH = Path(__file__).with_name("BENCH_applyscore.json")
 
 SEARCH_CELLS = [
-    ("fused", dict(cache_triplets=False)),
+    ("fused", {}),
     ("fused+triplets", dict(cache_mb=float("inf"))),
-    ("fused+autotune", dict(cache_mb=float("inf"), autotune=True)),
 ]
 
 
@@ -191,9 +188,9 @@ def test_applyscore_ablation(benchmark):
     scheme = runs[0][2].block_scheme
     wl = search_workload(N_SNPS, N_SAMPLES, BLOCK)
 
-    _, fused_rec, triplets_rec, autotune_rec = records
+    _, fused_rec, triplets_rec = records
     # The fused paths execute exactly the compacted (= unique) cell volume.
-    for rec in (fused_rec, triplets_rec, autotune_rec):
+    for rec in (fused_rec, triplets_rec):
         assert rec["score_cells_executed"] == wl.score_cells
         assert rec["compaction_ratio"] == scheme.useful_fraction
 

@@ -43,14 +43,13 @@ N_SAMPLES = 96 if _SMALL else 128
 BLOCK = 4
 RESULTS_PATH = Path(__file__).with_name("BENCH_multinode.json")
 
-#: (label, shard count, strategy, extra config, real worker processes?)
+#: (label, shard count, strategy, real worker processes?)
 SHARD_CELLS = [
-    ("1-shard", 1, "contiguous", {}, False),
-    ("2-shard", 2, "contiguous", {}, False),
-    ("4-shard", 4, "contiguous", {}, False),
-    ("4-shard strided", 4, "strided", {}, False),
-    ("2-shard cache-off", 2, "contiguous", {"cache_triplets": False}, False),
-    ("2-shard spawn", 2, "contiguous", {}, True),
+    ("1-shard", 1, "contiguous", False),
+    ("2-shard", 2, "contiguous", False),
+    ("4-shard", 4, "contiguous", False),
+    ("4-shard strided", 4, "strided", False),
+    ("2-shard spawn", 2, "contiguous", True),
 ]
 
 
@@ -118,8 +117,8 @@ def test_sharded_runner_measured_vs_model(benchmark, tmp_path):
 
     def sweep():
         runs = []
-        for label, n_shards, strategy, extra, spawn in SHARD_CELLS:
-            config = SearchConfig(block_size=BLOCK, top_k=5, **extra)
+        config = SearchConfig(block_size=BLOCK, top_k=5)
+        for label, n_shards, strategy, spawn in SHARD_CELLS:
             out_dir = tmp_path / label.replace(" ", "_")
             start = time.perf_counter()
             merged = run_sharded(
@@ -137,7 +136,7 @@ def test_sharded_runner_measured_vs_model(benchmark, tmp_path):
 
     nb = reference.block_scheme.nb
     rows, records = [], []
-    for (label, n_shards, strategy, extra, spawn), (
+    for (label, n_shards, strategy, spawn), (
         _,
         merged,
         wall,
@@ -164,11 +163,9 @@ def test_sharded_runner_measured_vs_model(benchmark, tmp_path):
             # Tensor4 volume is cache-invariant: exact in every cell.
             t4 = counters["tensor_ops_by_kernel"].get("tensor4", 0)
             assert t4 == model["tensor4_ops"], label
-            # Total raw tensor ops match the closed form exactly when the
-            # triplet cache is off (the guaranteed case; with the cache
-            # on, reuse could in principle shift executed volume).
-            if extra.get("cache_triplets", True) is False:
-                assert counters["tensor_ops_raw"] == model["tensor_ops"], label
+            # No cell enables the operand cache, so total raw tensor ops
+            # match the closed form exactly too.
+            assert counters["tensor_ops_raw"] == model["tensor_ops"], label
             shard_records.append(
                 {
                     "index": artifact["shard"]["index"],

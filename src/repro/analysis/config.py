@@ -248,7 +248,6 @@ README_DOC = "README.md"
 #: ``--<field-with-dashes>`` spelling.
 FLAG_ALIASES: dict[str, str] = {
     "engine_kind": "--engine",
-    "cache_triplets": "--no-cache-triplets",   # inverted boolean
 }
 
 #: Modules excluded from the metric-literal sweep (the analyzer itself

@@ -68,20 +68,9 @@ def _add_search(sub: argparse._SubParsersAction) -> None:
         "unbounded; charged against device memory before the search runs)",
     )
     p.add_argument(
-        "--no-cache-triplets", action="store_true",
-        help="disable cross-round reuse of completed third-order tables "
-        "(tables are then recompleted per round)",
-    )
-    p.add_argument(
-        "--autotune", action="store_true",
-        help="run a short calibration pass on the actual dataset to pick "
-        "the applyScore chunk size (and, in packed mode, the GEMM tiling "
-        "budget) before searching; result-neutral",
-    )
-    p.add_argument(
         "--max-chunk-cells", type=int, default=None, metavar="CELLS",
         help="fix the applyScore chunking bound (cells per class per chunk) "
-        "instead of the default or autotuned value",
+        "instead of the default",
     )
     p.add_argument(
         "--batch-rounds", type=int, default=1, metavar="R",
@@ -286,8 +275,6 @@ def _search_config_from_args(args: argparse.Namespace):
         sample_chunk_bits=args.sample_chunk_bits,
         top_k=args.top_k,
         selfcheck=args.selfcheck,
-        cache_triplets=not args.no_cache_triplets,
-        autotune=args.autotune,
         cache_mb=args.cache_mb,
         batch_rounds=args.batch_rounds,
         n_streams=args.n_streams,
@@ -521,15 +508,6 @@ def _cmd_search(args: argparse.Namespace) -> int:
                   f"(batch_rounds={config.batch_rounds}, "
                   f"n_streams={config.n_streams}, "
                   f"{overlap_s:.2f}s staged off the scoring thread)")
-        if search.autotune_decision is not None:
-            dec = search.autotune_decision
-            tuned = f"chunk_cells={dec.max_chunk_cells}"
-            if dec.block_bytes is not None:
-                tuned += f", block_bytes={dec.block_bytes}"
-            if dec.batch_rounds is not None:
-                tuned += f", batch_rounds={dec.batch_rounds}"
-            print(f"autotune  : {tuned} "
-                  f"({dec.calibration_seconds * 1e3:.0f} ms calibration)")
         if result.cache_stats is not None:
             cs = result.cache_stats
             print(f"cache     : {100 * cs.hit_rate:.1f}% hit rate "

@@ -32,6 +32,7 @@ epistasis; :mod:`repro.core.search` wires them to the device loop.
 
 from __future__ import annotations
 
+import math
 import random
 import threading
 from collections import deque
@@ -71,9 +72,10 @@ class RetryPolicy:
     def __post_init__(self) -> None:
         if self.max_retries < 0:
             raise ValueError(f"max_retries must be >= 0, got {self.max_retries}")
-        if self.backoff_base_ms < 0:
+        if not (math.isfinite(self.backoff_base_ms) and self.backoff_base_ms >= 0):
             raise ValueError(
-                f"backoff_base_ms must be >= 0, got {self.backoff_base_ms}"
+                "backoff_base_ms must be finite and >= 0, "
+                f"got {self.backoff_base_ms}"
             )
         if self.backoff_cap_ms < self.backoff_base_ms:
             raise ValueError(

@@ -67,7 +67,6 @@ from repro.core.apply_score import (
     RoundOperands,
     score_round,
 )
-from repro.core.autotune import AutotuneDecision, autotune_applyscore
 from repro.core.blocks import BlockScheme
 from repro.core.journal import RoundJournal, domain_clause, search_fingerprint
 from repro.core.operand_cache import CacheStats, OperandCache
@@ -159,16 +158,6 @@ class SearchConfig:
             :func:`repro.device.faults.parse_fault_spec`); ``None`` runs
             fault-free.  Results are bit-identical either way — the
             resilience layer only re-executes idempotent work.
-        cache_triplets: store fully-completed third-order tables in the
-            round-operand cache under ``("full3", cls, a, b, c)`` keys so
-            each block triple is completed once per sweep instead of once
-            per round.  Only effective when ``cache_mb`` enables the
-            cache; results are bit-identical either way.
-        autotune: run a short calibration pass before the search proper
-            and adopt the fastest ``max_chunk_cells`` (and, in packed
-            mode, packed-GEMM ``block_bytes``; with ``batch_rounds > 1``,
-            the round batch size) it finds.  Result-neutral: every
-            candidate produces bit-identical scores.
         batch_rounds: evaluation rounds fused per tensor-GEMM launch
             group.  ``1`` issues the seed loop's launches one for one;
             larger values stack the ``yz`` operands of consecutive rounds
@@ -217,8 +206,6 @@ class SearchConfig:
     backoff_base_ms: float = 10.0
     quarantine_after: int = 2
     inject_faults: str | None = None
-    cache_triplets: bool = True
-    autotune: bool = False
     batch_rounds: int = 1
     deadline_ms: float | None = None
     prune: bool = True
@@ -460,7 +447,6 @@ class Epi4TensorSearch:
             self.config.block_size,
             max_chunk_cells=self.config.max_chunk_cells,
             cache_budget_bytes=self.config.cache_budget_bytes,
-            cache_triplets=self.config.cache_triplets,
             batch_rounds=self.config.batch_rounds,
         )
         check_fits(spec, self.memory_estimate)
@@ -492,15 +478,6 @@ class Epi4TensorSearch:
             if self._staged is not None
             else None
         )
-        #: ``max_chunk_cells`` actually used by the hot loop; the autotune
-        #: calibration pass may override the configured value per run.
-        self._tuned_chunk_cells = self.config.max_chunk_cells
-        #: Round batch size actually used by the hot loop; when batching
-        #: is requested (``batch_rounds > 1``) the autotune pass may
-        #: calibrate a different group size.
-        self._tuned_batch_rounds = self.config.batch_rounds
-        #: Last calibration outcome (``None`` when ``autotune`` is off).
-        self.autotune_decision: AutotuneDecision | None = None
         #: Canonical phase names reported in ``SearchResult.phase_seconds``.
         #: Per-(phase, device) attribution lives in the metrics registry
         #: as ``epi4_phase_seconds_total{phase=..., device=...}`` — the
@@ -509,7 +486,6 @@ class Epi4TensorSearch:
         #: of order.
         self._phase_names = (
             "encode", "pairwise", "combine", "tensor3", "tensor4", "score",
-            "autotune",
         )
         self._encode_seconds = encode_timer.elapsed
         self._run_span = None
@@ -701,18 +677,13 @@ class Epi4TensorSearch:
                 schedule = self._make_schedule()
                 self._prepare_devices()
                 self._cache = OperandCache.create(self.config.cache_mb)
-                self._tuned_chunk_cells = self.config.max_chunk_cells
-                self._tuned_batch_rounds = self.config.batch_rounds
-                self.autotune_decision = None
-                if self.config.autotune:
-                    self._run_autotune()
                 # Dense bit-plane unpacking is memoized only when batching
                 # makes reuse likely (the same cached combine operand
                 # recurs across fused launches); the memo bytes are
                 # charged to the operand-cache budget in combine().
                 dense_memo = (
                     self.cluster.gpus[0].engine.mode == "dense"
-                    and self._tuned_batch_rounds > 1
+                    and self.config.batch_rounds > 1
                 )
                 for gpu in self.cluster.gpus:
                     gpu.engine.memoize_dense = dense_memo
@@ -1082,33 +1053,6 @@ class Epi4TensorSearch:
                 "no device survived dataset transfer; search cannot start"
             )
 
-    def _run_autotune(self) -> None:
-        """Calibrate the applyScore knobs on the live dataset (result-
-        neutral; see :mod:`repro.core.autotune`) and adopt the decision:
-        ``max_chunk_cells`` for the fused scorer, — in packed mode — the
-        packed-GEMM tiling budget on every device's engine, and — when
-        batching is enabled — the round batch size."""
-        assert self._low is not None, "_prepare_devices must run first"
-        with self._phase_scope("autotune", "host"):
-            decision = autotune_applyscore(
-                self.encoded,
-                self._low.pairs,
-                self._score_min,
-                block_size=self.scheme.block_size,
-                n_real_snps=self.scheme.n_real_snps,
-                staged_kernel=self._staged,
-                engine=self.cluster.gpus[0].engine,
-                calibrate_batch=self.config.batch_rounds > 1,
-            )
-        self._tuned_chunk_cells = decision.max_chunk_cells
-        if decision.block_bytes is not None:
-            for gpu in self.cluster.gpus:
-                gpu.engine.block_bytes = decision.block_bytes
-        if decision.batch_rounds is not None:
-            self._tuned_batch_rounds = decision.batch_rounds
-        decision.export_metrics(self.metrics)
-        self.autotune_decision = decision
-
     def _run_rounds(
         self,
         executor: "_SingleDeviceExecutor",
@@ -1125,7 +1069,7 @@ class Epi4TensorSearch:
         cache disabled every request recomputes, launch-for-launch the
         seed driver at ``batch_rounds == 1``.
 
-        Rounds sharing one ``(Wi, Xi)`` pair are grouped by the tuned
+        Rounds sharing one ``(Wi, Xi)`` pair are grouped by
         ``batch_rounds`` and their ``yz``/4-way launches fused;
         ``n_streams > 1`` stages groups ahead on a host stream
         (:meth:`_run_rounds_pipelined`).  Every configuration is
@@ -1135,7 +1079,7 @@ class Epi4TensorSearch:
         return self._run_rounds_pipelined(
             executor,
             outer_iters,
-            max(1, self._tuned_batch_rounds),
+            self.config.batch_rounds,
             stage_lookahead(self.config.n_streams),
             parent_span,
         )
@@ -1472,7 +1416,7 @@ class Epi4TensorSearch:
             self._low.pairs,
             self._score_min,
             self.scheme.n_real_snps,
-            max_chunk_cells=self._tuned_chunk_cells,
+            max_chunk_cells=self.config.max_chunk_cells,
             staged_kernel=self._staged,
             full3_provider=executor.full3 if triplet_cache else None,
             bound_kernel=self._bound_kernel if prune else None,
@@ -1790,7 +1734,7 @@ class _SingleDeviceExecutor:
         metrics = self._search.metrics
         dev = str(self.device_id)
         metrics.inc("epi4_operand_requests_total", kind="full3", device=dev)
-        if self._cache is None or not self._search.config.cache_triplets:
+        if self._cache is None:
             metrics.inc(
                 "epi4_operand_executed_total", kind="full3", device=dev
             )

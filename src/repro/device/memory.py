@@ -104,7 +104,6 @@ def estimate_search_memory(
     *,
     max_chunk_cells: int = 32 * 1024 * 1024,
     cache_budget_bytes: float = 0,
-    cache_triplets: bool = False,
     batch_rounds: int = 1,
 ) -> DeviceMemoryEstimate:
     """Per-device footprint of a fourth-order search (§3.6: every GPU holds
@@ -118,11 +117,10 @@ def estimate_search_memory(
         cache_budget_bytes: round-operand cache budget.  ``0`` = caching
             disabled (no component); ``float("inf")`` = unbounded, charged
             at the full :func:`cache_working_set_bytes`.  A finite budget
-            is charged at ``min(budget, working set)``.
-        cache_triplets: include completed third-order tables
-            (:func:`triplet_working_set_bytes`) in the cacheable working
-            set — the cross-round triplet-reuse path of the fused
-            ``applyScore``.  Ignored when caching is disabled.
+            is charged at ``min(budget, working set)``.  The cacheable
+            working set includes the completed third-order tables
+            (:func:`triplet_working_set_bytes`) of the fused
+            ``applyScore``'s cross-round triplet reuse.
         batch_rounds: rounds fused per batched GEMM launch group.  Above
             1, the round stager double-buffers a group's ``yz`` operands
             and 4-way corner outputs (prepare ``r+1`` while ``r`` scores),
@@ -175,9 +173,7 @@ def estimate_search_memory(
     if cache_budget_bytes > 0:
         working_set = cache_working_set_bytes(
             n_snps, n_controls, n_cases, block_size
-        )
-        if cache_triplets:
-            working_set += triplet_working_set_bytes(n_snps, block_size)
+        ) + triplet_working_set_bytes(n_snps, block_size)
         components["operand cache"] = int(min(cache_budget_bytes, working_set))
     return DeviceMemoryEstimate(components=components)
 

@@ -138,13 +138,6 @@ def format_search_report(
                 f"  full3 tables        : {int(full3_req)} requests = "
                 f"{int(full3_exec)} completed + {int(full3_hits)} reused"
             )
-        if "epi4_applyscore_autotune_chunk_cells" in m.names():
-            chunk = m.value("epi4_applyscore_autotune_chunk_cells")
-            cal = m.value("epi4_applyscore_autotune_calibration_seconds")
-            add(
-                f"  autotuned chunking  : {int(chunk):,} cells "
-                f"({cal * 1e3:.0f} ms calibration)"
-            )
         pruned = m.total("epi4_prune_quads_total")
         if pruned:
             frac = pruned / max(1.0, pruned + valid)

@@ -62,8 +62,7 @@ class BinaryTensorEngine(abc.ABC):
             the reference path).  Both produce identical integers.
         block_bytes: intermediate-buffer budget per packed-GEMM block (the
             tiling knob of :mod:`repro.tensor.gemm_packed`); ignored by the
-            dense path.  The applyScore autotuner may retune this between
-            calibration and the search proper.
+            dense path.
     """
 
     #: Human-readable engine name; subclasses override.
@@ -79,7 +78,7 @@ class BinaryTensorEngine(abc.ABC):
         if block_bytes < 1:
             raise ValueError(f"block_bytes must be >= 1, got {block_bytes}")
         self.mode = mode
-        #: Packed-path tiling budget; mutable so the autotuner can retune.
+        #: Packed-path tiling budget.
         self.block_bytes = int(block_bytes)
         #: Shapes of GEMMs launched since the last :meth:`reset_shapes` call.
         self.last_shapes: list[GemmShape] = []

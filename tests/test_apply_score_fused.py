@@ -386,96 +386,3 @@ class TestShiftedLgammaViews:
         table = LgammaTable(16)
         assert table.shifted(2).base is not None  # a view, not a copy
 
-
-class TestAutotune:
-    @pytest.fixture(scope="class")
-    def env(self):
-        ds = generate_random_dataset(16, 96, seed=9)
-        enc = encode_dataset(ds, block_size=4)
-        pairs = pairw_pop(enc).pairs
-        score = K2Score()
-        return enc, pairs, normalized_for_minimization(score), score
-
-    def test_decision_from_ladder(self, env):
-        from repro.core.autotune import autotune_applyscore
-
-        enc, pairs, score_min, score = env
-        decision = autotune_applyscore(
-            enc, pairs, score_min,
-            block_size=4, n_real_snps=enc.n_real_snps,
-            staged_kernel=score.staged_kernel(enc.n_samples),
-            repeats=1,
-            chunk_candidates=(81 * 8, 81 * 64, 81 * 10**6),
-        )
-        assert decision.max_chunk_cells in decision.chunk_timings
-        assert decision.block_bytes is None  # no engine -> knob inert
-        assert decision.gemm_timings == {}
-        assert decision.calibration_seconds > 0
-
-    def test_equal_effective_candidates_deduped(self, env):
-        from repro.core.autotune import autotune_applyscore
-
-        enc, pairs, score_min, _ = env
-        # Candidates that round to the same effective tables-per-chunk are
-        # indistinguishable: only the first ladder rung is timed.
-        decision = autotune_applyscore(
-            enc, pairs, score_min,
-            block_size=4, n_real_snps=enc.n_real_snps,
-            repeats=1,
-            chunk_candidates=(81 * 64, 81 * 64 + 1, 81 * 64 + 80),
-        )
-        assert list(decision.chunk_timings) == [81 * 64]
-        assert decision.max_chunk_cells == 81 * 64
-
-    def test_packed_engine_tunes_block_bytes(self, env):
-        from repro.core.autotune import autotune_applyscore
-        from repro.tensor import AndPopcEngine
-
-        enc, pairs, score_min, _ = env
-        decision = autotune_applyscore(
-            enc, pairs, score_min,
-            block_size=4, n_real_snps=enc.n_real_snps,
-            engine=AndPopcEngine("packed"),
-            repeats=1,
-            chunk_candidates=(81 * 64,),
-            gemm_candidates=(1 << 12, 1 << 20),
-        )
-        assert decision.block_bytes in {1 << 12, 1 << 20}
-        assert set(decision.gemm_timings) == {1 << 12, 1 << 20}
-
-    def test_dense_engine_leaves_gemm_knob_alone(self, env):
-        from repro.core.autotune import autotune_applyscore
-        from repro.tensor import AndPopcEngine
-
-        enc, pairs, score_min, _ = env
-        decision = autotune_applyscore(
-            enc, pairs, score_min,
-            block_size=4, n_real_snps=enc.n_real_snps,
-            engine=AndPopcEngine("dense"),
-            repeats=1,
-            chunk_candidates=(81 * 64,),
-        )
-        assert decision.block_bytes is None
-
-    def test_export_metrics(self, env):
-        from repro.core.autotune import AutotuneDecision
-        from repro.obs.metrics import MetricsRegistry
-
-        decision = AutotuneDecision(
-            max_chunk_cells=81 * 64,
-            block_bytes=1 << 20,
-            chunk_timings={81 * 64: 0.25},
-            gemm_timings={1 << 20: 0.5},
-            calibration_seconds=0.75,
-        )
-        reg = MetricsRegistry()
-        decision.export_metrics(reg)
-        assert reg.value("epi4_applyscore_autotune_chunk_cells") == 81 * 64
-        assert reg.value("epi4_applyscore_autotune_block_bytes") == 1 << 20
-        assert reg.value(
-            "epi4_applyscore_autotune_calibration_seconds"
-        ) == 0.75
-        assert reg.value(
-            "epi4_applyscore_autotune_candidate_seconds",
-            knob="chunk_cells", candidate=str(81 * 64),
-        ) == 0.25

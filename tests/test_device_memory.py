@@ -64,6 +64,7 @@ class TestCacheBudget:
 
     def test_unbounded_charged_at_working_set(self):
         ws = cache_working_set_bytes(64, 500, 500, 8)
+        ws += triplet_working_set_bytes(64, 8)
         est = estimate_search_memory(
             64, 500, 500, 8, cache_budget_bytes=float("inf")
         )
@@ -71,6 +72,7 @@ class TestCacheBudget:
 
     def test_budget_above_working_set_capped(self):
         ws = cache_working_set_bytes(64, 500, 500, 8)
+        ws += triplet_working_set_bytes(64, 8)
         est = estimate_search_memory(
             64, 500, 500, 8, cache_budget_bytes=ws * 100
         )

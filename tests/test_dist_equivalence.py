@@ -108,7 +108,7 @@ class TestShardCountEquivalence:
 
 class TestConfigMatrixEquivalence:
     @pytest.mark.parametrize(
-        "engine_kind,cache_triplets,batch_rounds",
+        "engine_kind,cached,batch_rounds",
         [
             ("and_popc", True, 1),
             ("and_popc", False, 1),
@@ -118,12 +118,12 @@ class TestConfigMatrixEquivalence:
         ],
     )
     def test_engine_cache_batching(
-        self, engine_kind, cache_triplets, batch_rounds, tmp_path
+        self, engine_kind, cached, batch_rounds, tmp_path
     ):
         dataset = _dataset()
         config = _config(
             engine_kind=engine_kind,
-            cache_triplets=cache_triplets,
+            cache_mb=float("inf") if cached else None,
             batch_rounds=batch_rounds,
         )
         reference = _unsharded_digest(dataset, config)

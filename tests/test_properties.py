@@ -329,15 +329,15 @@ class TestSearchConservation:
     @given(
         seed=st.integers(0, 2**16),
         n_snps=st.sampled_from([10, 12, 14, 16]),
-        cache_triplets=st.booleans(),
+        cache_mb=st.sampled_from([None, float("inf")]),
     )
     @settings(max_examples=8, deadline=None)
     def test_applyscore_valid_positions_conserved(
-        self, seed, n_snps, cache_triplets
+        self, seed, n_snps, cache_mb
     ):
         # Every unique 4-way combination of *real* SNPs is valid in exactly
         # one round, so the mask-compacted valid-position total over a run
-        # is C(M_real, 4) regardless of padding, seed or triplet caching;
+        # is C(M_real, 4) regardless of padding, seed or operand caching;
         # the compaction gauge is the block scheme's useful fraction.
         from math import comb
 
@@ -349,7 +349,7 @@ class TestSearchConservation:
             SearchConfig(
                 block_size=4,
                 top_k=2,
-                cache_triplets=cache_triplets,
+                cache_mb=cache_mb,
                 prune=False,
             ),
         )

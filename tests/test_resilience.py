@@ -1,5 +1,6 @@
 """Unit tests for retry/backoff policy, fault log, and the resilient queue."""
 
+import math
 import random
 import threading
 
@@ -54,6 +55,8 @@ class TestRetryPolicy:
             {"jitter": 1.0},
             {"jitter": -0.1},
             {"quarantine_after": 0},
+            {"backoff_base_ms": math.nan},
+            {"backoff_base_ms": math.inf},
         ],
     )
     def test_validation(self, kwargs):

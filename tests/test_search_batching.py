@@ -20,7 +20,6 @@ import pytest
 
 from repro.bitops.bitmatrix import BitMatrix
 from repro.bitops.popcount import _popcount_u64_lut, popcount_u64
-from repro.core.autotune import autotune_applyscore
 from repro.core.search import Epi4TensorSearch, SearchConfig
 from repro.datasets import generate_random_dataset
 from repro.device.memory import estimate_search_memory
@@ -303,7 +302,7 @@ class TestLaunchAccounting:
 
 
 # --------------------------------------------------------------------- #
-# Satellites: popcount scratch, host stream, memory, model, autotune
+# Satellites: popcount scratch, host stream, memory, model
 
 
 class TestPopcountScratch:
@@ -392,49 +391,6 @@ class TestModelAndMemory:
                 batched = search_gemm_launches(nb, batch_rounds=batch)
                 assert batched["tensor4"] <= seed["tensor4"]
                 assert batched["tensor3"] <= seed["tensor3"]
-
-
-class TestAutotuneBatchAxis:
-    def test_calibrates_and_adopts(self):
-        ds = generate_random_dataset(16, 120, seed=51)
-        search, res = _run(
-            ds, block_size=4, top_k=3, batch_rounds=8, autotune=True
-        )
-        dec = search.autotune_decision
-        assert dec is not None and dec.batch_rounds in dec.batch_timings
-        assert search._tuned_batch_rounds == dec.batch_rounds
-        gauge = search.metrics.value("epi4_applyscore_autotune_batch_rounds")
-        assert gauge == dec.batch_rounds
-        # Still bit-identical to the unbatched reference.
-        _, ref = _run(ds, block_size=4, top_k=3)
-        assert _solutions(res) == _solutions(ref)
-
-    def test_axis_skipped_without_batching(self):
-        ds = generate_random_dataset(16, 120, seed=51)
-        search, _ = _run(ds, block_size=4, autotune=True)
-        assert search.autotune_decision.batch_rounds is None
-        assert search._tuned_batch_rounds == 1
-
-    def test_calibration_engine_is_isolated(self):
-        # The probe engine must not leak shapes into the live engine.
-        ds = generate_random_dataset(16, 120, seed=52)
-        search = Epi4TensorSearch(
-            ds, SearchConfig(block_size=4, batch_rounds=8, autotune=True)
-        )
-        engine = search.cluster.gpus[0].engine
-        decision = autotune_applyscore(
-            search.encoded,
-            __import__("repro.core.pairwise", fromlist=["pairw_pop"])
-            .pairw_pop(search.encoded)
-            .pairs,
-            search._score_min,
-            block_size=4,
-            n_real_snps=search.scheme.n_real_snps,
-            engine=engine,
-            calibrate_batch=True,
-        )
-        assert decision.batch_rounds is not None
-        assert engine.last_shapes == []
 
 
 class TestDenseMemoization:

@@ -197,8 +197,7 @@ class TestCheckpointResume:
 class TestFusedScorePathEquivalence:
     """The fused applyScore (mask-first compaction + staged scorer +
     cross-round triplet reuse) must match the brute-force oracle, and be
-    bit-identical with or without the triplet cache, chunking, autotune or
-    faults.
+    bit-identical with or without the operand cache, chunking or faults.
     """
 
     @pytest.mark.parametrize("engine_kind", ["and_popc", "xor_popc"])
@@ -211,24 +210,11 @@ class TestFusedScorePathEquivalence:
         fused = _run(ds, cache_mb=float("inf"), **base)
         assert_matches_oracle(fused, brute_force_topk(ds, 4))
 
-    def test_triplet_cache_off_matches_on(self):
-        ds = generate_random_dataset(20, 140, seed=4)
-        base = dict(block_size=4, top_k=5, cache_mb=float("inf"))
-        on = _run(ds, **base)
-        off = _run(ds, cache_triplets=False, **base)
-        _assert_identical(on, off)
-
     def test_tiny_chunks_match_default(self):
         ds = generate_random_dataset(16, 120, seed=6)
         default = _run(ds, block_size=4, top_k=3)
         tiny = _run(ds, block_size=4, top_k=3, max_chunk_cells=81)
         _assert_identical(default, tiny)
-
-    def test_autotune_is_result_neutral(self):
-        ds = generate_random_dataset(16, 120, seed=9)
-        plain = _run(ds, block_size=4, top_k=3)
-        tuned = _run(ds, block_size=4, top_k=3, autotune=True)
-        _assert_identical(plain, tuned)
 
     def test_full3_executions_collapse_to_unique_triples(self):
         # Unbounded cache, no padding, B >= 4: every completed third-order
@@ -252,13 +238,7 @@ class TestFusedScorePathEquivalence:
         # Without the cross-round cache, every round recompletes its own
         # (locally deduped) role slots — strictly more executions.
         search_off = Epi4TensorSearch(
-            ds,
-            SearchConfig(
-                block_size=4,
-                cache_mb=float("inf"),
-                cache_triplets=False,
-                prune=False,
-            ),
+            ds, SearchConfig(block_size=4, cache_mb=None, prune=False)
         )
         search_off.run()
         exe_off = search_off.metrics.total(

@@ -305,3 +305,10 @@ class TestElasticConfigValidation:
         # The floor is one 81-cell table.
         with pytest.raises(ValueError, match="max_chunk_cells"):
             SearchConfig(max_chunk_cells=bad)
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+    def test_non_finite_backoff_rejected(self, bad):
+        # NaN would record nan backoff seconds; inf would overflow
+        # time.sleep on the first retry, mid-search.
+        with pytest.raises(ValueError, match="backoff_base_ms"):
+            SearchConfig(backoff_base_ms=bad)

@@ -125,7 +125,6 @@ class TestUnifiedMetrics:
         _, result = _run(host_threads=1)
         assert set(result.phase_seconds) == {
             "encode", "pairwise", "combine", "tensor3", "tensor4", "score",
-            "autotune",
         }
         for phase in ("pairwise", "combine", "tensor3", "tensor4", "score"):
             assert result.phase_seconds[phase] > 0

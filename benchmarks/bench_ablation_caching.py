@@ -1,11 +1,10 @@
-"""Ablation: round-operand caching x host-thread parallelism.
+"""Ablation: round-operand caching on 4 virtual GPUs.
 
-Sweeps the two hot-path knobs introduced for production runs — the
-byte-bounded operand cache (``cache_mb``: off -> tight -> unbounded) and
-the host worker-thread count (1 -> 4) driving 4 virtual GPUs — on a
->=64-SNP dense workload, and reports wall seconds, cache hit rate,
-executed tensor-op volume and ``quads_per_second_scaled``.  Every cell is
-asserted bit-identical to the cold sequential reference.
+Sweeps the byte-bounded operand cache (``cache_mb``: off -> tight ->
+unbounded) on 4 virtual GPUs, one host thread each, over a >=64-SNP
+dense workload, and reports wall seconds, cache hit rate, executed
+tensor-op volume and ``quads_per_second_scaled``.  Every cell is
+asserted bit-identical to the cache-off reference.
 
 Results append to ``BENCH_caching.json`` next to this file, one record per
 invocation, so regressions are visible across commits.
@@ -13,7 +12,7 @@ invocation, so regressions are visible across commits.
 Honesty note on the speedup column: the *executed* 3-way/combine volume
 drops by >5x with the cache on (that is what a real GPU saves), but the
 CPU-simulated wall clock is dominated by ``applyScore`` (per-quad unique,
-not cacheable) and the host threads contend for the GIL.  The >=1.5x
+not cacheable) and the device threads contend for the GIL.  The >=1.5x
 wall-clock bar is therefore asserted only when the host has >=2 physical
 cores; on a single-core host the assertion falls back to the hit-rate and
 executed-volume bars, and the wall-clock ratio is merely reported.
@@ -49,13 +48,8 @@ def _host_cores() -> int:
         return os.cpu_count() or 1
 
 
-def _run(ds, cache_mb, host_threads):
-    config = SearchConfig(
-        block_size=BLOCK,
-        cache_mb=cache_mb,
-        host_threads=host_threads,
-        top_k=5,
-    )
+def _run(ds, cache_mb):
+    config = SearchConfig(block_size=BLOCK, cache_mb=cache_mb, top_k=5)
     search = Epi4TensorSearch(ds, config, n_gpus=N_GPUS)
     start = time.perf_counter()
     result = search.run()
@@ -63,31 +57,24 @@ def _run(ds, cache_mb, host_threads):
     return result, wall
 
 
-def test_caching_and_threading_ablation(benchmark):
+def test_caching_ablation(benchmark):
     ds = generate_random_dataset(N_SNPS, N_SAMPLES, seed=42)
 
-    cells = [
-        ("off", None, 1),
-        ("tight", 0.05, 1),
-        ("unbounded", float("inf"), 1),
-        ("unbounded", float("inf"), 2),
-        ("unbounded", float("inf"), 4),
-    ]
+    cells = [("off", None), ("tight", 0.05), ("unbounded", float("inf"))]
 
     def sweep():
-        out = []
-        for label, cache_mb, threads in cells:
-            out.append((label, cache_mb, threads, *_run(ds, cache_mb, threads)))
-        return out
+        return [
+            (label, cache_mb, *_run(ds, cache_mb)) for label, cache_mb in cells
+        ]
 
     runs = benchmark.pedantic(sweep, rounds=1, iterations=1)
 
-    reference = runs[0][3]
+    reference = runs[0][2]
     rows = []
     records = []
-    base_wall = runs[0][4]
-    for label, cache_mb, threads, result, wall in runs:
-        # Hard correctness bar: bit-identical to the cold sequential run.
+    base_wall = runs[0][3]
+    for label, cache_mb, result, wall in runs:
+        # Hard correctness bar: bit-identical to the cache-off run.
         assert result.solution == reference.solution
         assert result.top_solutions == reference.top_solutions
         stats = result.cache_stats
@@ -96,7 +83,7 @@ def test_caching_and_threading_ablation(benchmark):
         speedup = base_wall / wall if wall > 0 else float("inf")
         rows.append(
             [
-                f"{label}/{threads}t",
+                label,
                 f"{wall:8.2f}",
                 f"{100 * hit_rate:5.1f}%",
                 f"{tensor3:.2e}",
@@ -108,7 +95,6 @@ def test_caching_and_threading_ablation(benchmark):
             {
                 "cache": label,
                 "cache_mb": None if cache_mb is None else float(cache_mb),
-                "host_threads": threads,
                 "wall_seconds": wall,
                 "hit_rate": hit_rate,
                 "tensor3_ops_executed": tensor3,
@@ -118,19 +104,19 @@ def test_caching_and_threading_ablation(benchmark):
         )
 
     print_table(
-        f"operand cache x host threads (M={N_SNPS}, N={N_SAMPLES}, "
+        f"operand cache (M={N_SNPS}, N={N_SAMPLES}, "
         f"B={BLOCK}, {N_GPUS} virtual GPUs, {_host_cores()} host cores)",
         ["config", "wall s", "hits", "tensor3 ops", "quads/s", "speedup"],
         rows,
     )
 
     # --- assertions ------------------------------------------------------ #
-    unbounded_1t = records[2]
-    assert unbounded_1t["hit_rate"] > 0.5, "cache must serve >50% of lookups"
+    unbounded = records[2]
+    assert unbounded["hit_rate"] > 0.5, "cache must serve >50% of lookups"
 
     # Executed 3-way volume must collapse to the analytic unique-pair total.
     wl = search_workload(N_SNPS, N_SAMPLES, BLOCK, cache_operands=True)
-    assert unbounded_1t["tensor3_ops_executed"] == wl.tensor3_ops
+    assert unbounded["tensor3_ops_executed"] == wl.tensor3_ops
     full = search_workload(N_SNPS, N_SAMPLES, BLOCK)
     # The cut deepens with the block count (more enclosing triples per
     # pair): >4x at nb=4 (CI-small), >5x at nb>=8 (full run).
@@ -140,7 +126,7 @@ def test_caching_and_threading_ablation(benchmark):
     best = max(r["speedup_vs_off"] for r in records[1:])
     if _host_cores() >= 2:
         assert best >= 1.5, (
-            f"expected >=1.5x wall-clock speedup with caching + threads on a "
+            f"expected >=1.5x wall-clock speedup with caching on a "
             f"{_host_cores()}-core host, got {best:.2f}x"
         )
 

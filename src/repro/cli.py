@@ -86,11 +86,6 @@ def _add_search(sub: argparse._SubParsersAction) -> None:
         "bit-identical for any value)",
     )
     p.add_argument(
-        "--host-threads", type=int, default=None, metavar="T",
-        help="host worker threads driving the devices (default: one per "
-        "GPU, capped at the host CPU count)",
-    )
-    p.add_argument(
         "--max-retries", type=int, default=2, metavar="R",
         help="retries a failed outer iteration gets on the same device "
         "before it is requeued to surviving devices (default: 2)",
@@ -278,7 +273,6 @@ def _search_config_from_args(args: argparse.Namespace):
         cache_mb=args.cache_mb,
         batch_rounds=args.batch_rounds,
         n_streams=args.n_streams,
-        host_threads=args.host_threads,
         max_retries=args.max_retries,
         backoff_base_ms=args.backoff_base_ms,
         quarantine_after=args.quarantine_after,

@@ -70,8 +70,8 @@ class TopKReducer:
     so device worker threads can :meth:`merge` their local reductions into
     a shared global reducer concurrently.  The result is order-independent
     — "keep the k smallest" over a totally ordered, deduplicated candidate
-    set is associative and commutative — which is what keeps threaded runs
-    bit-identical to sequential ones.
+    set is associative and commutative — which is what keeps multi-device
+    runs bit-identical to 1-device ones.
     """
 
     def __init__(self, k: int) -> None:

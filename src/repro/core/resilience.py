@@ -14,16 +14,18 @@ State machine per device::
 
     healthy --fault--> retrying --(success)--> healthy
                  |         |
-                 |         +--(retries exhausted)--> iteration requeued
-                 |                                   to surviving devices
+                 |         +--(retries exhausted)--> iteration requeued,
+                 |                                   other devices first
                  +--(quarantine_after consecutive
                      exhausted iterations)---------> quarantined (worker
                                                      exits; device takes
                                                      no further work)
 
-A search aborts (:class:`SearchAbortedError`) only when an iteration has
-been requeued past every device still alive — i.e. no healthy device can
-make progress.
+An iteration every device has surrendered goes back to whichever device
+asks next, so a lone device retries it until it is quarantined.  Only a
+commit resets a quarantine streak and commits are bounded, so this ends.
+A search aborts (:class:`SearchAbortedError`) only when every device is
+quarantined with work left.
 
 This module is deliberately search-agnostic: :class:`RetryPolicy`,
 :class:`FaultLog` and :class:`ResilientWorkQueue` know nothing about
@@ -382,20 +384,20 @@ class FaultLog:
 class ResilientWorkQueue:
     """A shared outer-iteration queue that survives worker attrition.
 
-    Extends the PR-1 dynamic work queue with the two operations fault
-    tolerance needs:
+    - :meth:`requeue` puts a failed iteration back.  The surrendering
+      device is excluded from it while some registered device has not
+      surrendered it yet; once every registered device has, it goes to
+      whichever device asks next.
+    - :meth:`get` blocks while the pending work is excluded for the
+      asking device or another worker still has an iteration in flight
+      (it might be requeued), which is what guarantees no work is lost
+      when a device fails mid-iteration.
+    - :meth:`close` stops handing out work, so a worker that dies of a
+      non-device error cannot leave the others blocked.
 
-    - :meth:`requeue` — put a failed iteration back for *other* devices
-      (the surrendering device is excluded from that iteration so the
-      queue never hands it straight back);
-    - worker registration — a worker that quarantines (or simply runs
-      out of eligible work) unregisters, and the queue detects the
-      moment remaining work has been excluded by every surviving device
-      and raises :class:`SearchAbortedError` instead of deadlocking.
-
-    :meth:`get` blocks while another worker still has an iteration in
-    flight (it might be requeued), which is what guarantees no work is
-    lost when a device fails mid-iteration.
+    Register every worker before any worker starts: eligibility is
+    judged against the registered set.  A worker that quarantines
+    unregisters; if all do with work left, :attr:`unfinished` stays true.
     """
 
     def __init__(self, iterations: Iterable[int]) -> None:
@@ -403,12 +405,13 @@ class ResilientWorkQueue:
         self._excluded: dict[int, set[int]] = {}
         self._workers: set[int] = set()
         self._in_flight = 0
+        self._closed = False
         self._cond = threading.Condition()
 
     @property
     def unfinished(self) -> bool:
-        """Work remains pending or in flight (used by the parallel path's
-        completeness guard after the worker pool drains)."""
+        """Work remains pending or in flight (the executor's completeness
+        guard after every worker has exited)."""
         with self._cond:
             return bool(self._pending or self._in_flight)
 
@@ -428,43 +431,20 @@ class ResilientWorkQueue:
     # ------------------------------------------------------------------ #
 
     def get(self, device_id: int) -> int | None:
-        """Next iteration this device may run, or ``None`` when the
-        search is complete (or this device can contribute nothing more).
-
-        Raises:
-            SearchAbortedError: work remains that no registered device is
-                allowed to run.
-        """
+        """Next iteration this device may run, in queue order, or
+        ``None`` once the search is complete or the queue is closed."""
         with self._cond:
-            while True:
-                for _ in range(len(self._pending)):
-                    wi = self._pending.popleft()
-                    if device_id not in self._excluded.get(wi, ()):
+            while not self._closed:
+                for wi in self._pending:
+                    excluded = self._excluded.get(wi, set())
+                    if device_id not in excluded or self._workers <= excluded:
+                        self._pending.remove(wi)
                         self._in_flight += 1
                         return wi
-                    self._pending.append(wi)  # keep issue order for others
                 if not self._pending and self._in_flight == 0:
                     return None
-                if self._pending and self._none_eligible_locked():
-                    raise SearchAbortedError(
-                        f"iterations {sorted(self._pending)} failed on every "
-                        "available device (all surviving devices exhausted "
-                        "their retries); search cannot complete"
-                    )
-                if self._pending and all(
-                    device_id in self._excluded.get(wi, ())
-                    for wi in self._pending
-                ) and self._in_flight == 0:
-                    # Everything left is excluded for *this* device but
-                    # other registered workers can still take it.
-                    return None
                 self._cond.wait()
-
-    def _none_eligible_locked(self) -> bool:
-        return all(
-            self._workers <= self._excluded.get(wi, set())
-            for wi in self._pending
-        )
+            return None
 
     def done(self, wi: int) -> None:
         """The iteration committed; release its in-flight slot."""
@@ -473,9 +453,16 @@ class ResilientWorkQueue:
             self._cond.notify_all()
 
     def requeue(self, wi: int, exclude_device: int) -> None:
-        """Return a failed iteration to the queue for other devices."""
+        """Return a failed iteration to the queue, other devices first."""
         with self._cond:
             self._excluded.setdefault(wi, set()).add(exclude_device)
             self._pending.append(wi)
             self._in_flight -= 1
+            self._cond.notify_all()
+
+    def close(self) -> None:
+        """Hand out no further work: every later :meth:`get` returns
+        ``None``."""
+        with self._cond:
+            self._closed = True
             self._cond.notify_all()

@@ -10,12 +10,15 @@ simulated tensor-core substrate:
    combine/sweep ``W x Y`` and ``X x Y``; per round ``(Wi, Xi, Yi, Zi)``:
    combine ``Y x Z``, run the 4-way tensor GEMM, complete + score + reduce;
 4. multi-GPU: outer (``Wi``) iterations are dynamically scheduled over the
-   cluster (§3.6) — one host worker thread per device pulls the next
-   unprocessed iteration from a shared queue, the Python-level realization
-   of the paper's one-thread-per-GPU OpenMP ``schedule(dynamic)``.  Each
-   device reduces locally, the host reduces at the end.
+   cluster (§3.6) — one host thread per device pulls the next unprocessed
+   iteration from a shared queue, the Python-level realization of the
+   paper's one-thread-per-GPU OpenMP ``schedule(dynamic)``.  The calling
+   thread drives the first device, so a 1-device search starts no extra
+   thread; NumPy's BLAS and bit-ops release the GIL, so devices overlap
+   on multicore hosts.  Each device reduces locally, the host reduces at
+   the end.
 
-Three hot-path optimizations ride on top of the seed algorithm, all exactly
+Two hot-path optimizations ride on top of the seed algorithm, both exactly
 result-preserving:
 
 - a **round-operand cache** (:mod:`repro.core.operand_cache`): the loop
@@ -25,10 +28,6 @@ result-preserving:
   the loop-invariant work is hoisted — computed on first use, served from
   a byte-bounded LRU afterwards.  Cache hits skip kernel-launch
   accounting, so :class:`KernelCounters` always reflect executed work.
-- a **thread-parallel multi-device executor**: with
-  ``host_threads > 1`` the per-GPU loops actually run concurrently
-  (NumPy's BLAS and bit-ops release the GIL, so ``dense``-mode rounds
-  overlap for a real wall-clock win on multicore hosts).
 - a **batched round pipeline**, the one loop nest every run goes
   through: rounds sharing one ``(Wi, Xi)`` pair are staged in groups of
   ``batch_rounds``, and with ``batch_rounds > 1`` each group's ``yz``
@@ -143,10 +142,6 @@ class SearchConfig:
             is unbounded (charged to the memory model at the full working
             set).  Results are bit-identical either way — the cache only
             changes which launches execute.
-        host_threads: host worker threads driving the devices.  ``None``
-            picks ``min(n_gpus, cpu_count)``; ``1`` forces the sequential
-            seed path; values above the device count are capped (the
-            model is one thread per GPU, §3.6).
         max_retries: additional attempts a failed outer iteration gets on
             the same device before it is requeued to surviving devices
             (see :mod:`repro.core.resilience`).
@@ -201,7 +196,6 @@ class SearchConfig:
     top_k: int = 1
     selfcheck: bool = False
     cache_mb: float | None = None
-    host_threads: int | None = None
     max_retries: int = 2
     backoff_base_ms: float = 10.0
     quarantine_after: int = 2
@@ -239,10 +233,6 @@ class SearchConfig:
         ):
             raise ValueError(
                 f"cache_mb must be >= 0 (or inf/None), got {self.cache_mb}"
-            )
-        if self.host_threads is not None and self.host_threads < 1:
-            raise ValueError(
-                f"host_threads must be >= 1, got {self.host_threads}"
             )
         if self.deadline_ms is not None and not self.deadline_ms > 0:
             raise ValueError(
@@ -296,15 +286,14 @@ class SearchResult:
             eviction totals included).
         per_device_counters: one :class:`KernelCounters` per device.
         schedule: the modelled multi-GPU outer-loop schedule (also set for
-            1 GPU).  Under the thread-parallel executor the *actual*
-            device assignment is dynamic; see ``executed_assignment``.
+            1 GPU).  The executed device assignment is dynamic; see
+            ``executed_assignment``.
         executed_assignment: outer iterations actually run per device, in
-            completion-commit order (equals ``schedule.assignment`` for
-            the sequential replay path).
+            completion-commit order.
         phase_seconds: wall time by phase (``combine``, ``tensor3``,
             ``tensor4``, ``score``, ``pairwise``, ``encode``).  With
-            ``host_threads > 1`` these are busy seconds summed over
-            workers and may exceed ``wall_seconds``.
+            several devices these are busy seconds summed over device
+            threads and may exceed ``wall_seconds``.
         wall_seconds: end-to-end wall time of :meth:`Epi4TensorSearch.run`.
         n_samples: ``N`` used for the scaled-quads metric.
         cache_stats: round-operand cache snapshot (``None`` = cache off).
@@ -554,15 +543,6 @@ class Epi4TensorSearch:
 
     # ------------------------------------------------------------------ #
 
-    def host_worker_count(self) -> int:
-        """Resolved host worker threads: ``host_threads`` capped at the
-        device count; ``None`` auto-sizes to ``min(n_gpus, cpu_count)``."""
-        n_gpus = self.cluster.n_gpus
-        requested = self.config.host_threads
-        if requested is None:
-            requested = min(n_gpus, os.cpu_count() or 1)
-        return max(1, min(requested, n_gpus))
-
     def fingerprint(self, outer_iterations: Iterable[int] | None = None) -> str:
         """Identity string guarding journal resume.
 
@@ -616,10 +596,10 @@ class Epi4TensorSearch:
         Args:
             progress_callback: optional ``fn(completed_rounds, total_rounds,
                 best_so_far)`` invoked after every evaluation round —
-                multi-hour searches can report status or feed a UI.  Under
-                the thread-parallel executor the callback is serialized
-                (called under a lock) and ``best_so_far`` is the global
-                minimum over everything scored so far.
+                multi-hour searches can report status or feed a UI.  The
+                callback is serialized across device threads (called under
+                a lock) and ``best_so_far`` is the global minimum over
+                everything scored so far.
             journal_path: optional path to a crash-safe round journal (see
                 :mod:`repro.core.journal`): every committed outer iteration
                 appends one fsynced CRC frame, so a process killed at any
@@ -667,9 +647,9 @@ class Epi4TensorSearch:
             engine=self.cluster.gpus[0].engine.name,
             n_devices=self.cluster.n_gpus,
         )
-        # Kept for explicit cross-thread parenting: the parallel path's
-        # per-worker device spans open on worker threads whose span stacks
-        # are empty, so they name this span as their parent directly.
+        # Kept for explicit cross-thread parenting: device spans open on
+        # device threads whose span stacks are empty, so they name this
+        # span as their parent directly.
         self._run_span = run_span
         with self._run_cleanup(journal), total_timer, run_span:
             with self.tracer.span("prepare"):
@@ -699,8 +679,7 @@ class Epi4TensorSearch:
                 self._best_seen = reducer.best
             if domain is not None:
                 # Out-of-domain iterations are another shard's work: mark
-                # them done so both execution paths (sequential and
-                # parallel) skip them without further branching.
+                # them done so the device threads skip them.
                 done |= set(range(self.scheme.nb)) - set(domain)
             executed: list[list[int]] = [[] for _ in self.cluster.gpus]
             commit_lock = threading.Lock()
@@ -728,11 +707,7 @@ class Epi4TensorSearch:
                 # Warm start: inherit whatever thresholds peer shards have
                 # already published (a late shard starts tight).
                 self._sync_thresholds()
-            n_workers = self.host_worker_count()
-            if n_workers <= 1:
-                self._run_sequential(schedule, done, run_iteration)
-            else:
-                self._run_parallel(n_workers, done, run_iteration)
+            self._run_devices(done, run_iteration)
             with self.tracer.span("reduce"):
                 top = reducer.result()
             solution = top[0] if top else reduce_solutions([])
@@ -888,84 +863,31 @@ class Epi4TensorSearch:
             return True
         return False
 
-    def _run_sequential(
-        self, schedule: ScheduleResult, done: set[int], run_iteration
-    ) -> None:
-        """Sequential replay of the modelled dynamic schedule (the seed
-        path — also the deterministic per-device accounting baseline).
+    def _run_devices(self, done: set[int], run_iteration) -> None:
+        """One host thread per device in service, each pulling outer
+        iterations from a shared fault-tolerant queue — OpenMP
+        ``schedule(dynamic)`` over the ``Wi`` loop with one thread per GPU
+        (§3.6).  The calling thread drives the first device.
 
-        Under faults, each iteration is retried on its assigned device;
-        exhausted iterations are deferred and re-driven through the
-        surviving devices in a second pass (mirroring the parallel
-        executor's requeue, at the cost of schedule fidelity — which a
-        faulty run has already lost anyway)."""
-        executors = {
-            gpu.device_id: _SingleDeviceExecutor(
-                self, self._wrap_gpu(gpu), self._cache
-            )
+        A worker requeues an iteration that exhausts its retries (see
+        :class:`ResilientWorkQueue` for who gets it next) and exits once
+        its device is quarantined; if every worker exits with work
+        pending the search aborts."""
+        pending = [wi for wi in range(self.scheme.nb) if wi not in done]
+        queue = ResilientWorkQueue(pending)
+        workers = [
+            gpu
             for gpu in self.cluster.gpus
-        }
-        deferred: list[int] = []
-        for gpu, outer_iters in zip(self.cluster.gpus, schedule.assignment):
-            with self.tracer.span("device", device=gpu.device_id):
-                for wi in outer_iters:
-                    if wi in done:
-                        continue
-                    if gpu.device_id in self.cluster.quarantined:
-                        deferred.append(wi)
-                        continue
-                    fault = self._with_retries(
-                        gpu.device_id,
-                        wi,
-                        lambda e=executors[gpu.device_id], w=wi: run_iteration(e, w),
-                    )
-                    if fault is not None:
-                        self._note_exhausted(gpu.device_id, wi, fault)
-                        deferred.append(wi)
-        for wi in deferred:
-            committed = False
-            last: DeviceFault | None = None
-            for gpu in self.cluster.gpus:
-                if gpu.device_id in self.cluster.quarantined:
-                    continue
-                with self.tracer.span("device", device=gpu.device_id):
-                    fault = self._with_retries(
-                        gpu.device_id,
-                        wi,
-                        lambda e=executors[gpu.device_id], w=wi: run_iteration(e, w),
-                    )
-                if fault is None:
-                    committed = True
-                    break
-                last = fault
-                self._note_exhausted(gpu.device_id, wi, fault)
-            if not committed:
-                raise SearchAbortedError(
-                    f"outer iteration {wi} failed on every available device "
-                    f"(last fault: {last}); search cannot complete"
-                )
-
-    def _run_parallel(self, n_workers: int, done: set[int], run_iteration) -> None:
-        """One worker thread per device, pulling outer iterations from a
-        shared fault-tolerant queue — the host-side realization of OpenMP
-        ``schedule(dynamic)`` over the ``Wi`` loop (§3.6).
-
-        A worker that exhausts its retries on an iteration requeues it
-        for the surviving devices (the queue excludes the surrendering
-        device); after ``quarantine_after`` consecutive exhausted
-        iterations the device is quarantined and its worker exits for the
-        rest of the run.  The queue raises :class:`SearchAbortedError` if
-        work remains that no surviving device may run."""
-        queue = ResilientWorkQueue(
-            wi for wi in range(self.scheme.nb) if wi not in done
-        )
+            if gpu.device_id not in self.cluster.quarantined
+        ]
+        for gpu in workers:
+            queue.register(gpu.device_id)
 
         def device_worker(gpu: VirtualGPU) -> None:
             executor = _SingleDeviceExecutor(
                 self, self._wrap_gpu(gpu), self._cache
             )
             dev = gpu.device_id
-            queue.register(dev)
             try:
                 with self.tracer.span(
                     "device", parent_span=self._run_span, device=dev
@@ -983,22 +905,18 @@ class Epi4TensorSearch:
                         queue.requeue(wi, dev)
                         if self._note_exhausted(dev, wi, fault):
                             return  # quarantined for the rest of the run
+            except BaseException:
+                queue.close()  # release the other workers; the run is over
+                raise
             finally:
                 queue.unregister(dev)
 
-        workers = [
-            gpu
-            for gpu in self.cluster.gpus
-            if gpu.device_id not in self.cluster.quarantined
-        ][:n_workers]
-        if not workers:
-            raise SearchAbortedError(
-                "every device was quarantined before the search loop started"
-            )
         with ThreadPoolExecutor(
-            max_workers=len(workers), thread_name_prefix="epi4-device"
+            max_workers=max(1, len(workers) - 1),
+            thread_name_prefix="epi4-device",
         ) as pool:
-            futures = [pool.submit(device_worker, gpu) for gpu in workers]
+            futures = [pool.submit(device_worker, gpu) for gpu in workers[1:]]
+            device_worker(workers[0])
             for future in futures:
                 future.result()  # re-raise the first worker failure
         if queue.unfinished:
@@ -1642,7 +1560,7 @@ class _SingleDeviceExecutor:
         # executed combine volume (and the cache hit/miss totals) would
         # depend on which concurrent request wins the single-flight miss
         # — breaking the order-invariance the golden metrics comparison
-        # (sequential vs threaded) relies on.
+        # (1 device vs 2 device threads) relies on.
         value, hit, evicted = self._cache.get_or_compute(
             ("sweep", cls, off_a, off_b),
             lambda: self._gemm3(

@@ -69,8 +69,11 @@ def load_dataset_csv(path: str | os.PathLike) -> Dataset:
         if not header:
             raise ValueError(f"{path}: empty file")
         names = [c.strip() for c in header.split(",")]
+        has_rows = any(line.strip() for line in fh)
     if len(names) < 2:
         raise ValueError(f"{path}: need at least one SNP column plus 'class'")
+    if not has_rows:
+        raise ValueError(f"{path}: no data rows")
     table = np.loadtxt(path, dtype=np.int64, delimiter=",", skiprows=1, ndmin=2)
     if table.shape[1] != len(names):
         raise ValueError(

@@ -48,9 +48,9 @@ class ScheduleResult:
     def from_executed(
         cls, assignment: list[list[int]], costs: list[float]
     ) -> "ScheduleResult":
-        """Score an assignment that actually ran (e.g. the dynamic order a
-        thread-parallel :class:`~repro.core.search.Epi4TensorSearch` pulled
-        from its shared work queue) against per-iteration costs.
+        """Score an assignment that actually ran (e.g. the dynamic order
+        the device threads of :class:`~repro.core.search.Epi4TensorSearch`
+        pulled from their shared work queue) against per-iteration costs.
 
         Lets the realized load balance be compared with the modelled
         :func:`schedule_dynamic` replay on equal terms.

@@ -163,7 +163,7 @@ def build_run_manifest(
 
     Returns:
         A :class:`RunManifest` whose JSON is byte-stable across repeated
-        and re-ordered (sequential vs threaded) executions.
+        and re-ordered (device threads finishing in any order) executions.
     """
     import numpy as np
 

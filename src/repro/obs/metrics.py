@@ -53,7 +53,7 @@ Export formats: a deterministic snapshot dict and Prometheus text
 exposition (sorted series).  Time-valued series are inherently
 non-deterministic; :func:`normalized_snapshot` zeroes them and sums over
 the ``device`` label so golden tests can compare runs byte-for-byte
-across sequential and threaded execution.
+whichever device thread ran which iteration.
 """
 
 from __future__ import annotations

@@ -71,8 +71,8 @@ def predict_shard_schedule(
     §3.6 dynamic schedule balances that domain across the worker's GPUs.
     Replaying the same greedy assignment over the closed-form iteration
     weights predicts it exactly — ``bench_multinode`` asserts the measured
-    per-shard ``ScheduleResult`` (total cost, and for the sequential path
-    the full assignment) against this prediction.
+    per-shard modelled ``ScheduleResult`` (total cost and full
+    assignment) against this prediction.
     """
     costs = [
         float(outer_iteration_tensor_ops(wi, nb, block_size, n_samples))

@@ -7,6 +7,9 @@
   ranking, so agreement with the search checks every one of those layers.
 - :func:`cut_journal` — the on-disk state of a run killed right after a
   given number of durable journal commits.
+- :func:`round_work` — a normalized metrics snapshot without the series
+  every device is charged once at setup, so runs on different device
+  counts compare equal.
 """
 
 from __future__ import annotations
@@ -21,6 +24,7 @@ from repro.contingency import contingency_tables_by_class
 from repro.core.journal import _read_frame
 from repro.core.solution import Solution
 from repro.datasets import Dataset
+from repro.dist.merge import MergedRun
 from repro.scoring.k2 import K2Score
 from repro.scoring.lgamma_table import LgammaTable
 
@@ -42,12 +46,42 @@ def brute_force_topk(dataset: Dataset, k: int) -> list[Solution]:
 
 def assert_matches_oracle(result, expected: list[Solution]) -> None:
     """Exact quads, scores to ``rel=1e-9`` (the oracle sums each table's
-    lgamma terms in its own order)."""
-    got = result.top_solutions
+    lgamma terms in its own order).  ``result`` is a search result or a
+    merged sharded run."""
+    got = (
+        result.solutions
+        if isinstance(result, MergedRun)
+        else result.top_solutions
+    )
     assert [s.quad for s in got] == [s.quad for s in expected]
     assert [s.score for s in got] == pytest.approx(
         [s.score for s in expected], rel=1e-9
     )
+
+
+#: Counters charged once per device at setup (dataset transfer, pairwPop
+#: and the resilience attempt around them): they scale with ``n_gpus``.
+SETUP_SERIES = (
+    "epi4_transfer_bytes_total",
+    "epi4_pairwise_ops_total",
+    "epi4_resilience_attempts_total",
+)
+
+
+def round_work(snapshot: dict) -> dict:
+    """A :func:`~repro.obs.metrics.normalized_snapshot` minus the
+    per-device setup series (see :data:`SETUP_SERIES`)."""
+    counters = {
+        name: series
+        for name, series in snapshot["counters"].items()
+        if name not in SETUP_SERIES
+    }
+    counters["epi4_kernel_launches_total"] = {
+        label: value
+        for label, value in counters["epi4_kernel_launches_total"].items()
+        if "pairwPop" not in label and "transfer" not in label
+    }
+    return {**snapshot, "counters": counters}
 
 
 def cut_journal(path: str | Path, n_commits: int) -> list[int]:

@@ -27,6 +27,7 @@ import pytest
 
 from repro.core.search import Epi4TensorSearch, SearchConfig
 from repro.datasets import generate_random_dataset
+from tests.helpers import assert_matches_oracle, brute_force_topk
 
 pytestmark = [pytest.mark.faults, pytest.mark.chaos]
 
@@ -166,6 +167,7 @@ class TestSigkillHarness:
                 journal_path=str(path)
             )
         assert _solutions(resumed) == _solutions(reference)
+        assert_matches_oracle(resumed, brute_force_topk(ds, _TOP_K))
         executed = _executed(resumed)
         assert len(executed) == len(set(executed))
         assert len(executed) == resumed.block_scheme.nb - kill_after
@@ -204,6 +206,7 @@ class TestShardedChaos:
         assert merged.top_k_sha256 == solutions_digest(
             reference.top_solutions
         )
+        assert_matches_oracle(merged, brute_force_topk(ds, _TOP_K))
         # The chaos hook fired exactly once (durable marker present)...
         assert (tmp_path / "shard-1.killed").exists()
         # ...and the respawned worker actually resumed through the

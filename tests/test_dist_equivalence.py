@@ -33,6 +33,7 @@ from repro.dist import (
 )
 from repro.dist.worker import build_request, shard_artifact_name
 from repro.obs.manifest import solutions_digest
+from tests.helpers import assert_matches_oracle, brute_force_topk
 
 pytestmark = pytest.mark.dist
 
@@ -54,6 +55,12 @@ def _config(**kwargs):
     return SearchConfig(**kwargs)
 
 
+@pytest.fixture(scope="module")
+def oracle():
+    """The independent brute-force top-k of :func:`_dataset`."""
+    return brute_force_topk(_dataset(), _TOP_K)
+
+
 def _unsharded_digest(dataset, config) -> str:
     result = Epi4TensorSearch(dataset, config).run()
     return solutions_digest(result.top_solutions)
@@ -61,7 +68,7 @@ def _unsharded_digest(dataset, config) -> str:
 
 class TestShardCountEquivalence:
     @pytest.mark.parametrize("n_shards", [1, 2, 3, 8])
-    def test_merged_digest_matches_unsharded(self, n_shards, tmp_path):
+    def test_merged_digest_matches_unsharded(self, n_shards, tmp_path, oracle):
         dataset = _dataset()
         config = _config()
         reference = _unsharded_digest(dataset, config)
@@ -74,6 +81,7 @@ class TestShardCountEquivalence:
         )
         assert merged.top_k_sha256 == reference
         assert merged.n_shards == n_shards
+        assert_matches_oracle(merged, oracle)
 
     def test_strided_strategy_matches_unsharded(self, tmp_path):
         dataset = _dataset()

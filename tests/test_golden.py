@@ -19,10 +19,11 @@ diff.  To regenerate after an *intentional* change:
 
 and review the diff like any other code change.
 
-The cross-cutting invariants (AND+POPC vs XOR+POPC engines, sequential
-vs threaded execution) are asserted directly: same span-tree shape
-(modulo the racy ``wi -> device`` assignment), same normalized metrics,
-same top-k digest.
+The cross-cutting invariants (AND+POPC vs XOR+POPC engines, one device
+on the calling thread vs two device threads) are asserted directly: same
+span-tree shape (modulo the racy ``wi -> device`` assignment), same
+normalized round-work metrics, same top-k digest — and that digest's
+top-k equals the independent brute-force oracle's.
 """
 
 from __future__ import annotations
@@ -39,6 +40,7 @@ from repro.datasets import generate_random_dataset
 from repro.obs.manifest import build_run_manifest
 from repro.obs.metrics import normalized_snapshot
 from repro.obs.trace import Tracer, span_tree_shape, trace_lines
+from tests.helpers import assert_matches_oracle, brute_force_topk, round_work
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
 REGEN = os.environ.get("EPI4TENSOR_REGEN_GOLDEN") == "1"
@@ -56,7 +58,6 @@ def _search(**overrides):
         block_size=BLOCK,
         engine_kind="and_popc",
         top_k=3,
-        host_threads=1,
         # Golden fixtures pin the unpruned path: prune counts depend on
         # threshold timing, which is schedule-sensitive by design.
         prune=False,
@@ -153,8 +154,9 @@ class TestCrossEngineStability:
 
 
 class TestSequentialThreadedStability:
-    """The thread-parallel executor must be observationally equivalent to
-    the sequential replay (modulo which device ran which iteration)."""
+    """A 1-device run (the calling thread only) and a 2-device run (one
+    host thread per device) must be observationally equivalent, modulo
+    which device ran which iteration and the per-device setup work."""
 
     def test_device_stripped_span_shape_identical(self):
         # Cache off: every operand request computes, so the span tree is a
@@ -162,31 +164,30 @@ class TestSequentialThreadedStability:
         # *spans* move to whichever thread wins the single-flight miss —
         # only the metric totals are order-invariant, asserted below.)
         shapes = []
-        for threads in (1, 2):
-            _, _, tracer = _search(n_gpus=2, host_threads=threads)
+        for n_gpus in (1, 2):
+            _, _, tracer = _search(n_gpus=n_gpus)
             shapes.append(
                 sorted(
-                    _strip_device(p)
+                    stripped
                     for p in span_tree_shape(tracer.records())
+                    if (stripped := _strip_device(p)) != "run#0/device[*]"
                 )
             )
         assert shapes[0] == shapes[1]
 
     def test_normalized_metrics_identical(self):
         snaps = []
-        for threads in (1, 2):
-            search, _, _ = _search(
-                n_gpus=2, host_threads=threads, cache_mb=2
-            )
-            snaps.append(normalized_snapshot(search.metrics))
+        for n_gpus in (1, 2):
+            search, _, _ = _search(n_gpus=n_gpus, cache_mb=2)
+            snaps.append(round_work(normalized_snapshot(search.metrics)))
         assert snaps[0] == snaps[1]
 
     def test_topk_digest_identical(self):
         digests = set()
-        for threads in (1, 2):
-            search, result, _ = _search(
-                n_gpus=2, host_threads=threads, cache_mb=2
-            )
+        expected = brute_force_topk(_dataset(), 3)
+        for n_gpus in (1, 2):
+            search, result, _ = _search(n_gpus=n_gpus, cache_mb=2)
+            assert_matches_oracle(result, expected)
             digests.add(
                 build_run_manifest(search, result)["results"]["top_k_sha256"]
             )

@@ -1,5 +1,7 @@
 """Unit tests for dataset persistence."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -63,6 +65,15 @@ class TestCsvRoundTrip:
         path.write_text("")
         with pytest.raises(ValueError, match="empty"):
             load_dataset_csv(path)
+
+    @pytest.mark.parametrize("body", ["", "\n", "\n  \n"])
+    def test_rejects_header_only(self, tmp_path, body):
+        path = tmp_path / "header.csv"
+        path.write_text("s1,s2,class\n" + body)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # no numpy "no data" warning
+            with pytest.raises(ValueError, match="no data rows"):
+                load_dataset_csv(path)
 
     def test_rejects_single_column(self, tmp_path):
         path = tmp_path / "one.csv"

@@ -25,6 +25,7 @@ from repro.obs.manifest import (
 )
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.trace import Tracer
+from tests.helpers import assert_matches_oracle, brute_force_topk
 
 
 @pytest.fixture(scope="module")
@@ -103,20 +104,21 @@ class TestRunManifest:
         assert one() == one()
 
     def test_results_identical_sequential_vs_threaded(self):
+        # 1 device on the calling thread vs 2 device threads: identical
+        # results, and equal to the independent oracle.
         ds = generate_random_dataset(16, 96, seed=17)
+        expected = brute_force_topk(ds, 2)
         sections = []
-        for threads in (1, 2):
+        for n_gpus in (1, 2):
             s = Epi4TensorSearch(
                 ds,
-                SearchConfig(
-                    block_size=8, top_k=2, host_threads=threads, cache_mb=2
-                ),
-                n_gpus=2,
+                SearchConfig(block_size=8, top_k=2, cache_mb=2),
+                n_gpus=n_gpus,
             )
-            m = build_run_manifest(s, s.run(), dataset=ds)
-            sections.append(
-                (m["results"], m["dataset"], m["execution"], m["seeds"])
-            )
+            result = s.run()
+            assert_matches_oracle(result, expected)
+            m = build_run_manifest(s, result, dataset=ds)
+            sections.append((m["results"], m["dataset"], m["seeds"]))
         assert sections[0] == sections[1]
 
     def test_topk_digest_identical_across_engines(self):

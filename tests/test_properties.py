@@ -371,7 +371,7 @@ class TestSearchConservation:
         ds = generate_random_dataset(12, 64, seed=seed)
         Epi4TensorSearch(
             ds,
-            SearchConfig(block_size=4, host_threads=1),
+            SearchConfig(block_size=4),
             tracer=tracer,
         ).run()
         records = tracer.records()

@@ -80,7 +80,7 @@ class TestCacheSection:
 
 class TestObservabilitySection:
     def test_phase_seconds_by_device_table(self):
-        ds, res = _result(n_gpus=2, host_threads=2, cache_mb=2)
+        ds, res = _result(n_gpus=2, cache_mb=2)
         report = format_search_report(res, ds)
         assert "observability (per-device attribution)" in report
         assert "phase seconds by device" in report

@@ -10,7 +10,6 @@ from repro.core.resilience import (
     FaultLog,
     ResilientWorkQueue,
     RetryPolicy,
-    SearchAbortedError,
 )
 
 
@@ -144,14 +143,59 @@ class TestResilientWorkQueue:
         assert q.get(0) is None
         assert q.get(1) is None
 
-    def test_aborts_when_no_device_is_eligible(self):
+    def test_hands_back_iteration_every_device_surrendered(self):
+        q = ResilientWorkQueue([0, 1])
+        q.register(0)
+        q.register(1)
+        assert q.get(0) == 0
+        q.requeue(0, exclude_device=0)
+        # Device 1 has not surrendered 0 yet: device 0 moves on first.
+        assert q.get(0) == 1
+        q.done(1)
+        assert q.get(1) == 0
+        q.requeue(0, exclude_device=1)
+        # Every registered device surrendered it: whoever asks gets it.
+        assert q.excluded_devices(0) == {0, 1}
+        assert q.get(0) == 0
+        q.requeue(0, exclude_device=0)
+        assert q.get(1) == 0
+        q.done(0)
+        assert q.get(0) is None
+        assert not q.unfinished
+
+    def test_lone_device_gets_its_surrendered_iteration_back(self):
+        q = ResilientWorkQueue([4])
+        q.register(0)
+        assert q.get(0) == 4
+        q.requeue(4, exclude_device=0)
+        assert q.get(0) == 4
+
+    def test_unfinished_once_every_worker_unregisters(self):
+        q = ResilientWorkQueue([0, 1])
+        q.register(0)
+        q.register(1)
+        assert q.get(0) == 0
+        q.requeue(0, exclude_device=0)
+        q.unregister(0)  # quarantined
+        q.unregister(1)  # quarantined
+        assert q.unfinished
+
+    def test_close_releases_blocked_workers(self):
+        # A worker that dies mid-iteration leaves its slot in flight;
+        # closing the queue must still release every waiter.
         q = ResilientWorkQueue([0])
         q.register(0)
         q.register(1)
-        q.requeue(0, exclude_device=0)  # no get() needed for the check
-        q.unregister(1)
-        with pytest.raises(SearchAbortedError, match="cannot complete"):
-            q.get(0)
+        assert q.get(0) == 0
+        result = {}
+        t = threading.Thread(target=lambda: result.update(wi=q.get(1)))
+        t.start()
+        t.join(timeout=0.2)
+        assert t.is_alive()
+        q.close()
+        t.join(timeout=2.0)
+        assert not t.is_alive()
+        assert result["wi"] is None
 
     def test_excluded_worker_waits_for_in_flight_work(self):
         # Device 0 is excluded from the only pending iteration, but

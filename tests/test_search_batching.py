@@ -143,7 +143,6 @@ class TestPipelineBitIdentity:
             top_k=3,
             batch_rounds=8,
             n_streams=2,
-            host_threads=2,
         )
         assert _solutions(got) == _solutions(ref)
 

@@ -16,6 +16,7 @@ matrix (``EPI4TENSOR_FAULT_SEED``).
 """
 
 import os
+import threading
 
 import pytest
 
@@ -23,7 +24,7 @@ from repro.core.journal import RoundJournal, _frame
 from repro.core.resilience import SearchAbortedError
 from repro.core.search import Epi4TensorSearch, SearchConfig
 from repro.datasets import generate_random_dataset
-from tests.helpers import assert_matches_oracle, brute_force_topk
+from tests.helpers import assert_matches_oracle, brute_force_topk, cut_journal
 
 pytestmark = pytest.mark.faults
 
@@ -49,6 +50,25 @@ def _run(dataset, *, n_gpus=1, **config_kwargs):
     return search, search.run()
 
 
+def _run_bounded(search, timeout=60.0):
+    """Run ``search`` on a daemon thread and return what it raised
+    (``None`` on success); fail if it is still running after ``timeout``
+    seconds instead of hanging the suite."""
+    outcome = {}
+
+    def target():
+        try:
+            search.run()
+        except Exception as exc:
+            outcome["error"] = exc
+
+    thread = threading.Thread(target=target, daemon=True)
+    thread.start()
+    thread.join(timeout)
+    assert not thread.is_alive(), "search neither finished nor aborted"
+    return outcome.get("error")
+
+
 class TestBitIdenticalUnderFaults:
     @pytest.mark.parametrize("engine_kind", ["and_popc", "xor_popc"])
     def test_transient_faults_all_engines_and_partitions(self, engine_kind):
@@ -69,12 +89,11 @@ class TestBitIdenticalUnderFaults:
 
     def test_persistent_device_failure_quarantines_and_matches(self):
         ds = _dataset(12, 96)
-        _, baseline = _run(ds, n_gpus=2, host_threads=2)
+        _, baseline = _run(ds, n_gpus=2)
         spec = f"persistent:device=1,at=3;seed={FAULT_SEED}"
         search, faulty = _run(
             ds,
             n_gpus=2,
-            host_threads=2,
             inject_faults=spec,
             max_retries=1,
             quarantine_after=1,
@@ -101,12 +120,11 @@ class TestBitIdenticalUnderFaults:
 
     def test_probabilistic_faults_seeded_from_environment(self):
         ds = _dataset()
-        _, baseline = _run(ds, n_gpus=2, host_threads=2)
+        _, baseline = _run(ds, n_gpus=2)
         spec = f"transient:op=tensor4,p=0.05;seed={FAULT_SEED}"
         search, faulty = _run(
             ds,
             n_gpus=2,
-            host_threads=2,
             inject_faults=spec,
             max_retries=6,
             quarantine_after=50,
@@ -117,7 +135,6 @@ class TestBitIdenticalUnderFaults:
         search2, faulty2 = _run(
             ds,
             n_gpus=2,
-            host_threads=2,
             inject_faults=spec,
             max_retries=6,
             quarantine_after=50,
@@ -137,7 +154,6 @@ class TestFaultAccounting:
         search, result = _run(
             ds,
             n_gpus=2,
-            host_threads=2,
             inject_faults=spec,
             max_retries=2,
             quarantine_after=1,
@@ -164,7 +180,7 @@ class TestFaultAccounting:
 class TestDegradedFleet:
     def test_all_but_one_device_quarantined_still_completes(self):
         ds = _dataset(12, 96)
-        _, baseline = _run(ds, n_gpus=3, host_threads=3)
+        _, baseline = _run(ds, n_gpus=3)
         spec = (
             "persistent:device=1,at=1;persistent:device=2,at=1;"
             f"seed={FAULT_SEED}"
@@ -172,7 +188,6 @@ class TestDegradedFleet:
         search, faulty = _run(
             ds,
             n_gpus=3,
-            host_threads=3,
             inject_faults=spec,
             max_retries=0,
             quarantine_after=1,
@@ -181,6 +196,34 @@ class TestDegradedFleet:
         assert_matches_oracle(faulty, brute_force_topk(ds, 3))
         assert sorted(faulty.fault_log.quarantined_devices) == [1, 2]
         assert search.cluster.active_gpus == [search.cluster.gpus[0]]
+
+    def test_last_pending_iteration_moves_to_an_idle_device(self, tmp_path):
+        # A resume leaves one pending iteration on a 2-device fleet.  The
+        # device that first runs it fails and is quarantined; the other
+        # device, idle so far, must take the iteration over.
+        ds = _dataset(12, 96)
+        path = tmp_path / "search.journal"
+        Epi4TensorSearch(ds, SearchConfig(block_size=4, top_k=3), n_gpus=2).run(
+            journal_path=path
+        )
+        kept = cut_journal(path, 2)
+        resumed_search = Epi4TensorSearch(
+            ds,
+            SearchConfig(
+                block_size=4,
+                top_k=3,
+                inject_faults="transient:op=tensor4,count=1",
+                max_retries=0,
+                quarantine_after=1,
+                backoff_base_ms=0.0,
+            ),
+            n_gpus=2,
+        )
+        resumed = resumed_search.run(journal_path=path)
+        (failed,) = resumed.fault_log.quarantined_devices
+        [pending] = sorted(set(range(3)) - set(kept))
+        assert resumed.executed_assignment[1 - failed] == [pending]
+        assert_matches_oracle(resumed, brute_force_topk(ds, 3))
 
     def test_single_device_persistent_failure_aborts(self):
         ds = _dataset()
@@ -196,6 +239,44 @@ class TestDegradedFleet:
         )
         with pytest.raises(SearchAbortedError):
             search.run()
+
+    def test_iteration_fault_storm_quarantines_every_device_and_aborts(self):
+        # Both devices surrender iteration 2, get it handed back and are
+        # quarantined; then the search must abort, not loop.
+        ds = _dataset(12, 96)
+        search = Epi4TensorSearch(
+            ds,
+            SearchConfig(
+                block_size=4,
+                inject_faults="transient:iter=2,count=500",
+                max_retries=1,
+                backoff_base_ms=0.0,
+            ),
+            n_gpus=2,
+        )
+        error = _run_bounded(search)
+        assert isinstance(error, SearchAbortedError)
+        assert "cannot complete" in str(error)
+        assert sorted(search.fault_log.quarantined_devices) == [0, 1]
+
+    def test_host_error_on_one_device_thread_unwinds_the_others(
+        self, monkeypatch
+    ):
+        # A device thread dying of a non-device error leaves its iteration
+        # in flight; the other thread must not wait for it forever.
+        ds = _dataset(12, 96)
+        search = Epi4TensorSearch(ds, SearchConfig(block_size=4), n_gpus=2)
+        run_rounds = Epi4TensorSearch._run_rounds
+
+        def broken(self, executor, outer_iters, parent_span=None):
+            if list(outer_iters) == [2]:
+                raise RuntimeError("host bug")
+            return run_rounds(self, executor, outer_iters, parent_span)
+
+        monkeypatch.setattr(Epi4TensorSearch, "_run_rounds", broken)
+        error = _run_bounded(search)
+        assert isinstance(error, RuntimeError)
+        assert "host bug" in str(error)
 
     def test_fresh_run_after_aborted_run_is_clean(self):
         # Resilience state must reset per run(): disable injection and the

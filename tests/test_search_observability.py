@@ -12,12 +12,15 @@ commutative: any completion order yields identical aggregates.
 
 from __future__ import annotations
 
+import os
+
 import pytest
 
 from repro.core.search import Epi4TensorSearch, SearchConfig
 from repro.datasets import generate_random_dataset
 from repro.obs.metrics import MetricsRegistry, normalized_snapshot
 from repro.obs.trace import Tracer, span_tree_shape
+from tests.helpers import round_work
 
 
 def _dataset(seed: int = 29):
@@ -41,7 +44,7 @@ def _run(
 class TestSpanTaxonomy:
     def test_sequential_tree_matches_documented_shape(self):
         tr = Tracer()
-        search, _ = _run(tracer=tr, host_threads=1)
+        search, _ = _run(tracer=tr)
         paths = span_tree_shape(tr.records())
         assert "encode#0" in paths
         assert "run#0" in paths
@@ -56,7 +59,7 @@ class TestSpanTaxonomy:
 
     def test_round_children(self):
         tr = Tracer()
-        _run(tracer=tr, host_threads=1)
+        _run(tracer=tr)
         paths = span_tree_shape(tr.records())
         outer = "run#0/device[0]#0/outer[0]#0"
 
@@ -78,22 +81,34 @@ class TestSpanTaxonomy:
 
     def test_round_count_matches_scheme(self):
         tr = Tracer()
-        search, _ = _run(tracer=tr, host_threads=1)
+        search, _ = _run(tracer=tr)
         rounds = [p for p in span_tree_shape(tr.records()) if "/round[" in p]
         # each round path contributes itself + 3 children
         assert len([p for p in rounds if p.endswith("]#0")]) == search.scheme.n_rounds
 
     def test_threaded_device_spans_parent_under_run(self):
         tr = Tracer()
-        _run(tracer=tr, host_threads=2, n_gpus=2, cache_mb=2)
+        _run(tracer=tr, n_gpus=2, cache_mb=2)
         paths = span_tree_shape(tr.records())
         device_roots = [p for p in paths if p.startswith("device[")]
         assert device_roots == []  # never orphaned at the root
         assert "run#0/device[0]#0" in paths
         assert "run#0/device[1]#0" in paths
 
+    def test_one_device_span_per_device_on_a_small_host(self, monkeypatch):
+        # One host thread per device, however few cores the host has:
+        # a 4-device search on a 2-CPU host still runs all four devices.
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        tr = Tracer()
+        _run(tracer=tr, n_gpus=4, block_size=4)
+        paths = span_tree_shape(tr.records())
+        devices = sorted(p for p in paths if p.startswith("run#0/device["))
+        assert [p for p in devices if p.count("/") == 1] == [
+            f"run#0/device[{d}]#0" for d in range(4)
+        ]
+
     def test_default_tracer_is_noop(self):
-        search, result = _run(host_threads=1)
+        search, result = _run()
         assert search.tracer.records() == []
         assert result.solution is not None
 
@@ -101,7 +116,7 @@ class TestSpanTaxonomy:
 class TestUnifiedMetrics:
     def test_operand_invariant_requests_eq_executed_plus_served(self):
         for cache_mb in (None, 2):
-            search, _ = _run(cache_mb=cache_mb, host_threads=1)
+            search, _ = _run(cache_mb=cache_mb)
             m = search.metrics
             for kind in ("combine", "sweep"):
                 req = m.total("epi4_operand_requests_total", kind=kind)
@@ -113,7 +128,7 @@ class TestUnifiedMetrics:
                 assert m.total("epi4_operand_cache_served_total") > 0
 
     def test_rounds_total_matches_scheme(self):
-        search, _ = _run(host_threads=1)
+        search, _ = _run()
         assert (
             search.metrics.total("epi4_rounds_total")
             == search.scheme.n_rounds
@@ -122,7 +137,7 @@ class TestUnifiedMetrics:
         assert h is not None and h.total == search.scheme.n_rounds
 
     def test_phase_seconds_canonical_keys_preserved(self):
-        _, result = _run(host_threads=1)
+        _, result = _run()
         assert set(result.phase_seconds) == {
             "encode", "pairwise", "combine", "tensor3", "tensor4", "score",
         }
@@ -130,7 +145,7 @@ class TestUnifiedMetrics:
             assert result.phase_seconds[phase] > 0
 
     def test_kernel_counters_absorbed_with_device_labels(self):
-        search, result = _run(n_gpus=2, host_threads=1)
+        search, result = _run(n_gpus=2)
         m = search.metrics
         launches = m.sum_by("epi4_kernel_launches_total", "device")
         assert set(launches) == {"0", "1"}
@@ -141,7 +156,7 @@ class TestUnifiedMetrics:
         assert m.total("epi4_transfer_bytes_total") == result.counters.transfer_bytes
 
     def test_wall_seconds_gauge_set(self):
-        search, result = _run(host_threads=1)
+        search, result = _run()
         assert search.metrics.value("epi4_wall_seconds") == pytest.approx(
             result.wall_seconds
         )
@@ -150,7 +165,7 @@ class TestUnifiedMetrics:
         ) == pytest.approx(result.quads_per_second_scaled)
 
     def test_fresh_registry_per_run(self):
-        search, _ = _run(host_threads=1)
+        search, _ = _run()
         first = search.metrics.total("epi4_rounds_total")
         search.run()
         assert search.metrics.total("epi4_rounds_total") == first
@@ -193,7 +208,7 @@ class TestPerDeviceAttribution:
 
     def test_threaded_run_keeps_per_device_phase_series(self):
         search, result = _run(
-            n_gpus=2, host_threads=2, cache_mb=2, top_k=2
+            n_gpus=2, cache_mb=2, top_k=2
         )
         by_device = result.phase_seconds_by_device
         for phase in ("tensor4", "score"):
@@ -206,26 +221,25 @@ class TestPerDeviceAttribution:
         }
 
     def test_phase_totals_equal_sum_of_device_series(self):
-        search, result = _run(n_gpus=2, host_threads=2, cache_mb=2)
+        search, result = _run(n_gpus=2, cache_mb=2)
         for phase, total in result.phase_seconds.items():
             per_device = result.phase_seconds_by_device.get(phase, {})
             assert total == pytest.approx(sum(per_device.values()))
 
     def test_normalized_snapshot_identical_seq_vs_threaded(self):
-        # The budget must cover the full cacheable working set (including
-        # the cross-round full3 triplet tables): below it, eviction counts
+        # 1 device on the calling thread vs 2 device threads.  The budget
+        # must cover the full cacheable working set (including the
+        # cross-round full3 triplet tables): below it, eviction counts
         # legitimately depend on thread interleaving.
         snaps = []
         # prune=False: prune counters depend on when the running top-k
         # threshold tightens, which thread interleaving perturbs.
-        for threads in (1, 2):
-            search, _ = _run(
-                n_gpus=2, host_threads=threads, cache_mb=4, prune=False
-            )
-            snaps.append(normalized_snapshot(search.metrics))
+        for n_gpus in (1, 2):
+            search, _ = _run(n_gpus=n_gpus, cache_mb=4, prune=False)
+            snaps.append(round_work(normalized_snapshot(search.metrics)))
         assert snaps[0] == snaps[1]
 
     def test_executed_assignment_covers_all_outer_iterations(self):
-        search, result = _run(n_gpus=2, host_threads=2, cache_mb=2)
+        search, result = _run(n_gpus=2, cache_mb=2)
         ran = sorted(wi for worker in result.executed_assignment for wi in worker)
         assert ran == list(range(search.scheme.nb))

@@ -101,11 +101,7 @@ def _scorer_seconds(ds):
                     )
                     t1 = time.perf_counter()
                     fused, _ = score_round(
-                        operands,
-                        pairs,
-                        score_min,
-                        encoded.n_real_snps,
-                        staged_kernel=staged,
+                        operands, pairs, staged, encoded.n_real_snps
                     )
                     t2 = time.perf_counter()
                     assert np.array_equal(dense, fused), offsets

@@ -19,7 +19,7 @@ def main() -> None:
 
     # 2. Configure the search.  Block size 8 is appropriate for the CPU
     #    simulator; the paper uses 32 on real tensor cores.
-    config = SearchConfig(block_size=8, score="k2")
+    config = SearchConfig(block_size=8)
     search = Epi4TensorSearch(dataset, config)
 
     # 3. Run the exhaustive fourth-order search.

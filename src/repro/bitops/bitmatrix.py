@@ -182,34 +182,6 @@ class BitMatrix:
         self._check_compatible(other)
         return BitMatrix(data=self.data ^ other.data, n_bits=self.n_bits)
 
-    def split_bits(self, chunk_bits: int) -> list["BitMatrix"]:
-        """Split along the bit (sample) dimension into word-aligned chunks.
-
-        Used by the sample-chunked execution mode (the paper's suggested
-        mitigation of the Turing 524288-sample throughput cliff): partial
-        contingency tables from each chunk are summed element-wise.
-
-        Args:
-            chunk_bits: chunk size in bits; must be a multiple of 64.
-        """
-        if chunk_bits <= 0 or chunk_bits % WORD_BITS:
-            raise ValueError(
-                f"chunk_bits must be a positive multiple of {WORD_BITS}, got {chunk_bits}"
-            )
-        chunks: list[BitMatrix] = []
-        words_per_chunk = chunk_bits // WORD_BITS
-        for start_word in range(0, self.n_words, words_per_chunk):
-            stop_word = min(start_word + words_per_chunk, self.n_words)
-            bits_here = min(
-                chunk_bits, self.n_bits - start_word * WORD_BITS
-            )
-            chunks.append(
-                BitMatrix(
-                    data=self.data[:, start_word:stop_word], n_bits=bits_here
-                )
-            )
-        return chunks
-
     def _check_compatible(self, other: "BitMatrix") -> None:
         if self.data.shape != other.data.shape or self.n_bits != other.n_bits:
             raise ValueError(

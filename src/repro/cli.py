@@ -16,7 +16,7 @@ import argparse
 import sys
 
 
-def _add_search(sub: argparse._SubParsersAction) -> None:
+def _add_search(sub: argparse._SubParsersAction) -> argparse.ArgumentParser:
     p = sub.add_parser("search", help="run an exhaustive epistasis search")
     p.add_argument(
         "--input",
@@ -28,24 +28,15 @@ def _add_search(sub: argparse._SubParsersAction) -> None:
     p.add_argument("--order", type=int, default=4, choices=(2, 3, 4),
                    help="interaction order")
     p.add_argument("--block-size", type=int, default=16)
-    p.add_argument("--score", default="k2", choices=("k2", "chi2", "gtest", "mi"))
+    p.add_argument(
+        "--score", default="k2", choices=("k2", "chi2", "gtest", "mi"),
+        help="score of the --order 2/3 searches; --order 4 scores with K2 only",
+    )
     p.add_argument("--gpu", default="A100 PCIe", help="device model to account against")
     p.add_argument("--n-gpus", type=int, default=1)
     p.add_argument(
         "--engine", default=None, choices=(None, "and_popc", "xor_popc"),
         help="override the device's native tensor-op kind",
-    )
-    p.add_argument(
-        "--engine-mode", default="dense", choices=("dense", "packed"),
-        help="tensor-core emulation path: 'dense' (BLAS GEMM, the "
-        "default) or 'packed' (bit-packed popcount); results are "
-        "bit-identical",
-    )
-    p.add_argument(
-        "--sample-chunk-bits", type=int, default=None, metavar="BITS",
-        help="split every tensor GEMM's sample (K) dimension into "
-        "chunks of this many bits and sum the partial corners (the "
-        "paper's large-N Turing mitigation; must be a multiple of 64)",
     )
     p.add_argument("--top-k", type=int, default=1, help="ranked results to report")
     p.add_argument(
@@ -186,6 +177,7 @@ def _add_search(sub: argparse._SubParsersAction) -> None:
         help="merge previously written shard artifacts from DIR and "
         "print the global result (no search is run)",
     )
+    return p
 
 
 def _add_predict(sub: argparse._SubParsersAction) -> None:
@@ -264,10 +256,7 @@ def _search_config_from_args(args: argparse.Namespace):
         config_kwargs["max_chunk_cells"] = args.max_chunk_cells
     return SearchConfig(
         block_size=args.block_size,
-        score=args.score,
         engine_kind=args.engine,
-        engine_mode=args.engine_mode,
-        sample_chunk_bits=args.sample_chunk_bits,
         top_k=args.top_k,
         selfcheck=args.selfcheck,
         cache_mb=args.cache_mb,
@@ -667,12 +656,17 @@ def main(argv: list[str] | None = None) -> int:
         "(ICPP 2022 reproduction)",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    _add_search(sub)
+    search_parser = _add_search(sub)
     _add_predict(sub)
     _add_figures(sub)
     _add_qc(sub)
     _add_generate(sub)
     args = parser.parse_args(argv)
+    if args.command == "search" and args.order == 4 and args.score != "k2":
+        search_parser.error(
+            f"--score {args.score}: the fourth-order search scores with "
+            "K2 only; other scores need --order 2 or 3"
+        )
     handlers = {
         "search": _cmd_search,
         "predict": _cmd_predict,

@@ -38,10 +38,10 @@ Two implementations are provided:
     positions surface as ``+inf`` exactly like masked ones, so the final
     top-k stays bit-identical to the exhaustive run.
 
-    **Staged-lgamma scoring**: when a
-    :class:`~repro.scoring.k2.StagedK2Kernel` is supplied, scores are
-    gathered directly from pre-shifted lgamma views on the int64 count
-    arrays and reduced in one pass — bit-identical to the reference
+    **Staged-lgamma scoring**: a
+    :class:`~repro.scoring.k2.StagedK2Kernel` gathers scores directly
+    from pre-shifted lgamma views on the int64 count arrays and reduces
+    them in one pass — bit-identical to the reference
     :class:`~repro.scoring.k2.K2Score` (same float lookups, same
     elementwise ``a - b - c``, same trailing-axis sum), without the
     integer ``n + k`` index temporaries.
@@ -81,8 +81,9 @@ Full3Provider = Callable[
     tuple[np.ndarray, bool],
 ]
 
-#: Batched score callable ``(t0, t1, order=4) -> per-position scores``
-#: (e.g. :func:`repro.scoring.k2.k2_score_min`).
+#: Batched score callable ``(t0, t1, order=4) -> per-position scores``,
+#: lower is better (e.g. :class:`repro.scoring.k2.K2Score`) — the
+#: reference scorer of :func:`apply_score_dense` and the self-check.
 ScoreMinFn = Callable[..., np.ndarray]
 
 
@@ -243,11 +244,10 @@ def _full3_tables(
 def score_round(
     operands: RoundOperands,
     pairs: np.ndarray,
-    score_min_fn: ScoreMinFn,
+    staged_kernel: "StagedK2Kernel",
     n_real_snps: int,
     *,
     max_chunk_cells: int = DEFAULT_MAX_CHUNK_CELLS,
-    staged_kernel: "StagedK2Kernel | None" = None,
     full3_provider: Full3Provider | None = None,
     bound_kernel: "K2BoundKernel | None" = None,
     prune_threshold: Callable[[], float] | None = None,
@@ -257,15 +257,11 @@ def score_round(
     Args:
         operands: the round's tensor outputs, see :class:`RoundOperands`.
         pairs: ``(2, M, M, 3, 3)`` full pairwise tables (both classes).
-        score_min_fn: batched score callable ``(t0, t1, order=4) -> scores``
-            already normalized so lower is better.  Used whenever
-            ``staged_kernel`` is not supplied.
+        staged_kernel: the :class:`~repro.scoring.k2.StagedK2Kernel` that
+            scores the completed tables (K2, lower is better).
         n_real_snps: unpadded SNP count (padding exclusion).
         max_chunk_cells: bound on materialized 81-cell-table cells per
             class per chunk; controls peak memory.
-        staged_kernel: optional
-            :class:`~repro.scoring.k2.StagedK2Kernel`; bit-identical to the
-            K2 ``score_min_fn`` but skips the index-arithmetic temporaries.
         full3_provider: optional cross-round completed-triplet cache hook
             (see :data:`Full3Provider`).
         bound_kernel: optional
@@ -356,13 +352,10 @@ def score_round(
             )
             for cls in (0, 1)
         ]
-        if staged_kernel is not None:
-            n = v1 - v0
-            flat_scores[v0:v1] = staged_kernel.score_flat(
-                tables[0].reshape(n, -1), tables[1].reshape(n, -1)
-            )
-        else:
-            flat_scores[v0:v1] = score_min_fn(tables[0], tables[1], order=4)
+        n = v1 - v0
+        flat_scores[v0:v1] = staged_kernel.score_flat(
+            tables[0].reshape(n, -1), tables[1].reshape(n, -1)
+        )
     scores.reshape(-1)[rows4] = flat_scores
     return scores, RoundScoreStats(
         positions=b**4,
@@ -373,26 +366,6 @@ def score_round(
         full3_cache_hits=hits,
         pruned=n_pruned,
     )
-
-
-def apply_score(
-    operands: RoundOperands,
-    pairs: np.ndarray,
-    score_min_fn: ScoreMinFn,
-    n_real_snps: int,
-    *,
-    max_chunk_cells: int = DEFAULT_MAX_CHUNK_CELLS,
-) -> np.ndarray:
-    """Score every quad of a round; non-useful positions become ``+inf``.
-
-    Thin compatibility wrapper over :func:`score_round` (the fused path,
-    bit-identical to :func:`apply_score_dense`); returns only the grid.
-    """
-    scores, _ = score_round(
-        operands, pairs, score_min_fn, n_real_snps,
-        max_chunk_cells=max_chunk_cells,
-    )
-    return scores
 
 
 def apply_score_dense(

@@ -59,7 +59,6 @@ def refine_with_search(
     candidate_snps: np.ndarray,
     *,
     block_size: int = 8,
-    score: str = "k2",
     spec: GPUSpec = A100_PCIE,
     n_gpus: int = 1,
 ) -> SearchResult:
@@ -68,7 +67,7 @@ def refine_with_search(
     Args:
         dataset: the full dataset.
         candidate_snps: original indices to search over (>= 4 distinct).
-        block_size / score / spec / n_gpus: forwarded to the search.
+        block_size / spec / n_gpus: forwarded to the search.
 
     Returns:
         A :class:`SearchResult` whose ``solution`` is re-expressed in the
@@ -82,7 +81,7 @@ def refine_with_search(
     sub = dataset.subset_snps(idx)
     result = Epi4TensorSearch(
         sub,
-        SearchConfig(block_size=block_size, score=score),
+        SearchConfig(block_size=block_size),
         spec=spec,
         n_gpus=n_gpus,
     ).run()

@@ -76,7 +76,6 @@ def search_fingerprint(
     n_cases: int,
     block_size: int,
     engine_kind: str,
-    score_name: str,
     top_k: int,
     n_gpus: int,
 ) -> str:
@@ -85,10 +84,13 @@ def search_fingerprint(
     Deliberately shape-based (not content-hashed): hashing a multi-GB
     dataset on every resume would defeat the purpose; the guard catches the
     realistic failure mode (resuming with the wrong file or settings).
+    The search scores with K2 only, so its ``S`` clause is the literal
+    ``Sk2`` — kept so journals written when the score was configurable
+    still resume.
     """
     return (
         f"M{n_snps}r{n_real_snps}c{n_controls}k{n_cases}B{block_size}"
-        f"E{engine_kind}S{score_name}K{top_k}G{n_gpus}"
+        f"E{engine_kind}Sk2K{top_k}G{n_gpus}"
     )
 
 

@@ -101,9 +101,7 @@ from repro.device.virtual_gpu import KernelCounters, VirtualGPU
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.trace import NULL_TRACER, Tracer
 from repro.perfmodel.workload import outer_iteration_tensor_ops
-from repro.scoring import make_score
 from repro.tensor.and_popc import dense_acc_dtype
-from repro.scoring.base import ScoreFunction, normalized_for_minimization
 from repro.scoring.bounds import K2BoundKernel
 from repro.scoring.k2 import K2Score
 from repro.scoring.lgamma_table import LgammaTable
@@ -119,18 +117,12 @@ class SearchConfig:
             are appropriate for CPU-simulated runs).
         engine_kind: ``"and_popc"``, ``"xor_popc"`` or ``None`` (pick the
             device's native kind).
-        engine_mode: ``"dense"`` (BLAS path) or ``"packed"`` (bitwise path).
-        score: a :class:`~repro.scoring.ScoreFunction` or registry name.
         n_streams: concurrent evaluation rounds per device.  Always feeds
             the §4.4 stream model on the projected-time side; it is also a
             real execution knob — ``n_streams - 1`` round groups (at most
             4) are staged ahead on a host stream while the current group
             scores, and ``1`` stages every group inline.  Results are
             identical for any value.
-        sample_chunk_bits: if set, split every tensor GEMM's sample (K)
-            dimension into chunks of this many bits and sum the partial
-            corners — the paper's mitigation for the Turing large-``N``
-            cliff.  Must be a multiple of 64.
         max_chunk_cells: peak materialized table cells in ``applyScore``.
         top_k: number of ranked solutions to report (1 = the paper's
             single-best reduction).
@@ -173,9 +165,7 @@ class SearchConfig:
             completion and scoring.
             The bound never overestimates and ties are never pruned, so
             results stay **bit-identical** to the exhaustive run; only
-            the executed score-cell accounting shrinks.  Effective only
-            for the K2 score (other score functions have no admissible
-            corner bound and run exhaustively regardless).
+            the executed score-cell accounting shrinks.
         prune_sync_rounds: with an attached
             :class:`~repro.dist.threshold.ThresholdExchange`, publish
             this shard's top-k and refresh the peer-shard threshold
@@ -188,10 +178,7 @@ class SearchConfig:
 
     block_size: int = 16
     engine_kind: str | None = None
-    engine_mode: str = "dense"
-    score: str | ScoreFunction = "k2"
     n_streams: int = 1
-    sample_chunk_bits: int | None = None
     max_chunk_cells: int = DEFAULT_MAX_CHUNK_CELLS
     top_k: int = 1
     selfcheck: bool = False
@@ -213,13 +200,6 @@ class SearchConfig:
         if self.batch_rounds < 1:
             raise ValueError(
                 f"batch_rounds must be >= 1, got {self.batch_rounds}"
-            )
-        if self.sample_chunk_bits is not None and (
-            self.sample_chunk_bits <= 0 or self.sample_chunk_bits % 64
-        ):
-            raise ValueError(
-                "sample_chunk_bits must be a positive multiple of 64, "
-                f"got {self.sample_chunk_bits}"
             )
         if self.max_chunk_cells < 81:
             raise ValueError(
@@ -439,33 +419,15 @@ class Epi4TensorSearch:
             batch_rounds=self.config.batch_rounds,
         )
         check_fits(spec, self.memory_estimate)
-        self.cluster = VirtualCluster(
-            spec, n_gpus, mode=self.config.engine_mode, engine_kind=kind
-        )
-        score = self.config.score
-        if isinstance(score, str):
-            if score == "k2":
-                score = K2Score(LgammaTable.for_samples(encoded.n_samples))
-            else:
-                score = make_score(score)
-        self._score_min = normalized_for_minimization(score)
-        self._score_name = score.name
-        #: Fused staged-lgamma kernel (K2 only) — bit-identical to
-        #: ``_score_min`` by construction; ``None`` falls back to the
-        #: generic score callable inside :func:`score_round`.
-        self._staged = (
-            score.staged_kernel(encoded.n_samples)
-            if isinstance(score, K2Score)
-            else None
-        )
-        #: Admissible K2 bound kernel for branch-and-bound pruning; shares
-        #: the staged kernel's lgamma table (K2-only, like the kernel).
-        self._bound_kernel = (
-            K2BoundKernel(
-                self._staged.table, encoded.n_controls, encoded.n_cases
-            )
-            if self._staged is not None
-            else None
+        self.cluster = VirtualCluster(spec, n_gpus, engine_kind=kind)
+        #: The search's one objective, K2: the reference callable is the
+        #: selfcheck's independent scorer, the fused staged-lgamma kernel
+        #: scores every round, and the admissible bound kernel of
+        #: branch-and-bound pruning shares their lgamma table.
+        self._score_min = K2Score(LgammaTable.for_samples(encoded.n_samples))
+        self._staged = self._score_min.staged_kernel(encoded.n_samples)
+        self._bound_kernel = K2BoundKernel(
+            self._staged.table, encoded.n_controls, encoded.n_cases
         )
         #: Canonical phase names reported in ``SearchResult.phase_seconds``.
         #: Per-(phase, device) attribution lives in the metrics registry
@@ -559,7 +521,6 @@ class Epi4TensorSearch:
             self.encoded.n_cases,
             self.config.block_size,
             self.cluster.gpus[0].engine.name,
-            self._score_name,
             self.config.top_k,
             self.cluster.n_gpus,
         )
@@ -637,8 +598,8 @@ class Epi4TensorSearch:
             device="host",
         )
         # Pruning series exist (zero-valued) even when nothing prunes —
-        # prune-off runs, non-K2 scores — so dashboards, golden fixtures
-        # and shard merges see a stable metric schema.
+        # prune-off runs — so dashboards, golden fixtures and shard merges
+        # see a stable metric schema.
         self.metrics.inc("epi4_prune_quads_total", 0, device="0")
         self.metrics.inc("epi4_prune_sync_total", 0)
         total_timer = Timer()
@@ -661,12 +622,8 @@ class Epi4TensorSearch:
                 # makes reuse likely (the same cached combine operand
                 # recurs across fused launches); the memo bytes are
                 # charged to the operand-cache budget in combine().
-                dense_memo = (
-                    self.cluster.gpus[0].engine.mode == "dense"
-                    and self.config.batch_rounds > 1
-                )
                 for gpu in self.cluster.gpus:
-                    gpu.engine.memoize_dense = dense_memo
+                    gpu.engine.memoize_dense = self.config.batch_rounds > 1
             reducer = TopKReducer(self.config.top_k)
             self._global_reducer = reducer
             self._sync_reducer = None
@@ -1149,9 +1106,7 @@ class Epi4TensorSearch:
                     for yi, zi in group
                 ]
                 corner4_by_class = [
-                    executor.gemm4_batch(
-                        wx[c], [yz[c] for yz in yz_by_round], c
-                    )
+                    executor.gemm4_batch(wx[c], [yz[c] for yz in yz_by_round])
                     for c in (0, 1)
                 ]
             return _StagedGroup(
@@ -1262,12 +1217,6 @@ class Epi4TensorSearch:
         with or without an exchange."""
         self._threshold_exchange = exchange
 
-    def _prune_active(self) -> bool:
-        """Whether the bound-first gate runs: configured on and a K2 bound
-        kernel available (other score functions have no admissible corner
-        bound)."""
-        return self.config.prune and self._bound_kernel is not None
-
     def _prune_threshold(self, reducer: TopKReducer) -> float:
         """Tightest currently-safe prune threshold.
 
@@ -1328,14 +1277,13 @@ class Epi4TensorSearch:
         and pruning active, the bound-first gate drops positions that
         provably cannot enter the top-k before completion runs.
         """
-        prune = reducer is not None and self._prune_active()
+        prune = reducer is not None and self.config.prune
         scores, stats = score_round(
             operands,
             self._low.pairs,
-            self._score_min,
+            self._staged,
             self.scheme.n_real_snps,
             max_chunk_cells=self.config.max_chunk_cells,
-            staged_kernel=self._staged,
             full3_provider=executor.full3 if triplet_cache else None,
             bound_kernel=self._bound_kernel if prune else None,
             prune_threshold=(
@@ -1469,10 +1417,7 @@ class _StagedGroup:
 class _SingleDeviceExecutor:
     """Kernel launches on one device (the paper's outer-partition scheme).
 
-    Operand handles are plain :class:`BitMatrix` objects; when
-    ``sample_chunk_bits`` is configured, every tensor GEMM is split along
-    the sample (K) dimension and the partial corners summed (§4.5's Turing
-    large-N mitigation).
+    Operand handles are plain :class:`BitMatrix` objects.
 
     With an :class:`OperandCache` attached, ``combine`` and ``sweep3``
     results are served from the cache when possible; a hit records
@@ -1578,52 +1523,24 @@ class _SingleDeviceExecutor:
         return value
 
     def _gemm3(self, combined: BitMatrix, cls: int, t_start: int) -> np.ndarray:
-        b = self._search.scheme.block_size
-        t_stop = self._search.scheme.n_snps
-        chunk = self._search.config.sample_chunk_bits
-        planes = self._planes[cls]
+        scheme = self._search.scheme
         with self._search._phase_scope("tensor3", self.device_id):
-            if chunk is None or chunk >= combined.n_bits:
-                return self._gpu.launch_tensor3(
-                    combined, planes, t_start, t_stop, b
-                )
-            total: np.ndarray | None = None
-            for combined_part, planes_part in zip(
-                combined.split_bits(chunk), planes.split_bits(chunk)
-            ):
-                part = self._gpu.launch_tensor3(
-                    combined_part, planes_part, t_start, t_stop, b
-                )
-                total = part if total is None else total + part
-            assert total is not None
-            return total
+            return self._gpu.launch_tensor3(
+                combined, self._planes[cls], t_start, scheme.n_snps,
+                scheme.block_size,
+            )
 
     # -- fourth-order GEMM ---------------------------------------------- #
 
-    def gemm4(self, wx: BitMatrix, yz: BitMatrix, cls: int) -> np.ndarray:
-        b = self._search.scheme.block_size
-        chunk = self._search.config.sample_chunk_bits
-        with self._search._phase_scope("tensor4", self.device_id):
-            if chunk is None or chunk >= wx.n_bits:
-                return self._gpu.launch_tensor4(wx, yz, b)
-            total: np.ndarray | None = None
-            for wx_part, yz_part in zip(
-                wx.split_bits(chunk), yz.split_bits(chunk)
-            ):
-                part = self._gpu.launch_tensor4(wx_part, yz_part, b)
-                total = part if total is None else total + part
-            assert total is not None
-            return total
-
     def gemm4_batch(
-        self, wx: BitMatrix, yz_list: list[BitMatrix], cls: int
+        self, wx: BitMatrix, yz_list: list[BitMatrix]
     ) -> list[np.ndarray]:
-        """4-way corners for a round group sharing ``wx`` — one fused
-        launch (sample-chunked configurations fall back to per-round
-        GEMMs, which already split along K)."""
-        if len(yz_list) == 1 or self._search.config.sample_chunk_bits is not None:
-            return [self.gemm4(wx, yz, cls) for yz in yz_list]
+        """4-way corners for a round group sharing ``wx`` — one launch,
+        fused when the group holds more than one round."""
         b = self._search.scheme.block_size
+        if len(yz_list) == 1:
+            with self._search._phase_scope("tensor4", self.device_id):
+                return [self._gpu.launch_tensor4(wx, yz_list[0], b)]
         with self._search._phase_scope("tensor4", self.device_id, span="batch"):
             return self._gpu.launch_tensor4_batch(wx, yz_list, b)
 
@@ -1675,7 +1592,6 @@ def search_best_quad(
     dataset: Dataset,
     *,
     block_size: int = 16,
-    score: str | ScoreFunction = "k2",
     spec: GPUSpec = A100_PCIE,
     n_gpus: int = 1,
     engine_kind: str | None = None,
@@ -1683,6 +1599,6 @@ def search_best_quad(
 ) -> SearchResult:
     """One-call convenience wrapper around :class:`Epi4TensorSearch`."""
     config = SearchConfig(
-        block_size=block_size, score=score, engine_kind=engine_kind, prune=prune
+        block_size=block_size, engine_kind=engine_kind, prune=prune
     )
     return Epi4TensorSearch(dataset, config, spec=spec, n_gpus=n_gpus).run()

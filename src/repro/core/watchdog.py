@@ -22,7 +22,9 @@ race-free under the watchdog lock:
 
 * if the monitor trips a ticket first, the launching thread *always*
   observes ``ticket.tripped`` on guard exit and raises — one trip, one
-  ``hang`` fault (the conservation law the property suite checks);
+  ``hang`` fault (the conservation law the property suite checks).  The
+  monitor reports the trip through ``on_trip`` *before* it releases the
+  launch, so the trip is on the books before its fault is raised;
 * if the launch finishes and unregisters first, the monitor can no
   longer trip it — a completed launch is never retroactively failed.
 
@@ -76,8 +78,9 @@ class LaunchWatchdog:
     Args:
         deadline_ms: per-launch wall-clock budget.  Launches (or injected
             stalls) still running past it are tripped.
-        on_trip: optional callback ``(device_id, op) -> None`` fired from
-            the monitor thread once per trip — the search wires metrics
+        on_trip: optional callback ``(device_id, op) -> None`` fired
+            from the monitor thread once per trip, before the tripped
+            launch is released — the search wires metrics
             (``epi4_watchdog_trips_total``) and FaultLog incidents here.
 
     The monitor thread starts lazily on the first :meth:`guard` and is a
@@ -130,7 +133,12 @@ class LaunchWatchdog:
             yield ticket
         finally:
             with self._lock:
+                # A ticket the monitor tripped has already left the set.
+                monitor_tripped = ticket not in self._active
                 self._active.discard(ticket)
+            if monitor_tripped:
+                # Released once the monitor has reported the trip.
+                ticket.cancelled.wait(timeout=60.0)
 
     def close(self) -> None:
         """Stop the monitor thread (idempotent)."""
@@ -166,7 +174,6 @@ class LaunchWatchdog:
                 expired = [t for t in self._active if t.deadline <= now]
                 for ticket in expired:
                     ticket.tripped = True
-                    ticket.cancelled.set()
                     self._active.discard(ticket)
                     self._trips += 1
                     fire.append(ticket)
@@ -178,5 +185,8 @@ class LaunchWatchdog:
                         # Idle: park until a new guard registers or close().
                         self._wake.wait(timeout=1.0)
             for ticket in fire:
-                if self._on_trip is not None:
-                    self._on_trip(ticket.device_id, ticket.op)
+                try:
+                    if self._on_trip is not None:
+                        self._on_trip(ticket.device_id, ticket.op)
+                finally:
+                    ticket.cancelled.set()

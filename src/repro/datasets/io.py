@@ -14,12 +14,28 @@ Two formats are supported:
 from __future__ import annotations
 
 import os
+from contextlib import contextmanager
+from typing import IO, Iterator
 
 import numpy as np
 
 from repro.datasets.dataset import Dataset
 
 _FORMAT_VERSION = 1
+
+
+@contextmanager
+def open_utf8(path: str | os.PathLike) -> Iterator[IO[str]]:
+    """Open ``path`` as UTF-8 text; a decode error anywhere in the ``with``
+    body is re-raised as a ``ValueError`` that names the file."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            yield fh
+    except UnicodeDecodeError as err:
+        bad = err.object[err.start : err.end]
+        raise ValueError(
+            f"{path}: not UTF-8 text ({err.reason}: {bad!r})"
+        ) from None
 
 
 def save_dataset(path: str | os.PathLike, dataset: Dataset) -> None:
@@ -64,17 +80,24 @@ def load_dataset_csv(path: str | os.PathLike) -> Dataset:
     The file must have a header row; the last column is interpreted as the
     binary phenotype and every other column as one SNP's genotype codes.
     """
-    with open(path, "r", encoding="utf-8") as fh:
+    with open_utf8(path) as fh:
         header = fh.readline().strip()
         if not header:
             raise ValueError(f"{path}: empty file")
         names = [c.strip() for c in header.split(",")]
-        has_rows = any(line.strip() for line in fh)
+        # numpy drops "#" comments and then blank lines.
+        has_rows = any(line.split("#", 1)[0].strip() for line in fh)
     if len(names) < 2:
         raise ValueError(f"{path}: need at least one SNP column plus 'class'")
     if not has_rows:
         raise ValueError(f"{path}: no data rows")
-    table = np.loadtxt(path, dtype=np.int64, delimiter=",", skiprows=1, ndmin=2)
+    try:
+        table = np.loadtxt(
+            path, dtype=np.int64, delimiter=",", skiprows=1, ndmin=2,
+            encoding="utf-8",
+        )
+    except ValueError as err:  # bad cell, int64 overflow or ragged row
+        raise ValueError(f"{path}: {err}") from None
     if table.shape[1] != len(names):
         raise ValueError(
             f"{path}: header names {len(names)} columns but rows have {table.shape[1]}"

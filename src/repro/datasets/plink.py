@@ -22,6 +22,7 @@ from collections import Counter
 import numpy as np
 
 from repro.datasets.dataset import Dataset
+from repro.datasets.io import open_utf8
 
 
 def load_plink(
@@ -47,7 +48,7 @@ def load_plink(
     sample_alleles: list[list[tuple[str, str]]] = []
     phenotypes: list[int] = []
     dropped = 0
-    with open(prefix + ".ped", "r", encoding="utf-8") as fh:
+    with open_utf8(prefix + ".ped") as fh:
         for line_no, line in enumerate(fh, start=1):
             fields = line.split()
             if not fields:
@@ -126,7 +127,7 @@ def save_plink(prefix: str | os.PathLike, dataset: Dataset) -> None:
 
 def _read_map(path: str) -> list[str]:
     names: list[str] = []
-    with open(path, "r", encoding="utf-8") as fh:
+    with open_utf8(path) as fh:
         for line_no, line in enumerate(fh, start=1):
             fields = line.split()
             if not fields:

@@ -87,7 +87,6 @@ def bootstrap_best_quad(
     *,
     n_bootstrap: int = 20,
     block_size: int = 8,
-    score: str = "k2",
     seed: int | None = None,
 ) -> BootstrapResult:
     """Bootstrap stability of the best quad.
@@ -98,14 +97,14 @@ def bootstrap_best_quad(
     Args:
         dataset: the dataset.
         n_bootstrap: number of resamples.
-        block_size / score: forwarded to the search.
+        block_size: forwarded to the search.
         seed: RNG seed.
     """
     from repro.core.search import Epi4TensorSearch, SearchConfig
 
     if n_bootstrap < 1:
         raise ValueError(f"n_bootstrap must be >= 1, got {n_bootstrap}")
-    config = SearchConfig(block_size=block_size, score=score)
+    config = SearchConfig(block_size=block_size)
     observed = Epi4TensorSearch(dataset, config).run().best_quad
     rng = np.random.default_rng(seed)
     counts: Counter[tuple[int, int, int, int]] = Counter()

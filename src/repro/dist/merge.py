@@ -49,7 +49,8 @@ class ShardMergeError(ValueError):
 
 
 #: Identity clauses compared across shards, in fingerprint order —
-#: the structured counterparts of the ``M r c k B E S K G`` clauses.
+#: the structured counterparts of the ``M r c k B E K G`` clauses (the
+#: ``S`` clause is the constant ``Sk2``: the search scores with K2 only).
 IDENTITY_CLAUSES = (
     "n_snps",
     "n_real_snps",
@@ -57,7 +58,6 @@ IDENTITY_CLAUSES = (
     "n_cases",
     "block_size",
     "engine",
-    "score",
     "top_k",
     "n_gpus",
 )

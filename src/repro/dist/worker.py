@@ -100,11 +100,7 @@ def run_shard(request: dict) -> dict:
     dataset = load_dataset(request["dataset_path"])
     # _config_dict stringifies non-finite floats for JSON; undo that.
     config_kwargs = {
-        key: (
-            float(value)
-            if value in ("inf", "-inf", "nan") and key != "score"
-            else value
-        )
+        key: float(value) if value in ("inf", "-inf", "nan") else value
         for key, value in request["config"].items()
     }
     config = SearchConfig(**config_kwargs)
@@ -244,7 +240,6 @@ def shard_identity(search) -> dict:
         "n_cases": search.encoded.n_cases,
         "block_size": search.config.block_size,
         "engine": search.cluster.gpus[0].engine.name,
-        "score": search._score_name,
         "top_k": search.config.top_k,
         "n_gpus": search.cluster.n_gpus,
     }

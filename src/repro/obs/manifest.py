@@ -133,8 +133,6 @@ def _config_dict(config: Any) -> dict[str, Any]:
     out: dict[str, Any] = {}
     for f in dataclasses.fields(config):
         value = getattr(config, f.name)
-        if f.name == "score" and not isinstance(value, str):
-            value = getattr(value, "name", type(value).__name__)
         if isinstance(value, float) and value != value:  # NaN
             value = "nan"
         elif isinstance(value, float) and value in (float("inf"), float("-inf")):

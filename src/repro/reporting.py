@@ -298,7 +298,7 @@ def format_merged_report(merged) -> str:
     )
     add(
         f"domain       : {merged.nb} outer iterations, "
-        f"B={identity['block_size']}, score {identity['score']}"
+        f"B={identity['block_size']}, score k2"
     )
     add("")
 

@@ -108,7 +108,6 @@ def search_max_statistic_pvalue(
     *,
     n_permutations: int = 20,
     block_size: int = 8,
-    score: str | ScoreFunction = "k2",
     seed: int | None = None,
 ) -> PermutationResult:
     """Family-wise p-value for the best quad of a full search.
@@ -122,7 +121,7 @@ def search_max_statistic_pvalue(
 
     if n_permutations < 1:
         raise ValueError(f"n_permutations must be >= 1, got {n_permutations}")
-    config = SearchConfig(block_size=block_size, score=score)
+    config = SearchConfig(block_size=block_size)
     observed = Epi4TensorSearch(dataset, config).run().best_score
     rng = np.random.default_rng(seed)
     null = np.empty(n_permutations, dtype=np.float64)

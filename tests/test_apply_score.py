@@ -5,7 +5,7 @@ import pytest
 
 from repro.bitops import combine_blocks
 from repro.contingency import contingency_tables_by_class
-from repro.core.apply_score import RoundOperands, apply_score, round_validity_mask
+from repro.core.apply_score import RoundOperands, round_validity_mask, score_round
 from repro.core.fourway import tensorop_4way
 from repro.core.pairwise import pairw_pop
 from repro.core.threeway import tensorop_3way
@@ -69,6 +69,13 @@ def _make_round(ds, enc, engine, offsets, b, low):
     )
 
 
+def _score_grid(enc, operands, pairs, **kwargs):
+    """The round's ``(B, B, B, B)`` score grid from the fused path."""
+    staged = K2Score().staged_kernel(enc.n_samples)
+    scores, _ = score_round(operands, pairs, staged, 16, **kwargs)
+    return scores
+
+
 @pytest.fixture(scope="module")
 def setup():
     ds = generate_random_dataset(16, 120, seed=33)
@@ -83,7 +90,7 @@ class TestApplyScore:
         b = 4
         score_min = normalized_for_minimization(K2Score())
         operands = _make_round(ds, enc, engine, (0, 4, 8, 12), b, low)
-        scores = apply_score(operands, low.pairs, score_min, 16)
+        scores = _score_grid(enc, operands, low.pairs)
         for (i, j, k, l) in [(0, 0, 0, 0), (3, 1, 2, 0), (2, 2, 2, 2)]:
             quad = (0 + i, 4 + j, 8 + k, 12 + l)
             t0, t1 = contingency_tables_by_class(ds, quad)
@@ -92,27 +99,23 @@ class TestApplyScore:
 
     def test_masked_positions_are_inf(self, setup):
         ds, enc, engine, low = setup
-        score_min = normalized_for_minimization(K2Score())
         operands = _make_round(ds, enc, engine, (0, 0, 4, 8), 4, low)
-        scores = apply_score(operands, low.pairs, score_min, 16)
+        scores = _score_grid(enc, operands, low.pairs)
         assert np.isinf(scores[2, 1, 0, 0])  # w >= x -> masked
         assert np.isfinite(scores[0, 1, 0, 0])
 
     def test_chunked_equals_unchunked(self, setup):
         ds, enc, engine, low = setup
-        score_min = normalized_for_minimization(K2Score())
         operands = _make_round(ds, enc, engine, (0, 4, 4, 12), 4, low)
-        full = apply_score(operands, low.pairs, score_min, 16)
-        tiny = apply_score(
-            operands, low.pairs, score_min, 16, max_chunk_cells=1
-        )
+        full = _score_grid(enc, operands, low.pairs)
+        tiny = _score_grid(enc, operands, low.pairs, max_chunk_cells=1)
         np.testing.assert_array_equal(full, tiny)
 
     def test_overlapping_round_scores_match_brute_force(self, setup):
         ds, enc, engine, low = setup
         score_min = normalized_for_minimization(K2Score())
         operands = _make_round(ds, enc, engine, (4, 4, 8, 8), 4, low)
-        scores = apply_score(operands, low.pairs, score_min, 16)
+        scores = _score_grid(enc, operands, low.pairs)
         # Valid position: w=4+0 < x=4+2, y=8+1 < z=8+3.
         quad = (4, 6, 9, 11)
         t0, t1 = contingency_tables_by_class(ds, quad)

@@ -2,11 +2,12 @@
 
 Three claims are locked in here:
 
-1. **Bit-identity** — the mask-first compacted :func:`score_round` (with or
-   without the staged-lgamma kernel, with or without the cross-round
-   triplet provider, at any chunk size) produces *exactly* the grid of the
-   legacy dense reference :func:`apply_score_dense`, across orders of
-   block overlap, padding alignments, engines and modes.
+1. **Bit-identity** — the mask-first compacted :func:`score_round` (its
+   staged-lgamma kernel against the reference K2 callable, with or
+   without the cross-round triplet provider, at any chunk size) produces
+   *exactly* the grid of the legacy dense reference
+   :func:`apply_score_dense`, across orders of block overlap and padding
+   alignments.
 2. **Compaction accounting** — the per-round stats report exactly the
    validity-mask volume, and zero-valid rounds exit before any completion
    work (no ``full3`` requests at all).
@@ -84,25 +85,19 @@ class TestFusedDenseBitIdentity:
         _, enc, pairs, score_min, staged = env
         operands = direct_round_operands(enc, offsets, 4)
         dense = apply_score_dense(operands, pairs, score_min, enc.n_real_snps)
-        fused, stats = score_round(
-            operands, pairs, score_min, enc.n_real_snps
-        )
-        fused_staged, _ = score_round(
-            operands, pairs, score_min, enc.n_real_snps, staged_kernel=staged
-        )
+        fused, stats = score_round(operands, pairs, staged, enc.n_real_snps)
         np.testing.assert_array_equal(dense, fused)
-        np.testing.assert_array_equal(dense, fused_staged)
 
     @pytest.mark.parametrize("chunk_cells", [1, 81, 82, 81 * 7, 81 * 10**6])
     def test_chunk_size_neutral(self, env, chunk_cells):
         _, enc, pairs, score_min, staged = env
         operands = direct_round_operands(enc, (0, 4, 4, 12), 4)
         ref, ref_stats = score_round(
-            operands, pairs, score_min, enc.n_real_snps
+            operands, pairs, staged, enc.n_real_snps
         )
         got, stats = score_round(
-            operands, pairs, score_min, enc.n_real_snps,
-            max_chunk_cells=chunk_cells, staged_kernel=staged,
+            operands, pairs, staged, enc.n_real_snps,
+            max_chunk_cells=chunk_cells,
         )
         np.testing.assert_array_equal(ref, got)
         assert stats.valid == ref_stats.valid
@@ -118,19 +113,18 @@ class TestFusedDenseBitIdentity:
         _, enc, pairs, score_min, staged = env
         kernel = K2BoundKernel(staged.table, enc.n_controls, enc.n_cases)
         operands = direct_round_operands(enc, (0, 4, 8, 12), 4)
-        exhaustive, _ = score_round(operands, pairs, score_min, enc.n_real_snps)
+        exhaustive, _ = score_round(operands, pairs, staged, enc.n_real_snps)
         threshold = float(np.median(exhaustive[np.isfinite(exhaustive)]))
         pruned_kwargs = {
-            "staged_kernel": staged,
             "bound_kernel": kernel,
             "prune_threshold": lambda: threshold,
         }
         ref, ref_stats = score_round(
-            operands, pairs, score_min, enc.n_real_snps, **pruned_kwargs
+            operands, pairs, staged, enc.n_real_snps, **pruned_kwargs
         )
         chunk_kwargs = {} if chunk_cells is None else {"max_chunk_cells": chunk_cells}
         got, stats = score_round(
-            operands, pairs, score_min, enc.n_real_snps,
+            operands, pairs, staged, enc.n_real_snps,
             **pruned_kwargs, **chunk_kwargs,
         )
         np.testing.assert_array_equal(ref, got)
@@ -154,9 +148,8 @@ class TestFusedDenseBitIdentity:
         mask = round_validity_mask((0, 4, 8, 12), 4, enc.n_real_snps)
         for chunk_cells in (1, 82 * 81):
             grid, stats = score_round(
-                operands, pairs, score_min, enc.n_real_snps,
+                operands, pairs, staged, enc.n_real_snps,
                 max_chunk_cells=chunk_cells,
-                staged_kernel=staged,
                 bound_kernel=kernel,
                 prune_threshold=lambda: -1.0,
             )
@@ -175,14 +168,14 @@ class TestFusedDenseBitIdentity:
         cache = OperandCache.create(float("inf"))
         provider, calls = _cache_provider(cache)
         operands = direct_round_operands(enc, (0, 4, 8, 12), 4)
-        plain, _ = score_round(operands, pairs, score_min, enc.n_real_snps)
+        plain, _ = score_round(operands, pairs, staged, enc.n_real_snps)
         first, s1 = score_round(
-            operands, pairs, score_min, enc.n_real_snps,
-            staged_kernel=staged, full3_provider=provider,
+            operands, pairs, staged, enc.n_real_snps,
+            full3_provider=provider,
         )
         second, s2 = score_round(
-            operands, pairs, score_min, enc.n_real_snps,
-            staged_kernel=staged, full3_provider=provider,
+            operands, pairs, staged, enc.n_real_snps,
+            full3_provider=provider,
         )
         np.testing.assert_array_equal(plain, first)
         np.testing.assert_array_equal(plain, second)
@@ -202,8 +195,7 @@ class TestFusedDenseBitIdentity:
                 operands, pairs, score_min, enc.n_real_snps
             )
             fused, stats = score_round(
-                operands, pairs, score_min, enc.n_real_snps,
-                staged_kernel=staged,
+                operands, pairs, staged, enc.n_real_snps,
             )
             np.testing.assert_array_equal(dense, fused)
             mask = round_validity_mask(offsets, 4, enc.n_real_snps)
@@ -220,7 +212,7 @@ class TestFusedDenseBitIdentity:
         operands = direct_round_operands(enc, offsets, b)
         dense = apply_score_dense(operands, pairs, score_min, enc.n_real_snps)
         fused, _ = score_round(
-            operands, pairs, score_min, enc.n_real_snps, staged_kernel=staged
+            operands, pairs, staged, enc.n_real_snps
         )
         np.testing.assert_array_equal(dense, fused)
 
@@ -235,8 +227,7 @@ class TestFusedDenseBitIdentity:
                 operands, pairs, score_min, enc.n_real_snps
             )
             fused, _ = score_round(
-                operands, pairs, score_min, enc.n_real_snps,
-                staged_kernel=staged,
+                operands, pairs, staged, enc.n_real_snps,
             )
             np.testing.assert_array_equal(dense, fused)
 
@@ -247,11 +238,11 @@ class TestCompactionStats:
         return _setup(n_snps=18, n_samples=112, block_size=4, seed=11)
 
     def test_valid_matches_mask(self, env):
-        _, enc, pairs, score_min, _ = env
+        _, enc, pairs, _, staged = env
         for offsets in ROUND_OFFSETS:
             operands = direct_round_operands(enc, offsets, 4)
             _, stats = score_round(
-                operands, pairs, score_min, enc.n_real_snps
+                operands, pairs, staged, enc.n_real_snps
             )
             mask = round_validity_mask(offsets, 4, enc.n_real_snps)
             assert stats.positions == 4**4
@@ -261,11 +252,11 @@ class TestCompactionStats:
     def test_zero_valid_round_short_circuits(self):
         # B < 4 fully-diagonal round has no strictly increasing quad; the
         # fused path must exit before requesting any full3 completion.
-        ds, enc, pairs, score_min, _ = _setup(
+        ds, enc, pairs, _, staged = _setup(
             n_snps=9, n_samples=64, block_size=3, seed=2
         )
         operands = direct_round_operands(enc, (0, 0, 0, 0), 3)
-        grid, stats = score_round(operands, pairs, score_min, enc.n_real_snps)
+        grid, stats = score_round(operands, pairs, staged, enc.n_real_snps)
         assert np.isinf(grid).all()
         assert stats == RoundScoreStats(
             positions=81, valid=0, chunks=0,
@@ -275,18 +266,18 @@ class TestCompactionStats:
     def test_diagonal_round_dedupes_roles(self, env):
         # All four roles of a fully-diagonal round share one block triple:
         # 2 requests total (one per class), whatever the provider sees.
-        _, enc, pairs, score_min, _ = env
+        _, enc, pairs, _, staged = env
         operands = direct_round_operands(enc, (0, 0, 0, 0), 4)
-        _, stats = score_round(operands, pairs, score_min, enc.n_real_snps)
+        _, stats = score_round(operands, pairs, staged, enc.n_real_snps)
         assert stats.valid == 1  # C(4, 4)
         assert stats.full3_requests == 2
         assert stats.full3_computed == 2
 
     def test_partial_overlap_role_dedup(self, env):
         # (a, a, b, b): triples {aab, abb} -> 2 unique x 2 classes.
-        _, enc, pairs, score_min, _ = env
+        _, enc, pairs, _, staged = env
         operands = direct_round_operands(enc, (0, 0, 8, 8), 4)
-        _, stats = score_round(operands, pairs, score_min, enc.n_real_snps)
+        _, stats = score_round(operands, pairs, staged, enc.n_real_snps)
         assert stats.full3_requests == 4
 
 

@@ -98,21 +98,3 @@ class TestOperations:
     def test_and_shape_mismatch(self):
         with pytest.raises(ValueError, match="incompatible"):
             BitMatrix.zeros(2, 10).bitwise_and(BitMatrix.zeros(2, 11))
-
-
-class TestSplitBits:
-    @given(bool_matrices, st.sampled_from([64, 128, 256]))
-    def test_split_preserves_bits(self, rows, chunk):
-        bm = BitMatrix.from_bool(rows)
-        chunks = bm.split_bits(chunk)
-        assert sum(c.n_bits for c in chunks) == bm.n_bits
-        reassembled = np.concatenate([c.to_bool() for c in chunks], axis=1)
-        np.testing.assert_array_equal(reassembled, rows)
-
-    def test_split_rejects_unaligned(self):
-        with pytest.raises(ValueError, match="multiple of 64"):
-            BitMatrix.zeros(1, 128).split_bits(100)
-
-    def test_split_rejects_nonpositive(self):
-        with pytest.raises(ValueError, match="multiple of 64"):
-            BitMatrix.zeros(1, 128).split_bits(0)

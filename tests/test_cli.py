@@ -58,11 +58,26 @@ class TestSearch:
         assert main(
             [
                 "search", "--snps", "10", "--samples", "96",
-                "--block-size", "4", "--score", "chi2",
+                "--block-size", "5", "--order", "2", "--score", "chi2",
+            ]
+        ) == 0
+        assert "(chi2)" in capsys.readouterr().out
+        assert main(
+            [
+                "search", "--snps", "10", "--samples", "96",
+                "--block-size", "4",
                 "--engine", "xor_popc", "--gpu", "Titan RTX",
             ]
         ) == 0
         assert "xor_popc" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("score", ["chi2", "gtest", "mi"])
+    def test_fourth_order_rejects_non_k2_score(self, score, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["search", "--snps", "10", "--samples", "96", "--score", score])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert f"--score {score}" in err and "K2" in err
 
 
 class TestPredict:

@@ -43,7 +43,7 @@ def _open(path, fingerprint=FP, **kwargs):
 def _fingerprint(**overrides):
     base = dict(
         n_snps=16, n_real_snps=13, n_controls=60, n_cases=60, block_size=4,
-        engine_kind="and_popc", score_name="k2", top_k=1, n_gpus=1,
+        engine_kind="and_popc", top_k=1, n_gpus=1,
     )
     base.update(overrides)
     return search_fingerprint(**base)
@@ -142,13 +142,28 @@ class TestSearchFingerprint:
     def test_every_clause_is_part_of_the_identity(self):
         changed = dict(
             n_snps=20, n_real_snps=14, n_controls=61, n_cases=59,
-            block_size=8, engine_kind="xor_popc", score_name="gtest",
-            top_k=3, n_gpus=2,
+            block_size=8, engine_kind="xor_popc", top_k=3, n_gpus=2,
         )
         fingerprints = {_fingerprint()} | {
             _fingerprint(**{key: value}) for key, value in changed.items()
         }
         assert len(fingerprints) == 1 + len(changed)
+
+    def test_search_fingerprint_is_pinned(self):
+        # Journals and shard artifacts written by earlier versions carry
+        # these exact strings (the ``Sk2`` clause included); a change
+        # here would refuse to resume every existing journal.
+        ds = generate_random_dataset(13, 121, seed=5)
+        search = Epi4TensorSearch(
+            ds,
+            SearchConfig(block_size=4, top_k=3, engine_kind="xor_popc"),
+            n_gpus=2,
+        )
+        assert search.fingerprint() == "M16r13c61k60B4Exor_popcSk2K3G2"
+        assert (
+            search.fingerprint([1, 2])
+            == "M16r13c61k60B4Exor_popcSk2K3G2+W67427d0c605f"
+        )
 
     def test_only_a_restricted_domain_adds_a_clause(self):
         assert domain_clause(4, [3, 1, 0, 2]) == ""

@@ -75,7 +75,7 @@ class TestRunManifest:
         assert m["results"]["top_k"] == 3
         assert m["results"]["best_quad"] == list(result.best_quad)
         assert m["config"]["block_size"] == 8
-        assert m["config"]["score"] == "k2"
+        assert m["config"]["top_k"] == 3
 
     def test_json_round_trip(self, tiny_run):
         ds, search, result = tiny_run

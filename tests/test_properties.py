@@ -412,6 +412,9 @@ class TestResilienceConservation:
     Every watchdog trip produces exactly one ``hang`` failure and one
     ``watchdog`` incident.  A drift between these books would mean a
     trip was dropped or double-counted somewhere in the recovery path.
+    A real launch that overruns the deadline on a busy host trips too,
+    in every book alike, so the trip count is only bounded below by the
+    injected hang count; the injector's own counter must equal it.
     """
 
     @given(seed=st.integers(0, 2**16), n_hangs=st.sampled_from([1, 2, 3]))
@@ -434,11 +437,12 @@ class TestResilienceConservation:
         )
         search.run()
         fl = search.fault_log
-        trips = search.metrics.total("epi4_watchdog_trips_total")
-        assert trips == n_hangs
-        assert fl.total_watchdog_trips == n_hangs
-        assert fl.failures_by_kind().get("hang", 0) == n_hangs
-        assert fl.incident_count("watchdog") == n_hangs
+        trips = fl.total_watchdog_trips
+        assert search.metrics.total("epi4_faults_injected_total") == n_hangs
+        assert trips >= n_hangs
+        assert search.metrics.total("epi4_watchdog_trips_total") == trips
+        assert fl.failures_by_kind().get("hang", 0) == trips
+        assert fl.incident_count("watchdog") == trips
 
 
 class TestShardPlanPartition:

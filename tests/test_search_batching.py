@@ -116,18 +116,14 @@ GRID = [
     dict(batch_rounds=8, n_streams=2),
     dict(batch_rounds=1, n_streams=3),
     dict(batch_rounds=8, cache_mb=float("inf")),
-    dict(batch_rounds=4, sample_chunk_bits=64),
 ]
 
 
 class TestPipelineBitIdentity:
     @pytest.mark.parametrize("engine_kind", ["and_popc", "xor_popc"])
-    @pytest.mark.parametrize("mode", ["dense", "packed"])
-    def test_engine_mode_grid(self, engine_kind, mode):
+    def test_engine_mode_grid(self, engine_kind):
         ds = generate_random_dataset(16, 120, seed=21)
-        base = dict(
-            block_size=4, engine_kind=engine_kind, engine_mode=mode, top_k=4
-        )
+        base = dict(block_size=4, engine_kind=engine_kind, top_k=4)
         _, ref = _run(ds, **base)
         for extra in GRID:
             _, got = _run(ds, **base, **extra)
@@ -395,17 +391,11 @@ class TestModelAndMemory:
 class TestDenseMemoization:
     def test_enabled_only_for_dense_batched(self):
         ds = generate_random_dataset(16, 120, seed=53)
-        for mode, batch, expected in [
-            ("dense", 8, True),
-            ("dense", 1, False),
-            ("packed", 8, False),
-        ]:
-            search, _ = _run(
-                ds, block_size=4, engine_mode=mode, batch_rounds=batch
-            )
+        for batch, expected in [(8, True), (1, False)]:
+            search, _ = _run(ds, block_size=4, batch_rounds=batch)
             assert (
                 search.cluster.gpus[0].engine.memoize_dense is expected
-            ), (mode, batch)
+            ), batch
 
     def test_memo_results_identical(self):
         rng = np.random.default_rng(54)

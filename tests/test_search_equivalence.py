@@ -6,7 +6,7 @@ devices (one host thread each) only changes *which thread drives which
 outer iteration*.
 Neither may perturb a single result bit: ``SearchResult.solution`` and
 ``top_solutions`` are compared exactly (packed indices and float scores),
-across engines, modes, threading and journal resume — and against the
+across engines, threading and journal resume — and against the
 independent brute-force oracle of :mod:`tests.helpers`.
 """
 
@@ -32,12 +32,9 @@ def _assert_identical(a, b):
 
 class TestCachedEquivalence:
     @pytest.mark.parametrize("engine_kind", ["and_popc", "xor_popc"])
-    @pytest.mark.parametrize("mode", ["dense", "packed"])
-    def test_engine_mode_grid(self, engine_kind, mode):
+    def test_engine_mode_grid(self, engine_kind):
         ds = generate_random_dataset(16, 140, seed=3)
-        base = dict(
-            block_size=4, engine_kind=engine_kind, engine_mode=mode, top_k=4
-        )
+        base = dict(block_size=4, engine_kind=engine_kind, top_k=4)
         cold = _run(ds, **base)
         cached = _run(ds, cache_mb=float("inf"), **base)
         _assert_identical(cold, cached)
@@ -200,12 +197,9 @@ class TestFusedScorePathEquivalence:
     """
 
     @pytest.mark.parametrize("engine_kind", ["and_popc", "xor_popc"])
-    @pytest.mark.parametrize("mode", ["dense", "packed"])
-    def test_oracle_matches_fused_grid(self, engine_kind, mode):
+    def test_oracle_matches_fused_grid(self, engine_kind):
         ds = generate_random_dataset(14, 120, seed=17)
-        base = dict(
-            block_size=4, engine_kind=engine_kind, engine_mode=mode, top_k=4
-        )
+        base = dict(block_size=4, engine_kind=engine_kind, top_k=4)
         fused = _run(ds, cache_mb=float("inf"), **base)
         assert_matches_oracle(fused, brute_force_topk(ds, 4))
 
@@ -298,17 +292,14 @@ class TestSatelliteFixes:
 class TestPruneEquivalence:
     """Branch-and-bound pruning is a pure work eliminator: every cell of
     the configuration matrix must produce *bit-identical* results with the
-    gate on and off — engines, modes, batching, threading, resume and
+    gate on and off — engines, batching, threading, resume and
     fault-degraded rounds included — and must match the brute-force
     oracle."""
 
     @pytest.mark.parametrize("engine_kind", ["and_popc", "xor_popc"])
-    @pytest.mark.parametrize("mode", ["dense", "packed"])
-    def test_engine_mode_grid(self, engine_kind, mode):
+    def test_engine_mode_grid(self, engine_kind):
         ds = generate_random_dataset(16, 140, seed=3)
-        base = dict(
-            block_size=4, engine_kind=engine_kind, engine_mode=mode, top_k=4
-        )
+        base = dict(block_size=4, engine_kind=engine_kind, top_k=4)
         off = _run(ds, prune=False, **base)
         on = _run(ds, prune=True, **base)
         _assert_identical(off, on)

@@ -7,10 +7,10 @@ Three configurations of the same workload:
 - ``prune-on``       — the 48-cell bound gate between mask compaction
   and completion;
 - ``prune-on+shard`` — the gate under the sharded coordinator (2 inline
-  shards) with cross-shard threshold exchange every 4 rounds.
+  shards), each shard pruning against its own candidates only.
 
-Reported per cell: total wall, scored cells, the fraction of mask-valid
-quads pruned, and threshold-sync beats.  Hard bars:
+Reported per cell: total wall, scored cells and the fraction of
+mask-valid quads pruned.  Hard bars:
 
 - every cell's ranked top-k digest (``top_k_sha256``) is identical —
   pruning is a pure work eliminator, never a result perturbation;
@@ -60,7 +60,6 @@ def _sharded(ds, tmp_dir):
         top_k=TOP_K,
         prune=True,
         batch_rounds=4,
-        prune_sync_rounds=4,
     )
     start = time.perf_counter()
     merged = run_sharded(
@@ -90,7 +89,6 @@ def test_pruning_ablation(benchmark, tmp_path):
     for label, metrics, counters, solutions, wall in runs:
         valid = metrics.total("epi4_applyscore_valid_total")
         pruned = metrics.total("epi4_prune_quads_total")
-        syncs = metrics.total("epi4_prune_sync_total")
         scored_cells = int(valid) * 81 * 2
         prune_frac = pruned / (valid + pruned) if valid + pruned else 0.0
         rows.append(
@@ -99,7 +97,6 @@ def test_pruning_ablation(benchmark, tmp_path):
                 f"{wall:7.2f}",
                 f"{scored_cells:.2e}",
                 f"{100 * prune_frac:5.1f}%",
-                int(syncs),
             ]
         )
         records.append(
@@ -110,7 +107,6 @@ def test_pruning_ablation(benchmark, tmp_path):
                 "quads_pruned": int(pruned),
                 "score_cells_executed": scored_cells,
                 "prune_fraction": prune_frac,
-                "threshold_syncs": int(syncs),
                 "top_k_sha256": digests[label],
             }
         )
@@ -118,7 +114,7 @@ def test_pruning_ablation(benchmark, tmp_path):
     print_table(
         f"bound pruning ablation (M={N_SNPS}, N={N_SAMPLES}, B={BLOCK}, "
         f"k={TOP_K})",
-        ["config", "wall s", "cells", "pruned", "syncs"],
+        ["config", "wall s", "cells", "pruned"],
         rows,
     )
 
@@ -138,9 +134,6 @@ def test_pruning_ablation(benchmark, tmp_path):
     # The headline bar: >=3x scored-cell reduction from the bound gate.
     reduction = off_rec["score_cells_executed"] / on_rec["score_cells_executed"]
     assert reduction >= 3.0, reduction
-
-    # The sharded cell exchanged thresholds.
-    assert shard_rec["threshold_syncs"] > 0
 
     # --- persist --------------------------------------------------------- #
     history = []

@@ -6,7 +6,7 @@ Two layers:
   plus the §3.6 statement that dataset distribution strategy cannot
   matter at search scale;
 - the **real sharded runner** (``repro.dist``): a matrix of shard
-  counts/strategies executed end to end, each cell's measured per-shard
+  counts executed end to end, each cell's measured per-shard
   schedule and tensor-op counters checked against
   :func:`repro.perfmodel.multinode.predict_shard_schedule` and the
   workload closed forms, and every cell's merged ``top_k_sha256``
@@ -43,13 +43,12 @@ N_SAMPLES = 96 if _SMALL else 128
 BLOCK = 4
 RESULTS_PATH = Path(__file__).with_name("BENCH_multinode.json")
 
-#: (label, shard count, strategy, real worker processes?)
+#: (label, shard count, real worker processes?)
 SHARD_CELLS = [
-    ("1-shard", 1, "contiguous", False),
-    ("2-shard", 2, "contiguous", False),
-    ("4-shard", 4, "contiguous", False),
-    ("4-shard strided", 4, "strided", False),
-    ("2-shard spawn", 2, "contiguous", True),
+    ("1-shard", 1, False),
+    ("2-shard", 2, False),
+    ("4-shard", 4, False),
+    ("2-shard spawn", 2, True),
 ]
 
 
@@ -118,7 +117,7 @@ def test_sharded_runner_measured_vs_model(benchmark, tmp_path):
     def sweep():
         runs = []
         config = SearchConfig(block_size=BLOCK, top_k=5)
-        for label, n_shards, strategy, spawn in SHARD_CELLS:
+        for label, n_shards, spawn in SHARD_CELLS:
             out_dir = tmp_path / label.replace(" ", "_")
             start = time.perf_counter()
             merged = run_sharded(
@@ -126,7 +125,6 @@ def test_sharded_runner_measured_vs_model(benchmark, tmp_path):
                 config,
                 n_shards=n_shards,
                 out_dir=out_dir,
-                strategy=strategy,
                 inline=not spawn,
             )
             runs.append((label, merged, time.perf_counter() - start))
@@ -136,7 +134,7 @@ def test_sharded_runner_measured_vs_model(benchmark, tmp_path):
 
     nb = reference.block_scheme.nb
     rows, records = [], []
-    for (label, n_shards, strategy, spawn), (
+    for (label, n_shards, spawn), (
         _,
         merged,
         wall,
@@ -182,7 +180,6 @@ def test_sharded_runner_measured_vs_model(benchmark, tmp_path):
             [
                 label,
                 n_shards,
-                strategy,
                 "spawn" if spawn else "inline",
                 f"{wall:7.2f}",
                 merged.top_k_sha256[:12],
@@ -192,7 +189,6 @@ def test_sharded_runner_measured_vs_model(benchmark, tmp_path):
             {
                 "config": label,
                 "n_shards": n_shards,
-                "strategy": strategy,
                 "spawn": spawn,
                 "wall_seconds": wall,
                 "top_k_sha256": merged.top_k_sha256,
@@ -203,12 +199,12 @@ def test_sharded_runner_measured_vs_model(benchmark, tmp_path):
     print_table(
         f"sharded runner, measured vs model (M={N_SNPS}, N={N_SAMPLES}, "
         f"B={BLOCK}, nb={nb})",
-        ["config", "shards", "strategy", "mode", "wall s", "digest"],
+        ["config", "shards", "mode", "wall s", "digest"],
         rows,
     )
 
-    # Bit-identity: every cell — any shard count, strategy, cache mode,
-    # inline or spawn — produces the unsharded run's exact digest.
+    # Bit-identity: every cell — any shard count, inline or spawn —
+    # produces the unsharded run's exact digest.
     digests = {rec["top_k_sha256"] for rec in records}
     assert digests == {reference_digest}, digests
 

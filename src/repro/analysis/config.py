@@ -31,7 +31,6 @@ DETERMINISTIC_MODULES: tuple[str, ...] = (
     "repro.core.journal",
     "repro.dist.merge",
     "repro.dist.plan",
-    "repro.dist.threshold",
     "repro.scoring.bounds",
     "repro.obs.manifest",
 )
@@ -220,7 +219,6 @@ DURABILITY_MODULES: tuple[str, ...] = (
     "repro.core.journal",
     "repro.dist.worker",
     "repro.dist.coordinator",
-    "repro.dist.threshold",
     "repro.obs.exporters",
     "repro.utils.fs",
 )

@@ -13,6 +13,7 @@ Subcommands:
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 
 
@@ -112,13 +113,6 @@ def _add_search(sub: argparse._SubParsersAction) -> argparse.ArgumentParser:
         "(default: on; K2 fused path only)",
     )
     p.add_argument(
-        "--prune-sync-rounds", type=int, default=None, metavar="R",
-        help="with --shards: exchange prune thresholds across shards "
-        "through atomic files in the shared directory every R completed "
-        "rounds, so late shards inherit tight bounds (default: off; "
-        "result-neutral either way)",
-    )
-    p.add_argument(
         "--journal", default=None, metavar="PATH",
         help="crash-safe round journal: one fsynced CRC frame per "
         "committed outer iteration; a process killed at any byte offset "
@@ -151,12 +145,6 @@ def _add_search(sub: argparse._SubParsersAction) -> argparse.ArgumentParser:
         help="with --shards N: run only shard I in this process and "
         "write its artifact into --dist-dir (manual per-node mode for "
         "real clusters; merge later with --merge)",
-    )
-    p.add_argument(
-        "--shard-strategy", default="contiguous",
-        choices=("contiguous", "strided"),
-        help="shard planning strategy: cost-balanced contiguous runs "
-        "(default) or strided round-robin",
     )
     p.add_argument(
         "--dist-dir", default="epi4-shards", metavar="DIR",
@@ -221,8 +209,6 @@ def _add_generate(sub: argparse._SubParsersAction) -> None:
 
 
 def _load_or_generate(args: argparse.Namespace):
-    import os
-
     from repro.datasets import (
         generate_random_dataset,
         load_dataset,
@@ -268,7 +254,6 @@ def _search_config_from_args(args: argparse.Namespace):
         inject_faults=args.inject_faults,
         deadline_ms=args.deadline_ms,
         prune=args.prune == "on",
-        prune_sync_rounds=args.prune_sync_rounds,
         **config_kwargs,
     )
 
@@ -301,8 +286,6 @@ def _cmd_merge(args: argparse.Namespace) -> int:
 def _cmd_sharded(args: argparse.Namespace) -> int:
     """``--shards N`` (coordinator) / ``--shards N --shard-index I``
     (single-shard worker, for manual per-node runs)."""
-    import os
-
     from repro.dist import plan_shards, run_shard, run_sharded
     from repro.dist.coordinator import DATASET_NAME
     from repro.dist.worker import build_request
@@ -328,7 +311,6 @@ def _cmd_sharded(args: argparse.Namespace) -> int:
             out_dir=args.dist_dir,
             spec_name=args.gpu,
             n_gpus=args.n_gpus,
-            strategy=args.shard_strategy,
             max_procs=args.max_procs,
             max_restarts=args.shard_restarts,
         )
@@ -356,7 +338,6 @@ def _cmd_sharded(args: argparse.Namespace) -> int:
         args.shards,
         block_size=config.block_size,
         n_samples=probe.encoded.n_samples,
-        strategy=args.shard_strategy,
     )
     if not 0 <= args.shard_index < args.shards:
         raise SystemExit(
@@ -477,10 +458,6 @@ def _cmd_search(args: argparse.Namespace) -> int:
             frac = pruned / max(1.0, pruned + survivors)
             print(f"pruning   : {pruned:.0f} quads ({100 * frac:.1f}% of "
                   f"mask-valid) bound-pruned before completion")
-            synced = result.metrics.total("epi4_prune_sync_total")
-            if synced:
-                print(f"prunesync : {synced:.0f} cross-shard threshold "
-                      f"exchange(s) every {config.prune_sync_rounds} rounds")
         if config.batch_rounds > 1 or config.n_streams > 1:
             launches = result.counters.launches
             problems = result.counters.gemm_problems
@@ -674,7 +651,17 @@ def main(argv: list[str] | None = None) -> int:
         "qc": _cmd_qc,
         "generate": _cmd_generate,
     }
-    return handlers[args.command](args)
+    try:
+        code = handlers[args.command](args)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # The reader went away (``| head``).  Point stdout at devnull so
+        # the interpreter's exit-time flush cannot raise again, and exit
+        # with the status Python itself uses for EPIPE.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        return 1
+    return code
 
 
 if __name__ == "__main__":

@@ -122,15 +122,6 @@ class TopKReducer:
             self._solutions.extend(incoming)
             self._truncate()
 
-    @classmethod
-    def from_solutions(
-        cls, k: int, solutions: "Iterable[Solution]"
-    ) -> "TopKReducer":
-        """A reducer pre-populated with ``solutions`` (best ``k`` kept)."""
-        reducer = cls(k)
-        reducer.seed(solutions)
-        return reducer
-
     def merge(self, other: "TopKReducer") -> None:
         """Fold another reducer's candidates in (host-side, multi-device).
 

@@ -53,10 +53,7 @@ from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Callable, Iterable, Iterator
-
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.dist.threshold import ThresholdExchange
+from typing import Callable, Iterable, Iterator
 
 import numpy as np
 
@@ -166,14 +163,6 @@ class SearchConfig:
             The bound never overestimates and ties are never pruned, so
             results stay **bit-identical** to the exhaustive run; only
             the executed score-cell accounting shrinks.
-        prune_sync_rounds: with an attached
-            :class:`~repro.dist.threshold.ThresholdExchange`, publish
-            this shard's top-k and refresh the peer-shard threshold
-            every this many completed rounds, so late shards inherit
-            tight bounds.  ``None`` (the default) disables the exchange;
-            peer candidates only tighten pruning decisions and never
-            enter this shard's own results, so shard artifacts are
-            unchanged either way.
     """
 
     block_size: int = 16
@@ -190,7 +179,6 @@ class SearchConfig:
     batch_rounds: int = 1
     deadline_ms: float | None = None
     prune: bool = True
-    prune_sync_rounds: int | None = None
 
     def __post_init__(self) -> None:
         if self.block_size < 2:
@@ -217,10 +205,6 @@ class SearchConfig:
         if self.deadline_ms is not None and not self.deadline_ms > 0:
             raise ValueError(
                 f"deadline_ms must be > 0, got {self.deadline_ms}"
-            )
-        if self.prune_sync_rounds is not None and self.prune_sync_rounds < 1:
-            raise ValueError(
-                f"prune_sync_rounds must be >= 1, got {self.prune_sync_rounds}"
             )
         # Delegate retry-knob validation to RetryPolicy (and fail fast on a
         # malformed fault spec rather than mid-search).
@@ -458,13 +442,6 @@ class Epi4TensorSearch:
         self._backoff_rng = random.Random(0)
         self.fault_log = FaultLog.for_devices(self.cluster.n_gpus)
         self._watchdog: LaunchWatchdog | None = None
-        # Cross-shard threshold sharing (see repro.dist.threshold): peer
-        # candidates live in a separate reducer consulted only by the
-        # prune threshold — they never enter this run's own results.
-        self._threshold_exchange = None
-        self._sync_reducer: TopKReducer | None = None
-        self._sync_lock = threading.Lock()
-        self._sync_counter = 0
 
     # ------------------------------------------------------------------ #
     # Observability plumbing
@@ -601,7 +578,6 @@ class Epi4TensorSearch:
         # prune-off runs — so dashboards, golden fixtures and shard merges
         # see a stable metric schema.
         self.metrics.inc("epi4_prune_quads_total", 0, device="0")
-        self.metrics.inc("epi4_prune_sync_total", 0)
         total_timer = Timer()
         run_span = self.tracer.span(
             "run",
@@ -626,8 +602,6 @@ class Epi4TensorSearch:
                     gpu.engine.memoize_dense = self.config.batch_rounds > 1
             reducer = TopKReducer(self.config.top_k)
             self._global_reducer = reducer
-            self._sync_reducer = None
-            self._sync_counter = 0
             done: set[int] = set()
             if journal is not None:
                 journal.seed_reducer(reducer)
@@ -660,18 +634,10 @@ class Epi4TensorSearch:
                         # crash after this line re-runs nothing.
                         journal.commit(wi, reducer.result())
 
-            if self._sync_enabled():
-                # Warm start: inherit whatever thresholds peer shards have
-                # already published (a late shard starts tight).
-                self._sync_thresholds()
             self._run_devices(done, run_iteration)
             with self.tracer.span("reduce"):
                 top = reducer.result()
             solution = top[0] if top else reduce_solutions([])
-            if self._sync_enabled():
-                # Final beat: still-running peers inherit this shard's
-                # finished top-k immediately.
-                self._sync_thresholds()
 
         merged = KernelCounters()
         for gpu in self.cluster.gpus:
@@ -738,9 +704,8 @@ class Epi4TensorSearch:
                 journal.close()
 
     def _reset_resilience(self) -> None:
-        """Fresh fault log / injector / backoff PRNG / watchdog / governor
-        for one run — repeat :meth:`run` calls are independently
-        deterministic."""
+        """Fresh fault log / injector / backoff PRNG / watchdog for one
+        run — repeat :meth:`run` calls are independently deterministic."""
         self.fault_log = FaultLog.for_devices(self.cluster.n_gpus)
         self.cluster.reset_quarantine()
         seed = self._fault_plan.seed if self._fault_plan is not None else 0
@@ -944,43 +909,20 @@ class Epi4TensorSearch:
         cache disabled every request recomputes, launch-for-launch the
         seed driver at ``batch_rounds == 1``.
 
-        Rounds sharing one ``(Wi, Xi)`` pair are grouped by
-        ``batch_rounds`` and their ``yz``/4-way launches fused;
-        ``n_streams > 1`` stages groups ahead on a host stream
-        (:meth:`_run_rounds_pipelined`).  Every configuration is
+        Rounds sharing one ``(Wi, Xi)`` pair are chunked into groups of
+        ``batch_rounds``; each group's ``yz`` combines and 4-way GEMMs
+        issue as fused batched launches.  With ``n_streams == 1`` every
+        group stages inline; otherwise up to ``n_streams`` groups (capped
+        by :func:`~repro.device.streams.stage_lookahead`) are in flight on
+        an in-order :class:`HostStream` — the stager thread runs *all*
+        device launches (so kernel accounting never races the scoring
+        thread) while the calling thread scores.  Every configuration is
         bit-identical.
         """
         assert self._low is not None, "_prepare_devices must run first"
-        return self._run_rounds_pipelined(
-            executor,
-            outer_iters,
-            self.config.batch_rounds,
-            stage_lookahead(self.config.n_streams),
-            parent_span,
-        )
-
-    # -- batched round pipeline ----------------------------------------- #
-
-    def _run_rounds_pipelined(
-        self,
-        executor: "_SingleDeviceExecutor",
-        outer_iters: Iterable[int],
-        batch: int,
-        depth: int,
-        parent_span,
-    ) -> TopKReducer:
-        """Grouped-launch loop nest with optional stage/score overlap.
-
-        Rounds sharing one ``(Wi, Xi)`` pair are chunked into groups of
-        ``batch``; each group's ``yz`` combines and 4-way GEMMs issue as
-        fused batched launches.  With ``depth == 0`` every group stages
-        inline; with ``depth > 0`` up to ``depth + 1`` groups are in
-        flight on an in-order :class:`HostStream` — the stager thread runs
-        *all* device launches (so kernel accounting never races the
-        scoring thread) while the calling thread scores.
-        """
+        depth = stage_lookahead(self.config.n_streams)
         reducer = TopKReducer(self.config.top_k)
-        tasks = self._stage_tasks(executor, outer_iters, batch, parent_span)
+        tasks = self._stage_tasks(executor, outer_iters, parent_span)
         if depth == 0:
             for task in tasks:
                 self._score_staged_group(executor, reducer, task())
@@ -1028,13 +970,12 @@ class Epi4TensorSearch:
         self,
         executor: "_SingleDeviceExecutor",
         outer_iters: Iterable[int],
-        batch: int,
         parent_span,
     ) -> Iterator[Callable[[], "_StagedGroup"]]:
         """Stage tasks of every round group, generated lazily in loop
         order, so a pair's shared operands are freed once its last group
         is scored."""
-        nb = self.scheme.nb
+        nb, batch = self.scheme.nb, self.config.batch_rounds
         for wi in outer_iters:
             for xi in range(wi, nb):
                 rounds = [
@@ -1159,21 +1100,12 @@ class Epi4TensorSearch:
                     offsets=(wo, xo, yo, zo),
                     block_size=b,
                 )
-                self._score_and_reduce(executor, reducer, operands)
+                scores, cells = self._score_round(executor, operands, reducer)
+                with self._phase_scope("score", executor.device_id, span="score"):
+                    executor.account_score(cells)
+                with self._phase_scope("score", executor.device_id, span="reduce"):
+                    reducer.add_round(scores, operands.offsets)
             self._note_round_done(executor, reducer, round_t0)
-
-    def _score_and_reduce(
-        self,
-        executor: "_SingleDeviceExecutor",
-        reducer: TopKReducer,
-        operands: RoundOperands,
-    ) -> None:
-        """Shared per-round tail: score, account, reduce."""
-        scores, score_cells = self._score_round(executor, operands, reducer)
-        with self._phase_scope("score", executor.device_id, span="score"):
-            executor.account_score(score_cells)
-        with self._phase_scope("score", executor.device_id, span="reduce"):
-            reducer.add_round(scores, operands.offsets)
 
     def _note_round_done(
         self,
@@ -1181,20 +1113,13 @@ class Epi4TensorSearch:
         reducer: TopKReducer,
         round_t0: float,
     ) -> None:
-        """Per-round bookkeeping shared by both loop paths."""
+        """Per-round bookkeeping: round metrics and the progress
+        callback."""
         dev = str(executor.device_id)
         self.metrics.inc("epi4_rounds_total", device=dev)
         self.metrics.observe(
             "epi4_round_seconds", time.perf_counter() - round_t0, device=dev
         )
-        if self._sync_enabled():
-            due = False
-            with self._sync_lock:
-                self._sync_counter += 1
-                if self._sync_counter % self.config.prune_sync_rounds == 0:
-                    due = True
-            if due:
-                self._sync_thresholds()
         if self._progress_callback is not None:
             with self._progress_lock:
                 self._rounds_done += 1
@@ -1206,56 +1131,17 @@ class Epi4TensorSearch:
     # ------------------------------------------------------------------ #
     # Branch-and-bound pruning (see repro.scoring.bounds)
 
-    def attach_threshold_exchange(self, exchange: "ThresholdExchange") -> None:
-        """Attach a :class:`~repro.dist.threshold.ThresholdExchange`.
-
-        Every ``config.prune_sync_rounds`` completed rounds (plus once at
-        run start and once at the end) this search publishes its global
-        top-k and refreshes the peer-shard threshold reducer.  Peer
-        candidates feed *only* the prune threshold — they never enter
-        this run's own reduction, so shard artifacts are byte-identical
-        with or without an exchange."""
-        self._threshold_exchange = exchange
-
     def _prune_threshold(self, reducer: TopKReducer) -> float:
         """Tightest currently-safe prune threshold.
 
-        The minimum over the per-iteration reducer, the run-global
-        reducer and — when a threshold exchange is attached — the
-        peer-shard reducer.  Each contributor's ``kth_score`` is the
-        k-th best of a *subset* of the final candidate set, hence
-        ``>=`` the final k-th best; pruning strictly above the minimum
-        can therefore never drop a final top-k member.  ``+inf`` (all
-        contributors under-filled) disables pruning."""
-        threshold = min(
-            reducer.kth_score(), self._global_reducer.kth_score()
-        )
-        sync = self._sync_reducer
-        if sync is not None:
-            threshold = min(threshold, sync.kth_score())
-        return threshold
-
-    def _sync_enabled(self) -> bool:
-        return (
-            self._threshold_exchange is not None
-            and self.config.prune_sync_rounds is not None
-        )
-
-    def _sync_thresholds(self) -> None:
-        """One threshold-exchange beat: publish this run's global top-k,
-        then rebuild the peer-shard reducer from every peer's latest
-        published candidates."""
-        exchange = self._threshold_exchange
-        if exchange is None:
-            return
-        with self.tracer.span("prune_sync", dev="host"):
-            exchange.publish(self._global_reducer.result())
-            peers = exchange.peer_solutions()
-            if peers:
-                self._sync_reducer = TopKReducer.from_solutions(
-                    self.config.top_k, peers
-                )
-        self.metrics.inc("epi4_prune_sync_total")
+        The minimum over the per-iteration reducer and the run-global
+        reducer (shared by every device of this run).  Each
+        contributor's ``kth_score`` is the k-th best of a *subset* of
+        the final candidate set, hence ``>=`` the final k-th best;
+        pruning strictly above the minimum can therefore never drop a
+        final top-k member.  ``+inf`` (both under-filled) disables
+        pruning."""
+        return min(reducer.kth_score(), self._global_reducer.kth_score())
 
     # ------------------------------------------------------------------ #
     # Scoring with graceful degradation

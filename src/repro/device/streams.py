@@ -44,8 +44,8 @@ class HostStream:
     A single worker thread drains submitted callables strictly in
     submission order — the host analogue of one CUDA stream's command
     queue.  Used by the search's double-buffered operand stager; created
-    per ``_run_rounds`` call so retried iterations always start with an
-    empty queue.
+    per ``Epi4TensorSearch._run_rounds`` call (one outer-iteration
+    attempt) so retried iterations always start with an empty queue.
     """
 
     def __init__(self, name: str = "epi4-stream") -> None:

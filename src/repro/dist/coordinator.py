@@ -22,7 +22,7 @@ import multiprocessing
 import os
 
 from repro.dist.merge import MergedRun, merge_shards
-from repro.dist.plan import ShardPlan, plan_shards
+from repro.dist.plan import plan_shards
 from repro.dist.worker import build_request, run_shard, shard_artifact_name
 
 #: Coordinator artifact names in the output directory.
@@ -43,7 +43,6 @@ def run_sharded(
     out_dir: str | os.PathLike,
     spec_name: str = "A100 PCIe",
     n_gpus: int = 1,
-    strategy: str = "contiguous",
     max_procs: int | None = None,
     max_restarts: int = 2,
     inline: bool = False,
@@ -63,8 +62,6 @@ def run_sharded(
             per-shard manifests, and the merged manifest/metrics land
             here.
         spec_name / n_gpus: device model and per-worker GPU count.
-        strategy: ``"contiguous"`` or ``"strided"`` (see
-            :func:`repro.dist.plan.plan_shards`).
         max_procs: concurrent worker processes (default: all shards).
         max_restarts: times one shard may be respawned after its worker
             dies before the run aborts.
@@ -97,7 +94,6 @@ def run_sharded(
         n_shards,
         block_size=config.block_size,
         n_samples=probe.encoded.n_samples,
-        strategy=strategy,
     )
 
     dataset_path = os.path.join(out_dir, DATASET_NAME)
@@ -202,21 +198,4 @@ def _export_merged(merged: MergedRun, out_dir: str) -> None:
     _write_atomic(
         os.path.join(out_dir, MERGED_METRICS_NAME),
         merged.metrics.to_prometheus(),
-    )
-
-
-def plan_for(
-    dataset, config=None, *, n_shards: int, strategy: str = "contiguous"
-) -> ShardPlan:
-    """The plan :func:`run_sharded` would use (for reporting/benchmarks)."""
-    from repro.core.search import Epi4TensorSearch, SearchConfig
-
-    config = config or SearchConfig()
-    probe = Epi4TensorSearch(dataset, config)
-    return plan_shards(
-        probe.scheme.nb,
-        n_shards,
-        block_size=config.block_size,
-        n_samples=probe.encoded.n_samples,
-        strategy=strategy,
     )

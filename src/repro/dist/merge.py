@@ -264,7 +264,6 @@ def build_merged_manifest(
         "execution": {
             "n_shards": len(artifacts),
             "nb": reference["nb"],
-            "strategy": reference["shard"].get("strategy", "unknown"),
             "shards": [
                 {
                     "index": a["shard"]["index"],

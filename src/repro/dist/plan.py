@@ -7,15 +7,10 @@ schedule uses — one outer iteration.  A plan assigns every iteration in
 closed-form work volume so measured-vs-modelled assertions hold per
 shard, not just per run.
 
-Two strategies:
-
-- ``"contiguous"`` — cost-balanced runs of consecutive iterations
-  (greedy: each shard takes iterations until it reaches the remaining
-  average).  Contiguous domains maximize the cross-iteration operand
-  reuse the cache exploits within one process.
-- ``"strided"`` — shard ``i`` takes ``wi ≡ i (mod n)``.  The
-  per-iteration volume decreases with ``wi``, so striding balances load
-  without cost modelling (the classic round-robin deal).
+The plan is one fixed rule: shard ``i`` of ``n`` runs every
+``wi ≡ i (mod n)``.  The per-iteration volume decreases with ``wi``, so
+the round-robin deal balances load without cost modelling, and every
+node derives the same plan from ``(nb, n)`` alone.
 
 Per-shard accounting reuses :class:`~repro.device.cluster.ScheduleResult`
 with shards in the device role: :meth:`ShardPlan.schedule` scores the
@@ -34,8 +29,6 @@ from repro.perfmodel.workload import (
     shard_tensor_ops,
 )
 
-STRATEGIES = ("contiguous", "strided")
-
 
 @dataclass(frozen=True)
 class ShardSpec:
@@ -43,7 +36,6 @@ class ShardSpec:
 
     Attributes:
         index / count: this shard's position in the plan.
-        strategy: the planning strategy that produced it.
         iterations: the outer iterations this shard executes (sorted).
         tensor_ops: closed-form tensor-op volume of those iterations.
         tensor4_ops: the cache-invariant 4-way component of that volume.
@@ -51,7 +43,6 @@ class ShardSpec:
 
     index: int
     count: int
-    strategy: str
     iterations: tuple[int, ...]
     tensor_ops: int
     tensor4_ops: int
@@ -61,7 +52,6 @@ class ShardSpec:
         return {
             "index": self.index,
             "count": self.count,
-            "strategy": self.strategy,
             "iterations": list(self.iterations),
             "tensor_ops": self.tensor_ops,
             "tensor4_ops": self.tensor4_ops,
@@ -80,7 +70,6 @@ class ShardPlan:
     nb: int
     block_size: int
     n_samples: int
-    strategy: str
     shards: tuple[ShardSpec, ...]
 
     def __post_init__(self) -> None:
@@ -142,9 +131,9 @@ def plan_shards(
     *,
     block_size: int,
     n_samples: int,
-    strategy: str = "contiguous",
 ) -> ShardPlan:
-    """Partition ``nb`` outer iterations into ``n_shards`` shards.
+    """Partition ``nb`` outer iterations into ``n_shards`` shards, shard
+    ``i`` taking every ``wi ≡ i (mod n_shards)``.
 
     Args:
         nb: number of SNP blocks (= outer iterations).
@@ -152,7 +141,6 @@ def plan_shards(
             would be a worker with nothing to do — refuse up front).
         block_size / n_samples: workload-model parameters for the
             per-shard cost closed forms.
-        strategy: ``"contiguous"`` (cost-balanced runs) or ``"strided"``.
 
     Returns:
         A validated :class:`ShardPlan`.
@@ -164,30 +152,15 @@ def plan_shards(
             f"n_shards must be in [1, {nb}] (one non-empty shard per "
             f"worker), got {n_shards}"
         )
-    if strategy not in STRATEGIES:
-        raise ValueError(
-            f"unknown strategy {strategy!r}; expected one of {STRATEGIES}"
-        )
-    if strategy == "strided":
-        parts = [
-            [wi for wi in range(nb) if wi % n_shards == s]
-            for s in range(n_shards)
-        ]
-    else:
-        costs = [
-            float(outer_iteration_tensor_ops(wi, nb, block_size, n_samples))
-            for wi in range(nb)
-        ]
-        parts = _balance_contiguous(costs, n_shards)
     shards = []
-    for index, iterations in enumerate(parts):
+    for index in range(n_shards):
+        iterations = tuple(range(index, nb, n_shards))
         volume = shard_tensor_ops(iterations, nb, block_size, n_samples)
         shards.append(
             ShardSpec(
                 index=index,
                 count=n_shards,
-                strategy=strategy,
-                iterations=tuple(iterations),
+                iterations=iterations,
                 tensor_ops=volume["tensor_ops"],
                 tensor4_ops=volume["tensor4_ops"],
             )
@@ -196,42 +169,5 @@ def plan_shards(
         nb=nb,
         block_size=block_size,
         n_samples=n_samples,
-        strategy=strategy,
         shards=tuple(shards),
     )
-
-
-def _balance_contiguous(costs: list[float], n_shards: int) -> list[list[int]]:
-    """Greedy cost-balanced contiguous partition.
-
-    Each shard takes consecutive iterations until its load reaches the
-    average of what remains over the shards still to fill — while always
-    leaving at least one iteration per remaining shard, so every shard
-    is non-empty by construction.
-    """
-    nb = len(costs)
-    parts: list[list[int]] = []
-    start = 0
-    for s in range(n_shards):
-        remaining_shards = n_shards - s
-        if remaining_shards == 1:
-            parts.append(list(range(start, nb)))
-            break
-        remaining_cost = sum(costs[start:])
-        target = remaining_cost / remaining_shards
-        end = start
-        load = 0.0
-        # Stop once adding the next iteration would overshoot the target
-        # *further* than stopping short of it undershoots — but never eat
-        # into the one-iteration-per-shard reserve of the tail.
-        max_end = nb - (remaining_shards - 1)
-        while end < max_end:
-            step = costs[end]
-            if load > 0 and abs(load + step - target) > abs(load - target):
-                break
-            load += step
-            end += 1
-        end = max(end, start + 1)
-        parts.append(list(range(start, end)))
-        start = end
-    return parts

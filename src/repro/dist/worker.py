@@ -122,18 +122,6 @@ def run_shard(request: dict) -> dict:
             f"shard {index}: dataset yields nb={search.scheme.nb}, plan "
             f"was built for nb={request['nb']}"
         )
-    if config.prune_sync_rounds is not None:
-        from repro.dist.threshold import ThresholdExchange
-
-        # The undomained fingerprint is common to every shard of this
-        # run, so stale threshold files in a reused directory (different
-        # dataset/config) are ignored by the exchange.
-        search.attach_threshold_exchange(
-            ThresholdExchange(
-                out_dir, index, count, fingerprint=search.fingerprint()
-            )
-        )
-
     journal_path = os.path.join(out_dir, shard_journal_name(index, count))
     restore_chaos = _arm_chaos_kill(index, out_dir)
     restore_meta = _install_journal_meta(index, count)
@@ -174,7 +162,6 @@ def run_shard(request: dict) -> dict:
         "shard": {
             "index": index,
             "count": count,
-            "strategy": shard.get("strategy", "unknown"),
             "iterations": iterations,
         },
         "nb": search.scheme.nb,

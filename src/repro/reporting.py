@@ -146,12 +146,6 @@ def format_search_report(
                 f"({100 * frac:.1f}% of mask-valid) dropped before "
                 "completion (bit-identical top-k)"
             )
-            synced = m.total("epi4_prune_sync_total")
-            if synced:
-                add(
-                    f"  threshold exchange  : {int(synced):,} cross-shard "
-                    "sync beat(s)"
-                )
         add("")
 
     if result.metrics is not None:
@@ -293,8 +287,7 @@ def format_merged_report(merged) -> str:
     )
     add(
         f"shards       : {merged.n_shards} x {identity['n_gpus']} device(s) "
-        f"[{identity['engine']}], strategy "
-        f"{merged.shards[0]['shard'].get('strategy', 'unknown')}"
+        f"[{identity['engine']}]"
     )
     add(
         f"domain       : {merged.nb} outer iterations, "
@@ -346,10 +339,6 @@ def format_merged_report(merged) -> str:
         # workers, prune-off shards): total() is 0 for absent series.
         pruned = m.total("epi4_prune_quads_total")
         if pruned:
-            synced = int(m.total("epi4_prune_sync_total"))
-            add(
-                f"  bound pruning       : {int(pruned):,} quads pruned, "
-                f"{synced} threshold sync beat(s)"
-            )
+            add(f"  bound pruning       : {int(pruned):,} quads pruned")
         add("")
     return "\n".join(lines)

@@ -1,5 +1,9 @@
 """Tests for the epi4tensor CLI."""
 
+import os
+import subprocess
+import sys
+
 import pytest
 
 from repro.cli import main
@@ -169,6 +173,31 @@ class TestGenerate:
              "--plant-interaction"]
         ) == 0
         assert "planted" in capsys.readouterr().out
+
+
+class TestClosedStdout:
+    def test_reader_closing_after_one_line_leaves_no_traceback(self):
+        # ``epi4tensor search ... | head -1``: the reader takes the first
+        # line and closes its end while the search is still running.
+        src = os.path.join(os.path.dirname(os.path.dirname(__file__)), "src")
+        # Unbuffered, each print writes through, so the lines after the
+        # search hit the closed pipe instead of one exit-time flush.
+        env = dict(os.environ, PYTHONUNBUFFERED="1")
+        env["PYTHONPATH"] = os.pathsep.join(
+            p for p in (src, env.get("PYTHONPATH")) if p
+        )
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "repro.cli", "search", "--snps", "24",
+             "--samples", "128", "--block-size", "4", "--top-k", "5"],
+            stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE,
+            env=env,
+        )
+        assert proc.stdout.readline().startswith(b"generated")
+        proc.stdout.close()
+        stderr = proc.stderr.read().decode()
+        assert proc.wait(timeout=120) == 1
+        assert "Traceback" not in stderr
 
 
 def test_requires_subcommand():

@@ -1,7 +1,7 @@
 """Cross-shard equivalence: sharded runs are bit-identical to unsharded.
 
-The tentpole invariant of ``repro.dist``: for any shard count, strategy,
-engine, cache/batching configuration or injected fault pattern, the
+The tentpole invariant of ``repro.dist``: for any shard count, engine,
+cache/batching configuration or injected fault pattern, the
 deterministically merged top-k — compared by ``top_k_sha256``, i.e. by
 the exact ``float.hex()`` of every score — equals the unsharded run's.
 Most cells use the inline coordinator (same planner, same worker
@@ -82,20 +82,6 @@ class TestShardCountEquivalence:
         assert merged.top_k_sha256 == reference
         assert merged.n_shards == n_shards
         assert_matches_oracle(merged, oracle)
-
-    def test_strided_strategy_matches_unsharded(self, tmp_path):
-        dataset = _dataset()
-        config = _config()
-        reference = _unsharded_digest(dataset, config)
-        merged = run_sharded(
-            dataset,
-            config,
-            n_shards=3,
-            out_dir=tmp_path,
-            strategy="strided",
-            inline=True,
-        )
-        assert merged.top_k_sha256 == reference
 
     def test_real_worker_processes(self, tmp_path):
         """One cell through the genuine spawn pool, not inline."""
@@ -289,9 +275,7 @@ class TestShardJournalGuards:
         search = Epi4TensorSearch(dataset, config)
         full = search.fingerprint()
         nb = search.scheme.nb
-        plan = plan_shards(
-            nb, 2, block_size=_BLOCK, n_samples=_N_SAMPLES, strategy="contiguous"
-        )
+        plan = plan_shards(nb, 2, block_size=_BLOCK, n_samples=_N_SAMPLES)
         clauses = {
             search.fingerprint(list(shard.iterations))
             for shard in plan.shards
@@ -310,12 +294,7 @@ class TestShardJournalGuards:
         request = build_request(
             dataset_path=dataset_path,
             out_dir=os.fspath(tmp_path),
-            shard={
-                "index": 0,
-                "count": 1,
-                "strategy": "contiguous",
-                "iterations": [0],
-            },
+            shard={"index": 0, "count": 1, "iterations": [0]},
             nb=99,
             config={"block_size": _BLOCK, "top_k": _TOP_K},
         )
@@ -324,10 +303,10 @@ class TestShardJournalGuards:
 
 
 class TestPruneSharding:
-    """Branch-and-bound cells of the shard matrix: pruned shards (with or
-    without cross-shard threshold exchange) merge to the unpruned
-    unsharded digest, artifacts stay schema-compatible with pre-pruning
-    consumers, and the threshold files feed *only* the prune gate."""
+    """Branch-and-bound cells of the shard matrix: pruned shards, each
+    pruning against its own candidates only, merge to the unpruned
+    unsharded digest, and artifacts stay schema-compatible with
+    pre-pruning consumers."""
 
     @pytest.mark.parametrize("n_shards", [2, 3])
     def test_pruned_shards_match_unpruned_unsharded(self, n_shards, tmp_path):
@@ -342,66 +321,6 @@ class TestPruneSharding:
         )
         assert merged.top_k_sha256 == reference
         assert merged.metrics.total("epi4_prune_quads_total") > 0
-
-    @pytest.mark.parametrize("n_shards", [2, 3])
-    def test_threshold_exchange_cell(self, n_shards, tmp_path):
-        dataset = _dataset()
-        reference = _unsharded_digest(dataset, _config(prune=False))
-        merged = run_sharded(
-            dataset,
-            _config(prune=True, prune_sync_rounds=2),
-            n_shards=n_shards,
-            out_dir=tmp_path,
-            inline=True,
-        )
-        assert merged.top_k_sha256 == reference
-        assert merged.metrics.total("epi4_prune_sync_total") > 0
-        from repro.dist.threshold import threshold_file_name
-
-        for index in range(n_shards):
-            path = tmp_path / threshold_file_name(index, n_shards)
-            assert path.exists()
-            payload = json.loads(path.read_text(encoding="utf-8"))
-            assert payload["kind"] == "epi4tensor-threshold"
-            assert payload["shard"]["index"] == index
-            assert payload["solutions"]  # published [score_hex, packed] pairs
-
-    def test_exchange_is_merge_neutral(self, tmp_path):
-        # Peer thresholds feed only the gate.  A shard's *local* tail may
-        # legitimately shrink (a peer threshold can prune quads that rank
-        # in the shard's local top-k but above the global k-th — they
-        # could never survive the merge anyway), so the invariant is at
-        # the merge: identical digests with and without the exchange, and
-        # every locally surviving score at or below the merged k-th is
-        # untouched.
-        dataset = _dataset()
-        merged = {}
-        artifacts = {}
-        for label, sync in (("solo", None), ("sync", 2)):
-            out = tmp_path / label
-            out.mkdir()
-            merged[label] = run_sharded(
-                dataset,
-                _config(prune=True, prune_sync_rounds=sync),
-                n_shards=2,
-                out_dir=out,
-                inline=True,
-            )
-            artifacts[label] = [
-                json.loads(
-                    (out / shard_artifact_name(i, 2)).read_text(
-                        encoding="utf-8"
-                    )
-                )
-                for i in range(2)
-            ]
-        assert merged["solo"].top_k_sha256 == merged["sync"].top_k_sha256
-        kth = merged["solo"].solutions[-1].score
-        for solo, sync in zip(artifacts["solo"], artifacts["sync"]):
-            keep = [
-                pair for pair in solo["solutions"] if pair[0] <= kth
-            ]
-            assert sync["solutions"][: len(keep)] == keep
 
     def test_merge_tolerates_artifacts_without_prune_series(self, tmp_path):
         # Schema tolerance: artifacts written by pre-pruning builds carry
@@ -441,10 +360,7 @@ class TestPruneSharding:
         dataset_path = os.fspath(tmp_path / "ds.npz")
         save_dataset(dataset_path, dataset)
         nb = _N_SNPS // _BLOCK
-        plan = plan_shards(
-            nb, 2, block_size=_BLOCK, n_samples=_N_SAMPLES,
-            strategy="contiguous",
-        )
+        plan = plan_shards(nb, 2, block_size=_BLOCK, n_samples=_N_SAMPLES)
         artifacts = []
         for shard, prune in zip(plan.shards, (True, False)):
             out = tmp_path / f"half-{shard.index}"
@@ -455,7 +371,6 @@ class TestPruneSharding:
                 shard={
                     "index": shard.index,
                     "count": 2,
-                    "strategy": "contiguous",
                     "iterations": list(shard.iterations),
                 },
                 nb=nb,
@@ -465,29 +380,6 @@ class TestPruneSharding:
         merged = merge_shards(artifacts)
         assert merged.top_k_sha256 == reference
         assert merged.metrics.total("epi4_prune_quads_total") > 0
-
-    def test_foreign_threshold_files_ignored(self, tmp_path):
-        # Garbage / foreign-kind / torn threshold files in the exchange
-        # directory are skipped silently, never crash a worker.
-        from repro.dist.threshold import ThresholdExchange, threshold_file_name
-
-        (tmp_path / threshold_file_name(1, 2)).write_text("{not json")
-        exchange = ThresholdExchange(tmp_path, 0, 2, fingerprint="fp")
-        assert exchange.peer_solutions() == []
-        (tmp_path / threshold_file_name(1, 2)).write_text(
-            json.dumps({"kind": "something-else"})
-        )
-        assert exchange.peer_solutions() == []
-        dataset = _dataset()
-        reference = _unsharded_digest(dataset, _config(prune=False))
-        merged = run_sharded(
-            dataset,
-            _config(prune=True, prune_sync_rounds=2),
-            n_shards=2,
-            out_dir=tmp_path,
-            inline=True,
-        )
-        assert merged.top_k_sha256 == reference
 
 
 class TestPaddingTail:

@@ -99,11 +99,6 @@ class TestTopKReducerSeed:
         reducer.add_round(scores, (0, 4, 8, 12))
         assert reducer.result()[0].quad == (9, 10, 11, 12)
 
-    def test_from_solutions_constructor(self):
-        sols = self._sols(((0, 1, 2, 3), 2.0), ((4, 5, 6, 7), 1.0))
-        reducer = TopKReducer.from_solutions(1, sols)
-        assert reducer.result() == [sols[1]]
-
     def test_seed_empty_is_noop(self):
         reducer = TopKReducer(2)
         reducer.seed([])

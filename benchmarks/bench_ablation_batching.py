@@ -80,11 +80,12 @@ def test_batching_ablation(benchmark):
 
     rows, records = [], []
     serial_launches = sum(
-        runs[0][2].counters.launches[k] for k in ("tensor3", "tensor4")
+        runs[0][2].metrics.total("epi4_kernel_launches_total", kernel=k)
+        for k in ("tensor3", "tensor4")
     )
     for (label, extra), (_, search, result, wall) in zip(CELLS, runs):
-        t3 = result.counters.launches["tensor3"]
-        t4 = result.counters.launches["tensor4"]
+        launches = result.metrics.sum_by("epi4_kernel_launches_total", "kernel")
+        t3, t4 = int(launches["tensor3"]), int(launches["tensor4"])
         collapse = serial_launches / (t3 + t4)
         overlap_s = search.metrics.total("epi4_stage_overlap_seconds_total")
         rows.append(
@@ -107,7 +108,9 @@ def test_batching_ablation(benchmark):
                 "tensor4_launches": t4,
                 "tensor3_launches": t3,
                 "launch_collapse_vs_serial": collapse,
-                "tensor4_problems": result.counters.gemm_problems["tensor4"],
+                "tensor4_problems": int(
+                    result.metrics.total("epi4_gemm_problems_total", kernel="tensor4")
+                ),
                 "stage_overlap_seconds": overlap_s,
                 "top_k_sha256": digests[label],
             }

@@ -55,7 +55,7 @@ def test_measured_block_size(benchmark, block_size, bench_dataset_small):
     res = benchmark.pedantic(run, rounds=1, iterations=1, warmup_rounds=0)
     print(
         f"\nB={block_size}: useful={100 * res.block_scheme.useful_fraction:.1f}%, "
-        f"tensor ops={res.counters.total_tensor_ops_raw:.3e}"
+        f"tensor ops={res.metrics.total('epi4_tensor_ops_total', form='raw'):.3e}"
     )
     assert res.best_score < float("inf")
 

@@ -79,7 +79,9 @@ def test_caching_ablation(benchmark):
         assert result.top_solutions == reference.top_solutions
         stats = result.cache_stats
         hit_rate = stats.hit_rate if stats else 0.0
-        tensor3 = result.counters.tensor_ops_raw["tensor3"]
+        tensor3 = result.metrics.total(
+            "epi4_tensor_ops_total", form="raw", kernel="tensor3"
+        )
         speedup = base_wall / wall if wall > 0 else float("inf")
         rows.append(
             [

@@ -51,7 +51,7 @@ def _search(ds, prune):
     start = time.perf_counter()
     result = search.run()
     wall = time.perf_counter() - start
-    return search.metrics, result.counters, result.top_solutions, wall
+    return search.metrics, result.top_solutions, wall
 
 
 def _sharded(ds, tmp_dir):
@@ -66,7 +66,7 @@ def _sharded(ds, tmp_dir):
         ds, config, n_shards=2, out_dir=tmp_dir, inline=True
     )
     wall = time.perf_counter() - start
-    return merged.metrics, None, merged.solutions, wall
+    return merged.metrics, merged.solutions, wall
 
 
 def test_pruning_ablation(benchmark, tmp_path):
@@ -83,10 +83,10 @@ def test_pruning_ablation(benchmark, tmp_path):
 
     digests = {
         label: solutions_digest(solutions)
-        for label, _, _, solutions, _ in runs
+        for label, _, solutions, _ in runs
     }
     rows, records = [], []
-    for label, metrics, counters, solutions, wall in runs:
+    for label, metrics, solutions, wall in runs:
         valid = metrics.total("epi4_applyscore_valid_total")
         pruned = metrics.total("epi4_prune_quads_total")
         scored_cells = int(valid) * 81 * 2

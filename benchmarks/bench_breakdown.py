@@ -54,13 +54,15 @@ def test_breakdown(benchmark):
         rows,
     )
 
-    c = res.counters
+    m = res.metrics
+    raw = m.sum_by("epi4_tensor_ops_total", "kernel", form="raw")
+    transfer_bytes = m.total("epi4_transfer_bytes_total")
     volume = {
-        "tensor4 GEMM ops": c.tensor_ops_raw["tensor4"],
-        "tensor3 GEMM ops": c.tensor_ops_raw["tensor3"],
-        "combine bit ops": c.combine_bit_ops,
-        "pairwise plane-dot ops": c.pairwise_ops,
-        "transfer bytes x8": c.transfer_bytes * 8,
+        "tensor4 GEMM ops": raw["tensor4"],
+        "tensor3 GEMM ops": raw["tensor3"],
+        "combine bit ops": m.total("epi4_combine_bit_ops_total"),
+        "pairwise plane-dot ops": m.total("epi4_pairwise_ops_total"),
+        "transfer bytes x8": transfer_bytes * 8,
     }
     vtotal = sum(volume.values())
     print_table(
@@ -69,6 +71,6 @@ def test_breakdown(benchmark):
         [[k, f"{v:.3e}", f"{100 * v / vtotal:.2f}%"] for k, v in volume.items()],
     )
     # Shape assertions mirroring the paper's ordering.
-    tensor_volume = c.tensor_ops_raw["tensor4"] + c.tensor_ops_raw["tensor3"]
+    tensor_volume = raw["tensor4"] + raw["tensor3"]
     assert tensor_volume > 0.8 * vtotal
-    assert c.transfer_bytes * 8 < 0.001 * vtotal
+    assert transfer_bytes * 8 < 0.001 * vtotal

@@ -72,7 +72,8 @@ def test_fig3_measured_multi_device_run(benchmark, bench_dataset_wide):
 
     single, multi = benchmark.pedantic(run, rounds=1, iterations=1, warmup_rounds=0)
     assert single.solution == multi.solution
-    loads = [c.total_tensor_ops_raw for c in multi.per_device_counters]
+    by_device = multi.metrics.sum_by("epi4_tensor_ops_total", "device", form="raw")
+    loads = [by_device[str(gpu)] for gpu in range(multi.n_devices)]
     print_table(
         "measured per-device tensor-op loads (dynamic schedule)",
         ["device", "tensor ops", "share"],

@@ -40,7 +40,7 @@ def test_table1_catalog(benchmark, bench_dataset_small):
         wx = gpu.launch_combine(enc.controls, 0, 8, 8)
         yz = gpu.launch_combine(enc.controls, 16, 24, 8)
         gpu.launch_tensor4(wx, yz, 8)
-        return gpu.counters.total_tensor_ops_raw
+        return gpu.metrics.total("epi4_tensor_ops_total", form="raw")
 
     ops = benchmark(launch_round)
     assert ops > 0

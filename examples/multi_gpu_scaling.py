@@ -27,7 +27,10 @@ def main() -> None:
         if reference is None:
             reference = result.solution
         assert result.solution == reference, "devices must agree"
-        loads = [c.total_tensor_ops_raw for c in result.per_device_counters]
+        by_device = result.metrics.sum_by(
+            "epi4_tensor_ops_total", "device", form="raw"
+        )
+        loads = [by_device[str(gpu)] for gpu in range(n_gpus)]
         shares = ", ".join(f"{100 * l / sum(loads):.0f}%" for l in loads)
         print(
             f"  {n_gpus} GPU(s): quad {result.best_quad}, "

@@ -35,7 +35,8 @@ def main() -> None:
     print(f"rounds     : {scheme.n_rounds} evaluation rounds "
           f"({scheme.quads_processed:,} positional quads, "
           f"{100 * scheme.useful_fraction:.1f}% unique)")
-    print(f"tensor ops : {result.counters.total_tensor_ops_raw:,} fused binary ops")
+    tensor_ops = int(result.metrics.total("epi4_tensor_ops_total", form="raw"))
+    print(f"tensor ops : {tensor_ops:,} fused binary ops")
     print(f"wall time  : {result.wall_seconds:.2f}s on the CPU simulator")
     for phase, seconds in sorted(
         result.phase_seconds.items(), key=lambda kv: -kv[1]

@@ -291,8 +291,6 @@ def _cmd_sharded(args: argparse.Namespace) -> int:
     from repro.dist.worker import build_request
     from repro.obs.manifest import _config_dict
 
-    if args.order != 4:
-        raise SystemExit("--shards requires --order 4")
     if args.shards is None or args.shards < 1:
         raise SystemExit("--shard-index requires --shards N (N >= 1)")
     dataset = _load_or_generate(args)
@@ -391,15 +389,11 @@ def _cmd_search(args: argparse.Namespace) -> int:
     names = dataset.snp_names
     spec = gpu_by_name(args.gpu)
 
-    wants_artifacts = bool(args.trace_out or args.metrics_out or args.manifest_out)
     if args.order in (2, 3):
-        if wants_artifacts:
-            raise SystemExit(
-                "--trace-out/--metrics-out/--manifest-out require --order 4"
-            )
         searcher = search_second_order if args.order == 2 else search_third_order
         kres = searcher(
-            dataset, block_size=args.block_size, score=args.score, spec=spec
+            dataset, block_size=args.block_size, score=args.score, spec=spec,
+            n_gpus=args.n_gpus,
         )
         labels = ", ".join(names[i] for i in kres.best_tuple)
         print(f"best {args.order}-set : {kres.best_tuple} = {labels}")
@@ -418,7 +412,7 @@ def _cmd_search(args: argparse.Namespace) -> int:
             dataset, config, spec=spec, n_gpus=args.n_gpus, tracer=tracer
         )
         result = search.run(journal_path=args.journal)
-        if wants_artifacts:
+        if args.trace_out or args.metrics_out or args.manifest_out:
             from repro.obs.exporters import export_run_artifacts
             from repro.obs.manifest import build_run_manifest
 
@@ -459,10 +453,10 @@ def _cmd_search(args: argparse.Namespace) -> int:
             print(f"pruning   : {pruned:.0f} quads ({100 * frac:.1f}% of "
                   f"mask-valid) bound-pruned before completion")
         if config.batch_rounds > 1 or config.n_streams > 1:
-            launches = result.counters.launches
-            problems = result.counters.gemm_problems
-            t4 = launches.get("tensor4", 0)
-            t4_problems = problems.get("tensor4", t4)
+            t4 = int(result.metrics.total("epi4_gemm_launches_total", kernel="tensor4"))
+            t4_problems = int(
+                result.metrics.total("epi4_gemm_problems_total", kernel="tensor4")
+            )
             overlap_s = result.metrics.total("epi4_stage_overlap_seconds_total")
             print(f"batching  : {t4_problems} tensor4 GEMMs in {t4} launches "
                   f"(batch_rounds={config.batch_rounds}, "
@@ -626,6 +620,39 @@ def _cmd_generate(args: argparse.Namespace) -> int:
     return 0
 
 
+#: Flags only the fourth-order search reads; ``--order 2|3`` rejects any
+#: of them set away from its default rather than silently ignoring it.
+FOURTH_ORDER_FLAGS = (
+    "--engine", "--top-k", "--selfcheck", "--cache-mb", "--max-chunk-cells",
+    "--batch-rounds", "--n-streams", "--max-retries", "--backoff-base-ms",
+    "--quarantine-after", "--inject-faults", "--deadline-ms", "--prune",
+    "--journal", "--report", "--trace-out", "--metrics-out", "--manifest-out",
+    "--shards",
+)
+
+
+def _check_order_flags(search_parser: argparse.ArgumentParser, args) -> None:
+    """Reject flags the chosen ``--order`` does not read (exit code 2)."""
+    if args.order == 4:
+        if args.score != "k2":
+            search_parser.error(
+                f"--score {args.score}: the fourth-order search scores with "
+                "K2 only; other scores need --order 2 or 3"
+            )
+        return
+    dests = {flag: flag[2:].replace("-", "_") for flag in FOURTH_ORDER_FLAGS}
+    unread = [
+        flag
+        for flag, dest in dests.items()
+        if getattr(args, dest) != search_parser.get_default(dest)
+    ]
+    if unread:
+        search_parser.error(
+            f"fourth-order-only flag(s) set with --order {args.order}: "
+            + ", ".join(unread)
+        )
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(
         prog="epi4tensor",
@@ -639,11 +666,8 @@ def main(argv: list[str] | None = None) -> int:
     _add_qc(sub)
     _add_generate(sub)
     args = parser.parse_args(argv)
-    if args.command == "search" and args.order == 4 and args.score != "k2":
-        search_parser.error(
-            f"--score {args.score}: the fourth-order search scores with "
-            "K2 only; other scores need --order 2 or 3"
-        )
+    if args.command == "search":
+        _check_order_flags(search_parser, args)
     handlers = {
         "search": _cmd_search,
         "predict": _cmd_predict,

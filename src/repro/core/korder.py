@@ -165,7 +165,9 @@ def search_second_order(
         best_score=best_score,
         n_sets_evaluated=n_sets,
         wall_seconds=timer.elapsed,
-        tensor_ops=sum(g.counters.total_tensor_ops_raw for g in cluster.gpus),
+        tensor_ops=sum(
+            int(g.metrics.total("epi4_tensor_ops_total", form="raw")) for g in cluster.gpus
+        ),
     )
 
 
@@ -266,5 +268,7 @@ def search_third_order(
         best_score=best_score,
         n_sets_evaluated=n_sets,
         wall_seconds=timer.elapsed,
-        tensor_ops=sum(g.counters.total_tensor_ops_raw for g in cluster.gpus),
+        tensor_ops=sum(
+            int(g.metrics.total("epi4_tensor_ops_total", form="raw")) for g in cluster.gpus
+        ),
     )

@@ -23,14 +23,14 @@ a first-class component).
 Capacity is accounted in *bytes* of stored payload (``nbytes``), not entry
 counts, so the cache composes with the §3.3 memory-fit check.  Lookups are
 **single-flight**: when several device threads miss on the same key
-concurrently, exactly one computes while the others wait — kernel-counter
+concurrently, exactly one computes while the others wait — device work
 accounting therefore stays exact (one launch per unique operand) even
 under the thread-parallel multi-device executor.
 
-Hit/miss/eviction totals are surfaced through
-:class:`~repro.device.virtual_gpu.KernelCounters`; a cache hit skips the
-corresponding kernel-launch accounting entirely so the performance model
-never double-counts work that was not executed.
+Hit/miss/eviction totals are surfaced through :class:`CacheStats` (the
+``epi4_cache_*`` series); a cache hit skips the corresponding
+kernel-launch accounting entirely so the performance model never
+double-counts work that was not executed.
 """
 
 from __future__ import annotations
@@ -159,7 +159,7 @@ class OperandCache:
         key: Hashable,
         factory: Callable[[], Any],
         nbytes: Callable[[Any], int] | None = None,
-    ) -> tuple[Any, bool, int]:
+    ) -> tuple[Any, bool]:
         """Return the cached value for ``key``, computing it on first use.
 
         Single-flight: concurrent callers missing on the same key block
@@ -172,9 +172,8 @@ class OperandCache:
             nbytes: payload size extractor; defaults to ``value.nbytes``.
 
         Returns:
-            ``(value, hit, evicted)`` — ``hit`` is ``True`` when no
-            computation happened on this call; ``evicted`` is the number
-            of entries displaced by admitting this value (0 on hits).
+            ``(value, hit)`` — ``hit`` is ``True`` when no computation
+            happened on this call.
         """
         while True:
             with self._lock:
@@ -182,7 +181,7 @@ class OperandCache:
                 if entry is not None:
                     self._entries.move_to_end(key)
                     self._hits += 1
-                    return entry[0], True, 0
+                    return entry[0], True
                 pending = self._pending.get(key)
                 if pending is None:
                     pending = _Pending()
@@ -201,7 +200,6 @@ class OperandCache:
             raise
 
         size = int(nbytes(value) if nbytes is not None else value.nbytes)
-        evicted = 0
         with self._lock:
             self._misses += 1
             del self._pending[key]
@@ -212,16 +210,14 @@ class OperandCache:
                     _, (_, old_size) = self._entries.popitem(last=False)
                     self._current_bytes -= old_size
                     self._evictions += 1
-                    evicted += 1
                 self._peak_bytes = max(self._peak_bytes, self._current_bytes)
             else:
                 # Value can never fit: count the rejection as an eviction
                 # so the budget pressure is visible in the counters.
                 self._evictions += 1
-                evicted += 1
         pending.event.set()
         _freeze(value)
-        return value, False, evicted
+        return value, False
 
     def get(self, key: Hashable) -> Any | None:
         """Non-computing lookup (promotes on hit, counts hit/miss)."""

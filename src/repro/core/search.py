@@ -27,7 +27,7 @@ result-preserving:
   across ``Wi``, ``yz`` across every outer pair); with the cache enabled
   the loop-invariant work is hoisted — computed on first use, served from
   a byte-bounded LRU afterwards.  Cache hits skip kernel-launch
-  accounting, so :class:`KernelCounters` always reflect executed work.
+  accounting, so the device work series always reflect executed work.
 - a **batched round pipeline**, the one loop nest every run goes
   through: rounds sharing one ``(Wi, Xi)`` pair are staged in groups of
   ``batch_rounds``, and with ``batch_rounds > 1`` each group's ``yz``
@@ -94,7 +94,7 @@ from repro.device.faults import (
 )
 from repro.device.specs import A100_PCIE, GPUSpec
 from repro.device.streams import HostStream, stage_lookahead
-from repro.device.virtual_gpu import KernelCounters, VirtualGPU
+from repro.device.virtual_gpu import VirtualGPU
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.trace import NULL_TRACER, Tracer
 from repro.perfmodel.workload import outer_iteration_tensor_ops
@@ -246,9 +246,6 @@ class SearchResult:
         solution: best quad + score (lower is better after normalization).
         top_solutions: the ``config.top_k`` best quads, ranked (best first).
         block_scheme: resolved block layout (incl. useful-work ratio).
-        counters: merged kernel counters over all devices (cache hit/miss/
-            eviction totals included).
-        per_device_counters: one :class:`KernelCounters` per device.
         schedule: the modelled multi-GPU outer-loop schedule (also set for
             1 GPU).  The executed device assignment is dynamic; see
             ``executed_assignment``.
@@ -270,8 +267,6 @@ class SearchResult:
     solution: Solution
     top_solutions: list[Solution]
     block_scheme: BlockScheme
-    counters: KernelCounters
-    per_device_counters: list[KernelCounters]
     schedule: ScheduleResult
     phase_seconds: dict[str, float]
     wall_seconds: float
@@ -568,6 +563,10 @@ class Epi4TensorSearch:
         if self._user_metrics is None:
             # Fresh registry per run: repeat run() calls stay independent.
             self.metrics = MetricsRegistry()
+        # Devices count their work straight into the run's registry, under
+        # their own ``device`` label.
+        for gpu in self.cluster.gpus:
+            gpu.attach_metrics(self.metrics)
         self.metrics.inc(
             "epi4_phase_seconds_total",
             self._encode_seconds,
@@ -639,11 +638,8 @@ class Epi4TensorSearch:
                 top = reducer.result()
             solution = top[0] if top else reduce_solutions([])
 
-        merged = KernelCounters()
-        for gpu in self.cluster.gpus:
-            merged.merge(gpu.counters)
-        # Absorb every accounting source into the unified registry as
-        # device-labeled series (the final, deterministic snapshot).
+        # Absorb the remaining accounting sources into the unified
+        # registry (the final, deterministic snapshot).
         self.cluster.export_metrics(self.metrics)
         if self._cache is not None:
             self._cache.stats.export_metrics(self.metrics)
@@ -668,8 +664,6 @@ class Epi4TensorSearch:
             solution=solution,
             top_solutions=top,
             block_scheme=self.scheme,
-            counters=merged,
-            per_device_counters=[gpu.counters for gpu in self.cluster.gpus],
             schedule=schedule,
             executed_assignment=executed,
             phase_seconds=self.phase_seconds_totals(),
@@ -1306,9 +1300,8 @@ class _SingleDeviceExecutor:
     Operand handles are plain :class:`BitMatrix` objects.
 
     With an :class:`OperandCache` attached, ``combine`` and ``sweep3``
-    results are served from the cache when possible; a hit records
-    ``cache_hits`` on this device's counters and skips the launch (and its
-    work accounting) entirely.
+    results are served from the cache when possible; a hit skips the
+    launch (and its work accounting) entirely.
     """
 
     def __init__(
@@ -1337,7 +1330,7 @@ class _SingleDeviceExecutor:
                 "epi4_operand_executed_total", kind="combine", device=dev
             )
             return self._combine_cold(cls, off_a, off_b)
-        value, hit, evicted = self._cache.get_or_compute(
+        value, hit = self._cache.get_or_compute(
             ("combine", cls, off_a, off_b),
             lambda: self._combine_cold(cls, off_a, off_b),
             # When the engine memoizes dense unpacking, a cached combine
@@ -1350,7 +1343,6 @@ class _SingleDeviceExecutor:
                 else 0
             ),
         )
-        self._gpu.counters.record_cache(hit, evicted)
         metrics.inc(
             "epi4_operand_cache_served_total"
             if hit
@@ -1392,13 +1384,12 @@ class _SingleDeviceExecutor:
         # depend on which concurrent request wins the single-flight miss
         # — breaking the order-invariance the golden metrics comparison
         # (1 device vs 2 device threads) relies on.
-        value, hit, evicted = self._cache.get_or_compute(
+        value, hit = self._cache.get_or_compute(
             ("sweep", cls, off_a, off_b),
             lambda: self._gemm3(
                 self.combine(cls, off_a, off_b), cls, off_b
             ),
         )
-        self._gpu.counters.record_cache(hit, evicted)
         metrics.inc(
             "epi4_operand_cache_served_total"
             if hit
@@ -1460,10 +1451,9 @@ class _SingleDeviceExecutor:
                 "epi4_operand_executed_total", kind="full3", device=dev
             )
             return factory(), False
-        value, hit, evicted = self._cache.get_or_compute(
+        value, hit = self._cache.get_or_compute(
             ("full3", cls, *triple), factory
         )
-        self._gpu.counters.record_cache(hit, evicted)
         metrics.inc(
             "epi4_operand_cache_served_total"
             if hit

@@ -25,7 +25,7 @@ from repro.device.specs import (
     gpu_by_name,
 )
 from repro.device.streams import StreamModel
-from repro.device.virtual_gpu import KernelCounters, VirtualGPU
+from repro.device.virtual_gpu import VirtualGPU
 
 __all__ = [
     "A100_PCIE",
@@ -36,7 +36,6 @@ __all__ = [
     "FaultRule",
     "FaultyGPU",
     "GPUSpec",
-    "KernelCounters",
     "SYSTEMS",
     "StreamModel",
     "SystemSpec",

@@ -151,8 +151,8 @@ class VirtualCluster:
             for i in range(n_gpus)
         ]
         #: Devices removed from service by the resilience layer (see
-        #: :mod:`repro.core.resilience`).  A quarantined device keeps its
-        #: accumulated counters but receives no further work.
+        #: :mod:`repro.core.resilience`).  A quarantined device keeps the
+        #: work it already counted but receives no further work.
         self.quarantined: set[int] = set()
 
     @property
@@ -183,11 +183,10 @@ class VirtualCluster:
         return schedule_dynamic(costs, self.n_gpus, iterations)
 
     def export_metrics(self, registry) -> None:
-        """Mirror every device's kernel counters (and quarantine state)
-        into a :class:`~repro.obs.metrics.MetricsRegistry` as
-        ``device``-labeled series."""
+        """Record every device's quarantine state into a
+        :class:`~repro.obs.metrics.MetricsRegistry` as the
+        ``device``-labeled ``epi4_device_quarantined`` gauge."""
         for gpu in self.gpus:
-            gpu.counters.export_metrics(registry, gpu.device_id)
             registry.set_gauge(
                 "epi4_device_quarantined",
                 1.0 if gpu.device_id in self.quarantined else 0.0,

@@ -419,10 +419,9 @@ class FaultyGPU:
 
     Transparent proxy: everything except the launch methods (and
     :meth:`transfer_to_device`) delegates to the wrapped device, so
-    counters, spec, engine and ``device_id`` behave identically.  Each
-    injected fault is also tallied on the device's
-    :class:`~repro.device.virtual_gpu.KernelCounters` (``faults_injected``)
-    so per-device accounting survives into :class:`SearchResult`.
+    metrics, spec, engine and ``device_id`` behave identically.  Each
+    injected fault is also counted into the device's registry as
+    ``epi4_faults_injected_total{device=...}``.
 
     When a :class:`~repro.core.watchdog.LaunchWatchdog` is attached,
     every launch runs under a deadline guard: a launch that overruns is
@@ -458,7 +457,7 @@ class FaultyGPU:
         try:
             return self._injector.on_launch(self._gpu.device_id, op)
         except DeviceFault:
-            self._gpu.counters.record_fault()
+            self._gpu.count("epi4_faults_injected_total")
             raise
 
     def _current_wi(self) -> int | None:
@@ -470,7 +469,7 @@ class FaultyGPU:
         if injected:
             # Only injector-scheduled hangs count toward faults_injected;
             # a real overrun cancelled by the watchdog is not an injection.
-            self._gpu.counters.record_fault()
+            self._gpu.count("epi4_faults_injected_total")
         return DeviceFault(self._gpu.device_id, op, "hang", self._current_wi())
 
     def _execute(self, op: str, fn):
@@ -533,7 +532,7 @@ class FaultyGPU:
             lambda: self._gpu.launch_tensor4(combined_wx, combined_yz, block_size),
         )
         if action == "corrupt":
-            self._gpu.counters.record_fault()
+            self._gpu.count("epi4_faults_injected_total")
             out = self._injector.corrupt_output(out)
         return out
 
@@ -547,7 +546,7 @@ class FaultyGPU:
         if action == "corrupt":
             # Corrupt the batch's first member: round-level validation of
             # the round it lands in catches it and re-executes degraded.
-            self._gpu.counters.record_fault()
+            self._gpu.count("epi4_faults_injected_total")
             outs[0] = self._injector.corrupt_output(
                 np.ascontiguousarray(outs[0])
             )
@@ -556,6 +555,3 @@ class FaultyGPU:
     def launch_plane_gemm(self, category, a, b):
         out, _ = self._execute(category, lambda: self._gpu.launch_plane_gemm(category, a, b))
         return out
-
-    def account_score_cells(self, n_cells: int) -> None:
-        self._gpu.account_score_cells(n_cells)

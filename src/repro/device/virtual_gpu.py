@@ -3,197 +3,23 @@
 A :class:`VirtualGPU` owns a binary tensor engine matched to its spec
 (AND+POPC on Ampere models, XOR+POPC + translation on Turing models) and
 exposes the paper's kernels (`combine`, `tensorOp_3way`, `tensorOp_4way`)
-as launch methods.  Every launch updates :class:`KernelCounters` — raw and
-tile-quantized tensor ops, general-purpose work, transferred bytes — which
-the performance model later converts into simulated device time.
+as launch methods.  Every launch counts its work — raw and tile-quantized
+tensor ops, general-purpose work, transferred bytes — into a
+:class:`~repro.obs.metrics.MetricsRegistry` as ``device``-labeled
+series, which the performance model later converts into simulated device
+time.  A search points its devices at the run's registry; a standalone
+device counts into a private one (``gpu.metrics``).
 """
 
 from __future__ import annotations
-
-import threading
-from dataclasses import dataclass, field
 
 import numpy as np
 
 from repro.bitops.bitmatrix import BitMatrix
 from repro.bitops.combine import combine_blocks
 from repro.device.specs import GPUSpec
+from repro.obs.metrics import MetricsRegistry
 from repro.tensor.engine import BinaryTensorEngine, make_engine
-
-
-@dataclass
-class KernelCounters:
-    """Accumulated work counters for one device.
-
-    Attributes:
-        tensor_ops_raw: fused-op volume of the un-quantized GEMM problems
-            (1 fused AND/XOR+POPC = 2 ops, paper convention), split by
-            kernel (``tensor4`` / ``tensor3``).
-        tensor_ops_padded: same volume after CUTLASS tile quantization —
-            what the tensor cores actually execute.
-        combine_bit_ops: bitwise AND ops performed by ``combine`` launches
-            (general-purpose cores).
-        pairwise_ops: plane-dot volume of the ``pairwPop`` precomputation.
-        score_cells: contingency-table cells completed + scored.
-        transfer_bytes: host-device traffic.
-        launches: launch count per kernel name.  A batched tensor launch
-            (``matmul_popcount_batch``) counts **once** here however many
-            GEMM problems it fuses; ``gemm_problems`` keeps the logical
-            problem count, so ``gemm_problems - launches`` is exactly the
-            launch overhead the batching pipeline amortized away.
-        gemm_problems: logical GEMM problems executed per tensor kernel
-            (equals ``launches`` for that kernel when batching is off).
-        cache_hits: round-operand cache lookups served without a launch
-            (the skipped ``combine``/``tensor3`` work is *not* in the
-            tensor-op/bit-op totals — the counters reflect executed work).
-        cache_misses: lookups that computed (and launched) for real.
-        cache_evictions: cache entries displaced by the byte budget.
-        faults_injected: launches this device failed or corrupted under
-            fault injection (see :mod:`repro.device.faults`); zero on a
-            healthy run.
-    """
-
-    tensor_ops_raw: dict[str, int] = field(
-        default_factory=lambda: {"tensor4": 0, "tensor3": 0}
-    )
-    tensor_ops_padded: dict[str, int] = field(
-        default_factory=lambda: {"tensor4": 0, "tensor3": 0}
-    )
-
-    def _ensure_category(self, kernel: str) -> None:
-        self.tensor_ops_raw.setdefault(kernel, 0)
-        self.tensor_ops_padded.setdefault(kernel, 0)
-    combine_bit_ops: int = 0
-    pairwise_ops: int = 0
-    score_cells: int = 0
-    transfer_bytes: int = 0
-    launches: dict[str, int] = field(default_factory=dict)
-    gemm_problems: dict[str, int] = field(default_factory=dict)
-    cache_hits: int = 0
-    cache_misses: int = 0
-    cache_evictions: int = 0
-    faults_injected: int = 0
-
-    def __post_init__(self) -> None:
-        # Under stage/score overlap the operand stager and the scoring
-        # thread account launches on the same device concurrently; every
-        # read-modify-write below goes through this lock.
-        self._lock = threading.Lock()
-
-    def record_launch(self, kernel: str) -> None:
-        with self._lock:
-            self.launches[kernel] = self.launches.get(kernel, 0) + 1
-
-    def record_tensor_launch(
-        self, kernel: str, raw_ops: int, padded_ops: int, batch: int = 1
-    ) -> None:
-        """Account one executed tensor-GEMM launch carrying ``batch``
-        fused problems."""
-        with self._lock:
-            self._ensure_category(kernel)
-            self.tensor_ops_raw[kernel] += raw_ops
-            self.tensor_ops_padded[kernel] += padded_ops
-            self.launches[kernel] = self.launches.get(kernel, 0) + 1
-            self.gemm_problems[kernel] = (
-                self.gemm_problems.get(kernel, 0) + batch
-            )
-
-    def add_work(self, attr: str, amount: int) -> None:
-        """Add ``amount`` to one of the scalar work counters, atomically."""
-        with self._lock:
-            setattr(self, attr, getattr(self, attr) + amount)
-
-    def record_fault(self) -> None:
-        """Account one injected launch fault (or output corruption)."""
-        with self._lock:
-            self.faults_injected += 1
-
-    def record_cache(self, hit: bool, evicted: int = 0) -> None:
-        """Account one round-operand cache lookup."""
-        with self._lock:
-            if hit:
-                self.cache_hits += 1
-            else:
-                self.cache_misses += 1
-            self.cache_evictions += evicted
-
-    @property
-    def cache_hit_rate(self) -> float:
-        """Fraction of operand lookups served from the cache (0.0 when
-        the cache is disabled or never consulted)."""
-        total = self.cache_hits + self.cache_misses
-        return self.cache_hits / total if total else 0.0
-
-    @property
-    def total_tensor_ops_raw(self) -> int:
-        return sum(self.tensor_ops_raw.values())
-
-    @property
-    def total_tensor_ops_padded(self) -> int:
-        return sum(self.tensor_ops_padded.values())
-
-    def export_metrics(self, registry, device: int | str) -> None:
-        """Mirror these counters into a
-        :class:`~repro.obs.metrics.MetricsRegistry` as labeled series.
-
-        Every series carries a ``device`` label, so multi-device
-        aggregation happens in the registry (grouped, never inferred
-        from completion order) — the labeled replacement for summing
-        ad-hoc per-device structs.
-        """
-        dev = str(device)
-        for kernel in self.tensor_ops_raw:
-            registry.inc(
-                "epi4_tensor_ops_total",
-                self.tensor_ops_raw[kernel],
-                form="raw", kernel=kernel, device=dev,
-            )
-            registry.inc(
-                "epi4_tensor_ops_total",
-                self.tensor_ops_padded[kernel],
-                form="padded", kernel=kernel, device=dev,
-            )
-        registry.inc("epi4_combine_bit_ops_total", self.combine_bit_ops, device=dev)
-        registry.inc("epi4_pairwise_ops_total", self.pairwise_ops, device=dev)
-        registry.inc("epi4_score_cells_total", self.score_cells, device=dev)
-        registry.inc("epi4_transfer_bytes_total", self.transfer_bytes, device=dev)
-        registry.inc("epi4_faults_injected_total", self.faults_injected, device=dev)
-        for kernel, count in self.launches.items():
-            registry.inc(
-                "epi4_kernel_launches_total", count, kernel=kernel, device=dev
-            )
-        # Executed tensor-GEMM launches vs logical problems: the gap is the
-        # launch volume the batched round pipeline collapsed.
-        for kernel in self.tensor_ops_raw:
-            registry.inc(
-                "epi4_gemm_launches_total",
-                self.launches.get(kernel, 0),
-                kernel=kernel, device=dev,
-            )
-            registry.inc(
-                "epi4_gemm_problems_total",
-                self.gemm_problems.get(kernel, 0),
-                kernel=kernel, device=dev,
-            )
-
-    def merge(self, other: "KernelCounters") -> None:
-        """Accumulate another device's counters into this one."""
-        for key in other.tensor_ops_raw:
-            self._ensure_category(key)
-            self.tensor_ops_raw[key] += other.tensor_ops_raw[key]
-            self.tensor_ops_padded[key] += other.tensor_ops_padded[key]
-        self.combine_bit_ops += other.combine_bit_ops
-        self.pairwise_ops += other.pairwise_ops
-        self.score_cells += other.score_cells
-        self.transfer_bytes += other.transfer_bytes
-        self.cache_hits += other.cache_hits
-        self.cache_misses += other.cache_misses
-        self.cache_evictions += other.cache_evictions
-        self.faults_injected += other.faults_injected
-        for name, count in other.launches.items():
-            self.launches[name] = self.launches.get(name, 0) + count
-        for name, count in other.gemm_problems.items():
-            self.gemm_problems[name] = self.gemm_problems.get(name, 0) + count
 
 
 class VirtualGPU:
@@ -225,7 +51,32 @@ class VirtualGPU:
                 "use an XOR+POPC engine (paper §3.4)"
             )
         self.device_id = device_id
-        self.counters = KernelCounters()
+        self.attach_metrics(MetricsRegistry())
+
+    def attach_metrics(self, registry: MetricsRegistry) -> None:
+        """Count this device's work into ``registry`` from now on.
+
+        The device's work series are emitted zero-valued first, so the
+        metric schema is the same whether or not a kernel ever launches.
+        """
+        self.metrics = registry
+        for name in (
+            "epi4_combine_bit_ops_total",
+            "epi4_pairwise_ops_total",
+            "epi4_score_cells_total",
+            "epi4_transfer_bytes_total",
+            "epi4_faults_injected_total",
+        ):
+            self.count(name, 0)
+        for kernel in ("tensor4", "tensor3"):
+            for form in ("raw", "padded"):
+                self.count("epi4_tensor_ops_total", 0, form=form, kernel=kernel)
+            self.count("epi4_gemm_launches_total", 0, kernel=kernel)
+            self.count("epi4_gemm_problems_total", 0, kernel=kernel)
+
+    def count(self, name: str, value: int = 1, **labels: str) -> None:
+        """Add ``value`` to this device's series ``name{labels}``."""
+        self.metrics.inc(name, value, device=str(self.device_id), **labels)
 
     # ------------------------------------------------------------------ #
     # Kernel launches
@@ -234,22 +85,22 @@ class VirtualGPU:
         """Account a host-to-device (or back) memory transfer."""
         if nbytes < 0:
             raise ValueError(f"nbytes must be >= 0, got {nbytes}")
-        self.counters.add_work("transfer_bytes", nbytes)
-        self.counters.record_launch("transfer")
+        self.count("epi4_transfer_bytes_total", nbytes)
+        self.count("epi4_kernel_launches_total", kernel="transfer")
 
     def launch_combine(
         self, planes: BitMatrix, first_offset: int, second_offset: int, block_size: int
     ) -> BitMatrix:
         """``combine`` kernel: AND-combine two SNP blocks (CUDA cores)."""
         out = combine_blocks(planes, first_offset, second_offset, block_size)
-        self.counters.add_work("combine_bit_ops", out.n_rows * out.n_bits)
-        self.counters.record_launch("combine")
+        self.count("epi4_combine_bit_ops_total", out.n_rows * out.n_bits)
+        self.count("epi4_kernel_launches_total", kernel="combine")
         return out
 
     def launch_pairwise(self, plane_dot_ops: int) -> None:
         """Account the ``pairwPop`` plane-dot volume (CUDA cores)."""
-        self.counters.add_work("pairwise_ops", plane_dot_ops)
-        self.counters.record_launch("pairwPop")
+        self.count("epi4_pairwise_ops_total", plane_dot_ops)
+        self.count("epi4_kernel_launches_total", kernel="pairwPop")
 
     def launch_tensor3(
         self,
@@ -323,23 +174,31 @@ class VirtualGPU:
 
     def account_score_cells(self, n_cells: int) -> None:
         """Account ``applyScore`` work: completed + scored table cells."""
-        self.counters.add_work("score_cells", n_cells)
-        self.counters.record_launch("applyScore")
+        self.count("epi4_score_cells_total", n_cells)
+        self.count("epi4_kernel_launches_total", kernel="applyScore")
 
     # ------------------------------------------------------------------ #
 
     def _account_tensor(self, kernel: str) -> None:
         # The engine records one GemmShape per matmul launch (the XOR engine
         # records once per raw GEMM, batched calls once per *fused* launch);
-        # drain them into the counters: one launch per shape, `batch`
-        # logical problems each.
+        # drain them into the registry: one launch per shape, `batch`
+        # logical problems each (fused ops: 1 AND/XOR+POPC = 2 ops, paper
+        # convention; padded ops after CUTLASS tile quantization).  The
+        # gap between problems and launches is the launch volume the
+        # batched round pipeline collapsed.
         for shape in self.engine.last_shapes:
-            self.counters.record_tensor_launch(
-                kernel,
-                shape.fused_ops,
-                self.spec.tiles.padded_ops(shape.m, shape.n, shape.k_bits),
-                batch=shape.batch,
+            padded = self.spec.tiles.padded_ops(shape.m, shape.n, shape.k_bits)
+            self.count(
+                "epi4_tensor_ops_total", shape.fused_ops,
+                form="raw", kernel=kernel,
             )
+            self.count(
+                "epi4_tensor_ops_total", padded, form="padded", kernel=kernel
+            )
+            self.count("epi4_kernel_launches_total", kernel=kernel)
+            self.count("epi4_gemm_launches_total", kernel=kernel)
+            self.count("epi4_gemm_problems_total", shape.batch, kernel=kernel)
         self.engine.reset_shapes()
 
     def __repr__(self) -> str:

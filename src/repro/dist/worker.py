@@ -156,6 +156,7 @@ def run_shard(request: dict) -> dict:
         iterations, search.scheme.nb, config.block_size, result.n_samples
     )
     executed_now = sum(len(worker) for worker in result.executed_assignment)
+    raw_ops = registry.sum_by("epi4_tensor_ops_total", "kernel", form="raw")
     artifact = {
         "schema_version": 1,
         "kind": "epi4tensor-shard",
@@ -185,8 +186,8 @@ def run_shard(request: dict) -> dict:
         },
         "model": model,
         "counters": {
-            "tensor_ops_raw": result.counters.total_tensor_ops_raw,
-            "tensor_ops_by_kernel": dict(result.counters.tensor_ops_raw),
+            "tensor_ops_raw": int(sum(raw_ops.values())),
+            "tensor_ops_by_kernel": {k: int(v) for k, v in raw_ops.items()},
         },
         "metrics": registry.snapshot(),
     }

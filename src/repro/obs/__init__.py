@@ -6,7 +6,7 @@ Three pillars, one per module:
   execution (run → device → outer → round → kernel phases), exported as
   canonical JSONL;
 - :mod:`repro.obs.metrics` — a :class:`MetricsRegistry` of labeled
-  counters/gauges/histograms unifying kernel counters, operand-cache
+  counters/gauges/histograms unifying device work, operand-cache
   statistics, resilience incidents and per-device phase times, exported
   as Prometheus text;
 - :mod:`repro.obs.manifest` — a deterministic :class:`RunManifest`

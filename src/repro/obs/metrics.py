@@ -1,10 +1,11 @@
 """Unified metrics registry: named counters, gauges and histograms.
 
 One :class:`MetricsRegistry` per search run absorbs every accounting
-source that used to live in its own ad-hoc structure —
-:class:`~repro.device.virtual_gpu.KernelCounters`, operand-cache
-hit/miss/eviction statistics, :class:`~repro.core.resilience.FaultLog`
-incident counts and the per-phase wall times — as **labeled series**
+source — the devices' work (each
+:class:`~repro.device.virtual_gpu.VirtualGPU` counts its launches
+straight into the run's registry), operand-cache hit/miss/eviction
+statistics, :class:`~repro.core.resilience.FaultLog` incident counts and
+the per-phase wall times — as **labeled series**
 (``device="0"``, ``phase="combine"``, ...), so per-device attribution
 survives threaded out-of-order completion by construction: a sample is
 recorded under its device label at the recording site, never inferred
@@ -256,21 +257,27 @@ class MetricsRegistry:
                 return dict(self._gauges[name])
         return {}
 
-    def total(self, name: str, **match: Any) -> float:
-        """Sum of a metric over all series whose labels match ``match``."""
+    def _matching(self, name: str, match: Mapping[str, Any]):
+        """``(labels, value)`` of every series whose labels match ``match``."""
         want = {k: str(v) for k, v in match.items()}
-        out = 0.0
         for key, value in self.series(name).items():
             labels = dict(key)
             if all(labels.get(k) == v for k, v in want.items()):
-                out += value
+                yield labels, value
+
+    def total(self, name: str, **match: Any) -> float:
+        """Sum of a metric over all series whose labels match ``match``."""
+        out = 0.0
+        for _, value in self._matching(name, match):
+            out += value
         return out
 
-    def sum_by(self, name: str, label: str) -> dict[str, float]:
-        """Sums of a metric grouped by one label's values."""
+    def sum_by(self, name: str, label: str, **match: Any) -> dict[str, float]:
+        """Sums of a metric grouped by one label's values, over the series
+        whose labels match ``match``."""
         out: dict[str, float] = {}
-        for key, value in self.series(name).items():
-            group = dict(key).get(label, "")
+        for labels, value in self._matching(name, match):
+            group = labels.get(label, "")
             out[group] = out.get(group, 0.0) + value
         return out
 

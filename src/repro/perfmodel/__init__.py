@@ -2,8 +2,8 @@
 
 :mod:`repro.perfmodel.workload` counts exactly how much work (tensor ops,
 combine ops, score cells, bytes) a search of given ``(M, N0, N1, B)``
-performs — the same numbers the :class:`~repro.device.VirtualGPU` counters
-accumulate, obtainable without running anything.
+performs — the same numbers the :class:`~repro.device.VirtualGPU` launches
+count, obtainable without running anything.
 
 :mod:`repro.perfmodel.efficiency` and :mod:`repro.perfmodel.model` turn that
 workload into projected runtimes/TOPS for the paper's GPUs, calibrated

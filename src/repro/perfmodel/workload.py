@@ -10,9 +10,9 @@ All counts follow the paper's conventions:
   ``t0`` is ``(4B^2) x 2(M - t0) x N_c`` bits per class (one sweep per
   ``Xi`` iteration for ``wx``, two per ``Yi`` iteration for ``wy``/``xy``).
 
-These formulas are asserted against the :class:`~repro.device.VirtualGPU`
-counters in the test suite, so the analytic model and the executed pipeline
-cannot drift apart.
+These formulas are asserted against the work the
+:class:`~repro.device.VirtualGPU` launches count in the test suite, so the
+analytic model and the executed pipeline cannot drift apart.
 """
 
 from __future__ import annotations
@@ -164,7 +164,7 @@ def search_gemm_launches(
 
     Returns:
         ``{"tensor3": launches, "tensor4": launches}``.  The matching
-        per-problem totals (``KernelCounters.gemm_problems``) always equal
+        per-problem totals (``epi4_gemm_problems_total``) always equal
         the ``batch_rounds=1`` launch counts.
     """
     if nb < 1:
@@ -280,7 +280,7 @@ def search_workload(
             hits).  Round work (``tensorOp_4way``, ``applyScore``) is
             per-quad unique and unaffected.  These reduced totals are
             asserted against executed :class:`~repro.device.VirtualGPU`
-            counters in the equivalence suite.
+            work series in the equivalence suite.
         survivor_fraction: branch-and-bound gate pass rate in ``(0, 1]``
             (see :attr:`SearchWorkload.survivor_fraction`); ``1.0``
             models the exhaustive run.  ``score_cells`` itself stays the

@@ -80,19 +80,22 @@ def format_search_report(
     add(f"  {'total':<10s} {result.wall_seconds:9.3f}s")
     add("")
 
-    add("device work counters (all devices)")
-    add(_rule())
-    c = result.counters
-    add(f"  tensor ops (raw)    : {c.total_tensor_ops_raw:.3e}")
-    add(f"  tensor ops (padded) : {c.total_tensor_ops_padded:.3e}")
-    add(f"  combine bit ops     : {c.combine_bit_ops:.3e}")
-    add(f"  score cells         : {c.score_cells:.3e}")
-    add(f"  transferred bytes   : {c.transfer_bytes:,}")
-    kernel_counts = ", ".join(
-        f"{name}={count}" for name, count in sorted(c.launches.items())
-    )
-    add(f"  kernel launches     : {kernel_counts}")
-    add("")
+    if result.metrics is not None:
+        m = result.metrics
+        ops = m.sum_by("epi4_tensor_ops_total", "form")
+        launches = m.sum_by("epi4_kernel_launches_total", "kernel")
+        add("device work counters (all devices)")
+        add(_rule())
+        add(f"  tensor ops (raw)    : {ops.get('raw', 0.0):.3e}")
+        add(f"  tensor ops (padded) : {ops.get('padded', 0.0):.3e}")
+        add(f"  combine bit ops     : {m.total('epi4_combine_bit_ops_total'):.3e}")
+        add(f"  score cells         : {m.total('epi4_score_cells_total'):.3e}")
+        add(f"  transferred bytes   : {int(m.total('epi4_transfer_bytes_total')):,}")
+        kernel_counts = ", ".join(
+            f"{name}={count:.0f}" for name, count in sorted(launches.items())
+        )
+        add(f"  kernel launches     : {kernel_counts}")
+        add("")
 
     if result.cache_stats is not None:
         cs = result.cache_stats

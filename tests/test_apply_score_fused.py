@@ -51,7 +51,7 @@ def _cache_provider(cache: OperandCache):
     calls = {"hits": 0, "misses": 0}
 
     def provider(cls, triple, factory):
-        value, hit, _ = cache.get_or_compute(("full3", cls, *triple), factory)
+        value, hit = cache.get_or_compute(("full3", cls, *triple), factory)
         calls["hits" if hit else "misses"] += 1
         return value, hit
 

@@ -36,6 +36,48 @@ class TestSearch:
         ) == 0
         assert f"best {order}-set" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("order", ["2", "3"])
+    @pytest.mark.parametrize(
+        "flags",
+        [
+            ["--engine", "xor_popc"],
+            ["--top-k", "5"],
+            ["--selfcheck"],
+            ["--prune", "off"],
+            ["--journal", "run.journal"],
+            ["--metrics-out", "m.txt"],
+            ["--shards", "2"],
+        ],
+    )
+    def test_lower_orders_reject_fourth_order_flags(
+        self, order, flags, tmp_path, monkeypatch, capsys
+    ):
+        monkeypatch.chdir(tmp_path)
+        with pytest.raises(SystemExit) as exc:
+            main(["search", "--snps", "10", "--samples", "96",
+                  "--block-size", "5", "--order", order, *flags])
+        assert exc.value.code == 2
+        assert flags[0] in capsys.readouterr().err
+        assert not list(tmp_path.iterdir())
+
+    def test_lower_orders_accept_defaults_and_n_gpus(self, monkeypatch, capsys):
+        import repro.core.korder as korder
+
+        seen = {}
+        real = korder.search_second_order
+
+        def spy(*args, **kwargs):
+            seen.update(kwargs)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(korder, "search_second_order", spy)
+        assert main(
+            ["search", "--snps", "10", "--samples", "96", "--block-size", "5",
+             "--order", "2", "--n-gpus", "3", "--prune", "on", "--top-k", "1"]
+        ) == 0
+        assert seen["n_gpus"] == 3
+        assert "best 2-set" in capsys.readouterr().out
+
     def test_plink_input(self, tmp_path, capsys):
         from repro.datasets import generate_random_dataset, save_plink
 

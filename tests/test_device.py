@@ -1,5 +1,8 @@
 """Unit tests for the device layer: specs, virtual GPU, streams."""
 
+import sys
+import threading
+
 import numpy as np
 import pytest
 
@@ -14,7 +17,6 @@ from repro.device import (
     VirtualGPU,
     gpu_by_name,
 )
-from repro.device.virtual_gpu import KernelCounters
 from repro.tensor import make_engine
 
 
@@ -68,40 +70,76 @@ class TestVirtualGPU:
     def test_combine_accounting(self, enc):
         gpu = VirtualGPU(A100_PCIE)
         out = gpu.launch_combine(enc.controls, 0, 4, 4)
-        assert gpu.counters.combine_bit_ops == out.n_rows * out.n_bits
-        assert gpu.counters.launches["combine"] == 1
+        m = gpu.metrics
+        assert m.total("epi4_combine_bit_ops_total") == out.n_rows * out.n_bits
+        assert m.total("epi4_kernel_launches_total", kernel="combine") == 1
+        # Standalone devices count under their own device label.
+        assert set(m.sum_by("epi4_kernel_launches_total", "device")) == {"0"}
 
     def test_tensor_accounting(self, enc):
         gpu = VirtualGPU(A100_PCIE)
         wx = gpu.launch_combine(enc.controls, 0, 4, 4)
         gpu.launch_tensor4(wx, wx, 4)
-        raw = gpu.counters.tensor_ops_raw["tensor4"]
-        assert raw == 2 * 64 * 64 * enc.n_controls
-        assert gpu.counters.tensor_ops_padded["tensor4"] >= raw
+        ops = gpu.metrics.sum_by("epi4_tensor_ops_total", "form", kernel="tensor4")
+        assert ops["raw"] == 2 * 64 * 64 * enc.n_controls
+        assert ops["padded"] >= ops["raw"]
 
     def test_tensor3_accounting(self, enc):
         gpu = VirtualGPU(A100_PCIE)
         wx = gpu.launch_combine(enc.cases, 0, 0, 4)
         gpu.launch_tensor3(wx, enc.cases, 4, 8, 4)
-        assert gpu.counters.tensor_ops_raw["tensor3"] == 2 * 64 * 8 * enc.n_cases
+        raw = gpu.metrics.total("epi4_tensor_ops_total", form="raw", kernel="tensor3")
+        assert raw == 2 * 64 * 8 * enc.n_cases
 
     def test_transfer_accounting(self):
         gpu = VirtualGPU(A100_PCIE)
         gpu.transfer_to_device(1024)
         gpu.transfer_to_device(1024)
-        assert gpu.counters.transfer_bytes == 2048
+        assert gpu.metrics.total("epi4_transfer_bytes_total") == 2048
         with pytest.raises(ValueError):
             gpu.transfer_to_device(-1)
 
-    def test_counters_merge(self):
-        a = KernelCounters()
-        b = KernelCounters()
-        a.tensor_ops_raw["tensor4"] = 10
-        b.tensor_ops_raw["tensor4"] = 5
-        b.record_launch("combine")
-        a.merge(b)
-        assert a.tensor_ops_raw["tensor4"] == 15
-        assert a.launches == {"combine": 1}
+    def test_attached_devices_count_under_own_labels(self):
+        # Two devices share one registry, each driven by two threads (the
+        # stager and the scoring thread); no increment may be lost.
+        from repro.obs.metrics import MetricsRegistry
+
+        registry = MetricsRegistry()
+        gpus = [VirtualGPU(A100_PCIE, device_id=d) for d in (0, 1)]
+        for gpu in gpus:
+            gpu.attach_metrics(registry)
+        per_thread = 500
+
+        def worker(gpu: VirtualGPU) -> None:
+            for _ in range(per_thread):
+                gpu.transfer_to_device(3)
+
+        threads = [
+            threading.Thread(target=worker, args=(gpu,)) for gpu in gpus * 2
+        ]
+        old = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(old)
+        assert not any(t.is_alive() for t in threads)
+        expected = 2 * per_thread
+        assert registry.sum_by("epi4_kernel_launches_total", "device") == {
+            "0": expected, "1": expected,
+        }
+        assert registry.sum_by("epi4_transfer_bytes_total", "device") == {
+            "0": 3 * expected, "1": 3 * expected,
+        }
+        # Zero-valued work series exist from the moment of attachment.
+        assert registry.series("epi4_gemm_problems_total") == {
+            (("device", d), ("kernel", k)): 0.0
+            for d in ("0", "1")
+            for k in ("tensor3", "tensor4")
+        }
 
     def test_repr(self):
         assert "A100" in repr(VirtualGPU(A100_PCIE, device_id=2))

@@ -181,9 +181,9 @@ class TestFaultyGPU:
         planes = encoded.class_matrix(0)
         with pytest.raises(DeviceFault):
             faulty.launch_combine(planes, 0, 4, 4)
-        # Injected fault is tallied on the device counters; no launch ran.
-        assert gpu.counters.faults_injected == 1
-        assert gpu.counters.launches.get("combine", 0) == 0
+        # Injected fault is counted on the device's registry; no launch ran.
+        assert gpu.metrics.total("epi4_faults_injected_total") == 1
+        assert gpu.metrics.total("epi4_kernel_launches_total", kernel="combine") == 0
         # Second call passes through and produces the real result.
         out = faulty.launch_combine(planes, 0, 4, 4)
         ref = gpu.launch_combine(planes, 0, 4, 4)
@@ -211,17 +211,7 @@ class TestFaultyGPU:
         assert exc.value.op == "transfer"
         assert exc.value.device_id == 3
         faulty.transfer_to_device(1024)
-        assert gpu.counters.transfer_bytes == 1024
-
-    def test_counters_merge_includes_faults(self):
-        from repro.device.virtual_gpu import KernelCounters
-
-        a, b = KernelCounters(), KernelCounters()
-        a.record_fault()
-        b.record_fault()
-        b.record_fault()
-        a.merge(b)
-        assert a.faults_injected == 3
+        assert gpu.metrics.total("epi4_transfer_bytes_total") == 1024
 
 
 class TestFaultPlan:
@@ -322,9 +312,9 @@ class TestHangAndOomInjection:
             faulty.transfer_to_device(64)
         assert exc.value.kind == "hang"
         assert exc.value.device_id == 2
-        assert gpu.counters.faults_injected == 1
+        assert gpu.metrics.total("epi4_faults_injected_total") == 1
         # The launch never ran: nothing was transferred.
-        assert gpu.counters.transfer_bytes == 0
+        assert gpu.metrics.total("epi4_transfer_bytes_total") == 0
 
     def test_hang_with_watchdog_stalls_until_cancelled(self):
         from repro.core.watchdog import LaunchWatchdog
@@ -340,6 +330,6 @@ class TestHangAndOomInjection:
             assert dog.trips == 1
             # The next launch is clean and passes through.
             faulty.transfer_to_device(64)
-            assert gpu.counters.transfer_bytes == 64
+            assert gpu.metrics.total("epi4_transfer_bytes_total") == 64
         finally:
             dog.close()

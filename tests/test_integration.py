@@ -71,8 +71,8 @@ class TestScalePath:
             large.block_scheme.useful_fraction < small.block_scheme.useful_fraction
         )
         assert (
-            large.counters.total_tensor_ops_raw
-            > small.counters.total_tensor_ops_raw
+            large.metrics.total("epi4_tensor_ops_total", form="raw")
+            > small.metrics.total("epi4_tensor_ops_total", form="raw")
         )
 
     def test_dataset_padding_never_wins(self):

@@ -315,7 +315,7 @@ class TestSearchResume:
         expected_ops = sum(
             outer_iteration_tensor_ops(wi, 4, 4, 120) for wi in (2, 3)
         )
-        assert resumed.counters.total_tensor_ops_raw == expected_ops
+        assert resumed.metrics.total("epi4_tensor_ops_total", form="raw") == expected_ops
 
     def test_fully_completed_journal_runs_nothing(self, tmp_path):
         ds = generate_random_dataset(16, 120, seed=4)
@@ -327,7 +327,7 @@ class TestSearchResume:
             journal_path=path
         )
         assert resumed.solution == reference.solution
-        assert resumed.counters.total_tensor_ops_raw == 0
+        assert resumed.metrics.total("epi4_tensor_ops_total", form="raw") == 0
 
     def test_config_change_rejected(self, tmp_path):
         ds = generate_random_dataset(16, 120, seed=5)

@@ -48,17 +48,19 @@ class TestWorkloadVsCounters:
             ds, SearchConfig(block_size=cfg["block_size"], prune=False)
         ).run()
         wl = search_workload(m, cfg["n_samples"], cfg["block_size"])
-        c = res.counters
-        assert c.tensor_ops_raw["tensor4"] == wl.tensor4_ops
-        assert c.tensor_ops_raw["tensor3"] == wl.tensor3_ops
-        assert c.combine_bit_ops == wl.combine_bit_ops
-        assert c.score_cells == wl.score_cells
-        assert c.pairwise_ops == wl.pairwise_ops
+        c = res.metrics
+        raw = c.sum_by("epi4_tensor_ops_total", "kernel", form="raw")
+        assert raw["tensor4"] == wl.tensor4_ops
+        assert raw["tensor3"] == wl.tensor3_ops
+        assert c.total("epi4_combine_bit_ops_total") == wl.combine_bit_ops
+        assert c.total("epi4_score_cells_total") == wl.score_cells
+        assert c.total("epi4_pairwise_ops_total") == wl.pairwise_ops
         # The counter reflects word-padded storage; the closed form counts
         # exact bits (they coincide asymptotically).
         words = ((ds.n_controls + 63) // 64) + ((ds.n_cases + 63) // 64)
-        assert c.transfer_bytes == 8 * 2 * m * words
-        assert c.transfer_bytes >= wl.transfer_bytes
+        transfer = c.total("epi4_transfer_bytes_total")
+        assert transfer == 8 * 2 * m * words
+        assert transfer >= wl.transfer_bytes
 
 
 class TestCountersVsWmma:

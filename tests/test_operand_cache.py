@@ -41,11 +41,11 @@ class TestBasics:
     def test_miss_then_hit(self):
         cache = OperandCache(UNBOUNDED)
         calls = []
-        value, hit, evicted = cache.get_or_compute(
+        value, hit = cache.get_or_compute(
             "k", lambda: calls.append(1) or _arr(64)
         )
-        assert not hit and evicted == 0 and calls == [1]
-        value2, hit2, _ = cache.get_or_compute("k", lambda: calls.append(2))
+        assert not hit and cache.stats.evictions == 0 and calls == [1]
+        value2, hit2 = cache.get_or_compute("k", lambda: calls.append(2))
         assert hit2 and calls == [1]
         assert value2 is value
 
@@ -77,7 +77,7 @@ class TestBasics:
 
     def test_values_frozen(self):
         cache = OperandCache(UNBOUNDED)
-        value, _, _ = cache.get_or_compute("k", lambda: _arr(64))
+        value, _ = cache.get_or_compute("k", lambda: _arr(64))
         with pytest.raises(ValueError):
             value[0] = 1
 
@@ -97,8 +97,8 @@ class TestEviction:
         for key in "abc":
             cache.get_or_compute(key, lambda: _arr(64))
         cache.get_or_compute("a", lambda: None)  # promote a
-        _, _, evicted = cache.get_or_compute("d", lambda: _arr(64))
-        assert evicted == 1
+        cache.get_or_compute("d", lambda: _arr(64))
+        assert cache.stats.evictions == 1
         assert cache.get("b") is None  # least recent went
         assert cache.get("a") is not None
         assert cache.get("c") is not None
@@ -116,8 +116,9 @@ class TestEviction:
     def test_oversized_value_rejected_not_stored(self):
         cache = OperandCache(100)
         cache.get_or_compute("small", lambda: _arr(64))
-        value, hit, evicted = cache.get_or_compute("huge", lambda: _arr(1024))
-        assert not hit and evicted == 1  # rejection surfaces as an eviction
+        value, hit = cache.get_or_compute("huge", lambda: _arr(1024))
+        # The rejection surfaces as an eviction.
+        assert not hit and cache.stats.evictions == 1
         assert value.nbytes == 1024  # still returned to the caller
         assert cache.get("huge") is None
         assert cache.get("small") is not None  # resident set untouched
@@ -126,8 +127,8 @@ class TestEviction:
         cache = OperandCache(4 * 64)
         for key in "abcd":
             cache.get_or_compute(key, lambda: _arr(64))
-        _, _, evicted = cache.get_or_compute("big", lambda: _arr(3 * 64))
-        assert evicted == 3
+        cache.get_or_compute("big", lambda: _arr(3 * 64))
+        assert cache.stats.evictions == 3
         assert len(cache) == 2
 
 
@@ -157,7 +158,7 @@ class TestInvalidate:
         factory = lambda: (calls.append(1), _arr(64))[1]  # noqa: E731
         cache.get_or_compute("k", factory)
         cache.invalidate("k")
-        _, hit, _ = cache.get_or_compute("k", factory)
+        _, hit = cache.get_or_compute("k", factory)
         assert not hit
         assert len(calls) == 2
 
@@ -176,7 +177,7 @@ class TestSingleFlight:
 
         def worker():
             gate.wait()
-            value, hit, _ = cache.get_or_compute("k", factory)
+            value, hit = cache.get_or_compute("k", factory)
             results.append((id(value), hit))
 
         threads = [threading.Thread(target=worker) for _ in range(n_threads)]
@@ -195,7 +196,7 @@ class TestSingleFlight:
         with pytest.raises(RuntimeError, match="boom"):
             cache.get_or_compute("k", lambda: (_ for _ in ()).throw(RuntimeError("boom")))
         # The key must not be wedged: a retry computes normally.
-        value, hit, _ = cache.get_or_compute("k", lambda: _arr(8))
+        value, hit = cache.get_or_compute("k", lambda: _arr(8))
         assert not hit and value.nbytes == 8
 
     def test_thread_hammer_distinct_keys(self):
@@ -207,7 +208,7 @@ class TestSingleFlight:
             try:
                 for _ in range(200):
                     key = int(rng.integers(0, 30))
-                    value, _, _ = cache.get_or_compute(
+                    value, _ = cache.get_or_compute(
                         key, lambda k=key: np.full(8, k, dtype=np.int64)
                     )
                     if not (value == key).all():

@@ -78,8 +78,8 @@ class TestMultiGPU:
         single = Epi4TensorSearch(ds, SearchConfig(block_size=4)).run()
         multi = Epi4TensorSearch(ds, SearchConfig(block_size=4), n_gpus=4).run()
         assert (
-            single.counters.total_tensor_ops_raw
-            == multi.counters.total_tensor_ops_raw
+            single.metrics.total("epi4_tensor_ops_total", form="raw")
+            == multi.metrics.total("epi4_tensor_ops_total", form="raw")
         )
 
     def test_schedule_covers_all_outer_iterations(self):
@@ -135,17 +135,18 @@ class TestAccounting:
         # the bound gate so the counters are deterministic.
         res = search_best_quad(ds, block_size=4, prune=False)
         wl = search_workload(16, 240, 4, n_real_snps=13)
-        assert res.counters.tensor_ops_raw["tensor4"] == wl.tensor4_ops
-        assert res.counters.tensor_ops_raw["tensor3"] == wl.tensor3_ops
-        assert res.counters.combine_bit_ops == wl.combine_bit_ops
-        assert res.counters.score_cells == wl.score_cells
+        raw = res.metrics.sum_by("epi4_tensor_ops_total", "kernel", form="raw")
+        assert raw["tensor4"] == wl.tensor4_ops
+        assert raw["tensor3"] == wl.tensor3_ops
+        assert res.metrics.total("epi4_combine_bit_ops_total") == wl.combine_bit_ops
+        assert res.metrics.total("epi4_score_cells_total") == wl.score_cells
 
     def test_padded_ops_at_least_raw(self):
         ds = generate_random_dataset(12, 100, seed=1)
         res = search_best_quad(ds, block_size=4)
         assert (
-            res.counters.total_tensor_ops_padded
-            >= res.counters.total_tensor_ops_raw
+            res.metrics.total("epi4_tensor_ops_total", form="padded")
+            >= res.metrics.total("epi4_tensor_ops_total", form="raw")
         )
 
     def test_phase_timers_recorded(self):

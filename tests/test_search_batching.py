@@ -199,7 +199,10 @@ class TestLaunchAccounting:
             nb = res.block_scheme.n_snps // 4
             expected = search_gemm_launches(nb, batch_rounds=batch)
             for kernel in ("tensor3", "tensor4"):
-                assert res.counters.launches[kernel] == expected[kernel], (
+                launches = res.metrics.total(
+                    "epi4_kernel_launches_total", kernel=kernel
+                )
+                assert launches == expected[kernel], (
                     kernel,
                     n_streams,
                 )
@@ -207,7 +210,7 @@ class TestLaunchAccounting:
             # launch-per-problem seed counts.
             seed_launches = search_gemm_launches(nb, batch_rounds=1)
             assert (
-                res.counters.gemm_problems["tensor4"]
+                res.metrics.total("epi4_gemm_problems_total", kernel="tensor4")
                 == seed_launches["tensor4"]
             )
 
@@ -216,8 +219,9 @@ class TestLaunchAccounting:
         _, res = _run(ds, block_size=4, batch_rounds=8, cache_mb=float("inf"))
         nb = res.block_scheme.n_snps // 4
         expected = search_gemm_launches(nb, batch_rounds=8, cache_operands=True)
-        assert res.counters.launches["tensor4"] == expected["tensor4"]
-        assert res.counters.launches["tensor3"] == expected["tensor3"]
+        launches = res.metrics.sum_by("epi4_kernel_launches_total", "kernel")
+        assert launches["tensor4"] == expected["tensor4"]
+        assert launches["tensor3"] == expected["tensor3"]
 
     def test_overlap_only_uses_paired_sweeps(self):
         # batch_rounds=1 staged ahead on a host stream (the former
@@ -227,9 +231,11 @@ class TestLaunchAccounting:
         _, res = _run(ds, block_size=4, batch_rounds=1, n_streams=2)
         nb = res.block_scheme.n_snps // 4
         expected = search_gemm_launches(nb, batch_rounds=1)
-        assert res.counters.launches["tensor3"] == expected["tensor3"]
-        assert res.counters.launches["tensor4"] == expected["tensor4"]
-        assert res.counters.gemm_problems["tensor4"] == expected["tensor4"]
+        m = res.metrics
+        launches = m.sum_by("epi4_kernel_launches_total", "kernel")
+        assert launches["tensor3"] == expected["tensor3"]
+        assert launches["tensor4"] == expected["tensor4"]
+        assert m.total("epi4_gemm_problems_total", kernel="tensor4") == expected["tensor4"]
 
     def test_launch_collapse_at_least_4x(self):
         nb = 12
@@ -268,9 +274,9 @@ class TestLaunchAccounting:
         search, res = _run(ds, block_size=4, batch_rounds=8, n_streams=2)
         m = search.metrics
         assert m.total("epi4_gemm_launches_total", kernel="tensor4") == \
-            res.counters.launches["tensor4"]
+            res.metrics.total("epi4_kernel_launches_total", kernel="tensor4")
         assert m.total("epi4_gemm_problems_total", kernel="tensor4") == \
-            res.counters.gemm_problems["tensor4"]
+            res.metrics.total("epi4_gemm_problems_total", kernel="tensor4")
         # The overlap series exists (the stager may or may not have won
         # measurable overlap on a tiny workload, but the series records).
         assert "epi4_stage_overlap_seconds_total" in m.names()

@@ -55,16 +55,19 @@ class TestCachedEquivalence:
         wl = search_workload(
             res.block_scheme.n_snps, 160, 4, cache_operands=True
         )
-        assert res.counters.tensor_ops_raw["tensor3"] == wl.tensor3_ops
-        assert res.counters.combine_bit_ops == wl.combine_bit_ops
+        raw = res.metrics.sum_by("epi4_tensor_ops_total", "kernel", form="raw")
+        assert raw["tensor3"] == wl.tensor3_ops
+        assert res.metrics.total("epi4_combine_bit_ops_total") == wl.combine_bit_ops
         # Round work is per-quad unique and must be unaffected.
-        assert res.counters.tensor_ops_raw["tensor4"] == wl.tensor4_ops
+        assert raw["tensor4"] == wl.tensor4_ops
 
     def test_hit_rate_above_half(self):
         ds = generate_random_dataset(24, 160, seed=1)
         res = _run(ds, block_size=4, cache_mb=float("inf"))
         assert res.cache_stats.hit_rate > 0.5
-        assert res.counters.cache_hit_rate > 0.5
+        assert res.metrics.total("epi4_cache_lookups_total", result="hit") == (
+            res.cache_stats.hits
+        )
 
     def test_cache_off_matches_seed_accounting(self):
         # With the cache disabled the full analytic workload must still be
@@ -72,11 +75,12 @@ class TestCachedEquivalence:
         ds = generate_random_dataset(16, 140, seed=2)
         res = _run(ds, block_size=4)
         wl = search_workload(res.block_scheme.n_snps, 140, 4)
-        assert res.counters.tensor_ops_raw["tensor3"] == wl.tensor3_ops
-        assert res.counters.combine_bit_ops == wl.combine_bit_ops
+        raw = res.metrics.sum_by("epi4_tensor_ops_total", "kernel", form="raw")
+        assert raw["tensor3"] == wl.tensor3_ops
+        assert res.metrics.total("epi4_combine_bit_ops_total") == wl.combine_bit_ops
         assert res.cache_stats is None
-        assert res.counters.cache_hits == 0
-        assert res.counters.cache_misses == 0
+        assert res.metrics.total("epi4_cache_lookups_total") == 0
+        assert res.metrics.total("epi4_operand_cache_served_total") == 0
 
 
 class TestThreadedEquivalence:
@@ -139,12 +143,14 @@ class TestThreadedEquivalence:
             block_size=4,
             prune=False,
         )
-        assert (
-            par.counters.tensor_ops_raw["tensor3"]
-            == seq.counters.tensor_ops_raw["tensor3"]
-        )
-        assert par.counters.combine_bit_ops == seq.counters.combine_bit_ops
-        assert par.counters.cache_misses == seq.counters.cache_misses
+        for name, match in (
+            ("epi4_tensor_ops_total", {"form": "raw", "kernel": "tensor3"}),
+            ("epi4_combine_bit_ops_total", {}),
+        ):
+            assert par.metrics.total(name, **match) == seq.metrics.total(
+                name, **match
+            )
+        assert par.cache_stats.misses == seq.cache_stats.misses
 
 
 class TestCheckpointResume:
@@ -258,7 +264,7 @@ class TestFusedScorePathEquivalence:
             pytest.approx(scheme.useful_fraction)
         )
         # Executed score cells follow the compacted volume.
-        assert res.counters.score_cells == scheme.unique_quads * 81 * 2
+        assert m.total("epi4_score_cells_total") == scheme.unique_quads * 81 * 2
 
     def test_fused_paths_match_under_faults(self):
         # Degraded rounds purge the round's triplets and rebuild through

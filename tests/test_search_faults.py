@@ -166,7 +166,7 @@ class TestFaultAccounting:
         assert stats.corrupt == 1
         assert log.total_degraded_rounds == 1
         # Device counters tally every injection (raised or silent).
-        assert result.counters.faults_injected == stats.total
+        assert result.metrics.total("epi4_faults_injected_total") == stats.total
         assert log.any_activity
 
     def test_fault_free_run_reports_no_activity(self):
@@ -174,7 +174,7 @@ class TestFaultAccounting:
         search, result = _run(ds)
         assert result.fault_log is not None
         assert not result.fault_log.any_activity
-        assert result.counters.faults_injected == 0
+        assert result.metrics.total("epi4_faults_injected_total") == 0
 
 
 class TestDegradedFleet:

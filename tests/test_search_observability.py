@@ -145,15 +145,17 @@ class TestUnifiedMetrics:
             assert result.phase_seconds[phase] > 0
 
     def test_kernel_counters_absorbed_with_device_labels(self):
-        search, result = _run(n_gpus=2)
+        search, _ = _run(n_gpus=2)
         m = search.metrics
         launches = m.sum_by("epi4_kernel_launches_total", "device")
         assert set(launches) == {"0", "1"}
-        total = sum(
-            sum(c.launches.values()) for c in result.per_device_counters
-        )
-        assert sum(launches.values()) == total
-        assert m.total("epi4_transfer_bytes_total") == result.counters.transfer_bytes
+        assert all(launches.values())
+        assert sum(launches.values()) == m.total("epi4_kernel_launches_total")
+        # Each device received the full dataset (§3.6), under its own label.
+        nbytes = search.encoded.nbytes
+        assert m.sum_by("epi4_transfer_bytes_total", "device") == {
+            "0": nbytes, "1": nbytes,
+        }
 
     def test_wall_seconds_gauge_set(self):
         search, result = _run()
@@ -182,6 +184,32 @@ class TestUnifiedMetrics:
         search.run()
         assert registry.total("epi4_rounds_total") == 2 * once
         assert search.metrics is registry
+
+
+class TestRepeatedRuns:
+    """Devices count into the run's registry, so a run's device work
+    series hold that run's work only — nothing carries over from an
+    earlier run of the same search."""
+
+    def test_second_run_reports_the_same_snapshot(self):
+        search, _ = _run()
+        first = normalized_snapshot(search.metrics)
+        search.run()
+        assert normalized_snapshot(search.metrics) == first
+
+    def test_user_registry_holds_exactly_twice_one_run(self):
+        _, once = _run(metrics=MetricsRegistry())
+        registry = MetricsRegistry()
+        search = Epi4TensorSearch(
+            _dataset(), SearchConfig(block_size=8), metrics=registry
+        )
+        search.run()
+        search.run()
+        one = normalized_snapshot(once.metrics)["counters"]
+        two = normalized_snapshot(registry)["counters"]
+        assert two.keys() == one.keys()
+        for name, series in one.items():
+            assert two[name] == {k: 2 * v for k, v in series.items()}, name
 
 
 class TestPerDeviceAttribution:

@@ -9,14 +9,21 @@ GEMM ``K`` dimension.
 Bits past ``n_bits`` in the last word are guaranteed to be zero; every
 operation preserves that invariant so AND-popcounts never see garbage and the
 XOR+POPC translation layer stays exact.
+
+A matrix may also carry :class:`~repro.bitops.planes.PlaneRows`: the recipe
+for its float32 form from a class's float32 genotype planes.  The dense
+GEMM path then forms its operand from the planes instead of unpacking the
+packed words; both forms hold the same 0/1 values.
 """
 
 from __future__ import annotations
 
+import dataclasses
 from dataclasses import dataclass
 
 import numpy as np
 
+from repro.bitops.planes import PlaneRows
 from repro.bitops.popcount import popcount_rows
 
 #: Bits per packed word.
@@ -30,10 +37,15 @@ def words_for_bits(n_bits: int) -> int:
 
 @dataclass(frozen=True)
 class BitMatrix:
-    """``R x K`` binary matrix packed into ``(R, W)`` ``uint64`` words."""
+    """``R x K`` binary matrix packed into ``(R, W)`` ``uint64`` words,
+    optionally with the float32 :class:`PlaneRows` its dense form is read
+    from."""
 
     data: np.ndarray
     n_bits: int
+    planes: PlaneRows | None = dataclasses.field(
+        default=None, compare=False, repr=False
+    )
 
     def __post_init__(self) -> None:
         d = np.asarray(self.data)
@@ -47,6 +59,15 @@ class BitMatrix:
             raise ValueError(
                 f"{d.shape[1]} words cannot hold exactly {self.n_bits} bits "
                 f"(expected {words_for_bits(self.n_bits)})"
+            )
+        if self.planes is not None and (
+            self.planes.n_rows != d.shape[0]
+            or self.planes.planes.shape[1] != self.n_bits
+        ):
+            raise ValueError(
+                f"planes describe {self.planes.n_rows} rows of "
+                f"{self.planes.planes.shape[1]} bits, not {d.shape[0]} of "
+                f"{self.n_bits}"
             )
         object.__setattr__(self, "data", np.ascontiguousarray(d))
 
@@ -91,16 +112,34 @@ class BitMatrix:
                 )
         if len(matrices) == 1:
             return matrices[0]
+        first, *rest = [m.planes for m in matrices]
+        planes = None
+        if first is not None and None not in rest:
+            planes = first.stacked(rest)
         return cls(
             data=np.concatenate([m.data for m in matrices], axis=0),
             n_bits=n_bits,
+            planes=planes,
         )
+
+    def with_float_planes(self) -> "BitMatrix":
+        """The same bits, carrying their float32 planes: one unpack, held
+        for the matrix's lifetime, that every operand combined or sliced
+        from it forms its dense GEMM operand from."""
+        planes = self._unpack(np.float32)
+        planes.setflags(write=False)
+        return BitMatrix(self.data, self.n_bits, PlaneRows.whole(planes))
+
+    def _unpack(self, dtype: np.dtype | type) -> np.ndarray:
+        """One-pass unpack to a fresh ``(R, K)`` 0/1 array of ``dtype``."""
+        bits = np.unpackbits(
+            self.data.view(np.uint8), axis=1, count=self.n_bits, bitorder="little"
+        )
+        return bits.astype(dtype)
 
     def to_bool(self) -> np.ndarray:
         """Unpack to a ``(R, K)`` boolean array."""
-        as_bytes = self.data.view(np.uint8)
-        bits = np.unpackbits(as_bytes, axis=1, bitorder="little")
-        return bits[:, : self.n_bits].astype(np.bool_)
+        return self._unpack(np.bool_)
 
     def to_float32(self) -> np.ndarray:
         """Unpack to ``(R, K)`` float32 0/1 — the dense-GEMM operand form."""
@@ -117,13 +156,20 @@ class BitMatrix:
         operand — e.g. one ``wx`` against a whole batch of ``yz`` — unpack
         it once.  Callers that memoize are responsible for accounting the
         extra bytes (see :meth:`projected_dense_nbytes`).
+
+        A matrix carrying float32 :attr:`planes` forms its float32 operand
+        from them (a broadcast multiply, or a view for a plain slice) and
+        never unpacks.
         """
         dtype = np.dtype(dtype)
         if memoize:
             memo = getattr(self, "_dense_memo", None)
             if memo is not None and memo[0] == dtype:
                 return memo[1]
-        dense = self.to_bool().astype(dtype)
+        if self.planes is not None and self.planes.planes.dtype == dtype:
+            dense = self.planes.dense()
+        else:
+            dense = self._unpack(dtype)
         if memoize:
             dense.setflags(write=False)
             # Benign race under threads: both sides compute identical
@@ -170,7 +216,11 @@ class BitMatrix:
             raise IndexError(
                 f"row range [{start}, {stop}) out of bounds for {self.n_rows} rows"
             )
-        return BitMatrix(data=self.data[start:stop], n_bits=self.n_bits)
+        return BitMatrix(
+            data=self.data[start:stop],
+            n_bits=self.n_bits,
+            planes=self.planes.rows(start, stop) if self.planes else None,
+        )
 
     def bitwise_and(self, other: "BitMatrix") -> "BitMatrix":
         """Element-wise AND of two matrices with identical shape."""

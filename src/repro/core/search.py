@@ -58,6 +58,7 @@ from typing import Callable, Iterable, Iterator
 import numpy as np
 
 from repro.bitops.bitmatrix import BitMatrix
+from repro.bitops.combine import diagonal_compact
 from repro.core.apply_score import (
     DEFAULT_MAX_CHUNK_CELLS,
     RoundOperands,
@@ -262,6 +263,8 @@ class SearchResult:
             backoff, requeues, quarantines, degraded rounds).  All-zero
             on a healthy run.
         spec_name / engine_name / n_devices: provenance.
+        metrics: the run's metrics registry — every device's work series,
+            phase seconds, cache, fault and journal accounting.
     """
 
     solution: Solution
@@ -274,10 +277,10 @@ class SearchResult:
     spec_name: str
     engine_name: str
     n_devices: int
+    metrics: MetricsRegistry
     cache_stats: CacheStats | None = None
     executed_assignment: list[list[int]] = field(default_factory=list)
     fault_log: FaultLog | None = None
-    metrics: MetricsRegistry | None = None
 
     @property
     def best_quad(self) -> tuple[int, int, int, int]:
@@ -287,9 +290,7 @@ class SearchResult:
     def phase_seconds_by_device(self) -> dict[str, dict[str, float]]:
         """``{phase: {device_label: seconds}}`` from the labeled metrics
         series — per-device attribution that survives threaded workers
-        finishing out of order (empty when no registry was attached)."""
-        if self.metrics is None:
-            return {}
+        finishing out of order."""
         out: dict[str, dict[str, float]] = {}
         for key, value in self.metrics.series(
             "epi4_phase_seconds_total"
@@ -420,6 +421,9 @@ class Epi4TensorSearch:
         self._encode_seconds = encode_timer.elapsed
         self._run_span = None
         self._low: LowOrderTables | None = None
+        #: Per-class packed planes, carrying their float32 planes when the
+        #: engine runs the dense path (built by ``_prepare_devices``).
+        self._class_planes: list[BitMatrix] = []
         self._progress_callback = None
         self._progress_lock = threading.Lock()
         self._rounds_done = 0
@@ -869,6 +873,13 @@ class Epi4TensorSearch:
         """
         with self._phase_scope("pairwise", "host"):
             self._low = pairw_pop(self.encoded)
+        # Dense GEMM operands are formed from float32 planes, unpacked
+        # once per class here — before any device thread starts.
+        dense = self.cluster.gpus[0].engine.mode == "dense"
+        self._class_planes = [
+            planes.with_float_planes() if dense else planes
+            for planes in (self.encoded.class_matrix(c) for c in (0, 1))
+        ]
         m, n = self.encoded.n_snps, self.encoded.n_samples
 
         for gpu in self.cluster.gpus:
@@ -1005,9 +1016,14 @@ class Epi4TensorSearch:
 
         Launches issue in the seed loop's order: the pair's ``wx``
         combine + sweep, the per-``Yi`` ``wy``/``xy`` sweeps, the ``yz``
-        combines, then the fused 4-way GEMM.
+        combines, then the fused 4-way GEMM.  A same-block ``wx`` or
+        ``yz`` enters the 4-way GEMM diagonal-compact: only its ``w < x``
+        rows can feed a valid quad.
         """
         b = self.scheme.block_size
+
+        def rows4(op: BitMatrix, same_block: bool) -> BitMatrix:
+            return diagonal_compact(op, b) if same_block else op
 
         def stage() -> _StagedGroup:
             wo, xo = wi * b, xi * b
@@ -1021,11 +1037,11 @@ class Epi4TensorSearch:
             ):
                 if "wx" not in shared:
                     wx = [executor.combine(c, wo, xo) for c in (0, 1)]
-                    shared["wx"] = wx
                     shared["sweep_wx"] = [
                         executor.sweep3(c, wo, xo, combined=wx[c])
                         for c in (0, 1)
                     ]
+                    shared["wx"] = [rows4(op, wi == xi) for op in wx]
                     shared["sweeps"] = {}
                 wx = shared["wx"]
                 sweeps = shared["sweeps"]
@@ -1037,7 +1053,10 @@ class Epi4TensorSearch:
                             [executor.sweep3(c, xo, yo) for c in (0, 1)],
                         )
                 yz_by_round = [
-                    [executor.combine(c, yi * b, zi * b) for c in (0, 1)]
+                    [
+                        rows4(executor.combine(c, yi * b, zi * b), yi == zi)
+                        for c in (0, 1)
+                    ]
                     for yi, zi in group
                 ]
                 corner4_by_class = [
@@ -1313,7 +1332,7 @@ class _SingleDeviceExecutor:
         self._search = search
         self._gpu = gpu
         self._cache = cache
-        self._planes = [search.encoded.class_matrix(cls) for cls in (0, 1)]
+        self._planes = search._class_planes
 
     @property
     def device_id(self) -> int:

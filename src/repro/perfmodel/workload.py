@@ -10,6 +10,13 @@ All counts follow the paper's conventions:
   ``t0`` is ``(4B^2) x 2(M - t0) x N_c`` bits per class (one sweep per
   ``Xi`` iteration for ``wx``, two per ``Yi`` iteration for ``wy``/``xy``).
 
+Those are the paper's scheme, which the performance model and Figs. 2-3
+charge.  The executed 4-way GEMM is smaller: a same-block ``wx`` (``Wi ==
+Xi``) or ``yz`` (``Yi == Zi``) operand carries only the ``2B(B-1)`` rows
+with ``w < x`` (see :func:`combined_rows`), so a round executes
+``r(Wi, Xi) x r(Yi, Zi) x N_c`` bits per class.  The ``executed_*`` forms
+count that volume.
+
 These formulas are asserted against the work the
 :class:`~repro.device.VirtualGPU` launches count in the test suite, so the
 analytic model and the executed pipeline cannot drift apart.
@@ -33,7 +40,10 @@ class SearchWorkload:
         block_size: ``B``.
         n_samples: ``N = N0 + N1``.
         tensor4_ops: fused-op volume of all ``tensorOp_4way`` GEMMs (x2 per
-            fused op).
+            fused op) in the paper's scheme, ``(4B^2)^2`` per round.
+        executed_tensor4_ops: the 4-way volume the search executes, with
+            same-block operands diagonal-compact (see
+            :func:`combined_rows`).
         tensor3_ops: fused-op volume of all ``tensorOp_3way`` GEMMs.
         combine_bit_ops: bitwise AND volume of all ``combine`` launches.
         pairwise_ops: plane-dot volume of ``pairwPop``.
@@ -60,6 +70,7 @@ class SearchWorkload:
     block_size: int
     n_samples: int
     tensor4_ops: int
+    executed_tensor4_ops: int
     tensor3_ops: int
     combine_bit_ops: int
     pairwise_ops: int
@@ -72,8 +83,13 @@ class SearchWorkload:
 
     @property
     def tensor_ops(self) -> int:
-        """All tensor-core fused-op volume."""
+        """All tensor-core fused-op volume (paper scheme)."""
         return self.tensor4_ops + self.tensor3_ops
+
+    @property
+    def executed_tensor_ops(self) -> int:
+        """All tensor-core fused-op volume the search executes."""
+        return self.executed_tensor4_ops + self.tensor3_ops
 
     @property
     def score_cells_dense(self) -> int:
@@ -137,6 +153,23 @@ def unique_block_triples(nb: int) -> int:
     empty of valid quads).
     """
     return comb(nb + 2, 3)
+
+
+def combined_rows(ai: int, bi: int, block_size: int) -> int:
+    """Rows of the ``(ai, bi)`` block pair's operand in the executed 4-way
+    GEMM: ``4B^2``, or ``2B(B-1)`` for a same-block pair, whose ``w >= x``
+    rows can feed no valid quad."""
+    b = block_size
+    return 2 * b * (b - 1) if ai == bi else 4 * b * b
+
+
+def _executed_yz_rows(xi: int, nb: int, block_size: int) -> int:
+    """``sum r(Yi, Zi)`` over the rounds ``xi <= Yi <= Zi < nb``."""
+    return sum(
+        combined_rows(yi, yi, block_size)
+        + (nb - 1 - yi) * combined_rows(0, 1, block_size)
+        for yi in range(xi, nb)
+    )
 
 
 def search_gemm_launches(
@@ -231,6 +264,37 @@ def outer_iteration_tensor4_ops(
     return ops
 
 
+def outer_iteration_executed_tensor4_ops(
+    wi: int, nb: int, block_size: int, n_samples: int
+) -> int:
+    """Executed 4-way GEMM volume of outer iteration ``Wi = wi``: per round
+    and class, ``2 * r(Wi, Xi) * r(Yi, Zi) * N_c`` (see
+    :func:`combined_rows`).  Cache-invariant, like
+    :func:`outer_iteration_tensor4_ops`."""
+    if not 0 <= wi < nb:
+        raise ValueError(f"wi must be in [0, {nb}), got {wi}")
+    return sum(
+        2
+        * combined_rows(wi, xi, block_size)
+        * _executed_yz_rows(xi, nb, block_size)
+        * n_samples
+        for xi in range(wi, nb)
+    )
+
+
+def outer_iteration_executed_tensor_ops(
+    wi: int, nb: int, block_size: int, n_samples: int
+) -> int:
+    """Executed tensor-op volume of outer iteration ``Wi = wi`` with the
+    operand cache off: :func:`outer_iteration_tensor_ops` with its 4-way
+    term replaced by the executed one."""
+    return (
+        outer_iteration_tensor_ops(wi, nb, block_size, n_samples)
+        - outer_iteration_tensor4_ops(wi, nb, block_size, n_samples)
+        + outer_iteration_executed_tensor4_ops(wi, nb, block_size, n_samples)
+    )
+
+
 def shard_tensor_ops(
     iterations: "list[int] | tuple[int, ...]",
     nb: int,
@@ -240,17 +304,23 @@ def shard_tensor_ops(
     """Closed-form work volume of one shard (a set of outer iterations).
 
     Returns ``{"tensor_ops": ..., "tensor4_ops": ...}`` — the full
-    scheduling weight and its cache-invariant 4-way component, summed over
-    the shard's iterations.  With the operand cache off, a shard's executed
-    raw tensor-op counters equal ``tensor_ops`` exactly; with the cache on,
-    only ``tensor4_ops`` is guaranteed (sweep volume depends on hits).
+    paper-scheme scheduling weight and its cache-invariant 4-way component
+    — plus the same two volumes as executed, ``"executed_tensor_ops"`` and
+    ``"executed_tensor4_ops"``, summed over the shard's iterations.  With
+    the operand cache off, a shard's raw tensor-op counters equal
+    ``executed_tensor_ops`` exactly; with the cache on, only
+    ``executed_tensor4_ops`` is guaranteed (sweep volume depends on hits).
     """
-    total = 0
-    tensor4 = 0
-    for wi in iterations:
-        total += outer_iteration_tensor_ops(wi, nb, block_size, n_samples)
-        tensor4 += outer_iteration_tensor4_ops(wi, nb, block_size, n_samples)
-    return {"tensor_ops": total, "tensor4_ops": tensor4}
+    forms = {
+        "tensor_ops": outer_iteration_tensor_ops,
+        "tensor4_ops": outer_iteration_tensor4_ops,
+        "executed_tensor_ops": outer_iteration_executed_tensor_ops,
+        "executed_tensor4_ops": outer_iteration_executed_tensor4_ops,
+    }
+    return {
+        key: sum(form(wi, nb, block_size, n_samples) for wi in iterations)
+        for key, form in forms.items()
+    }
 
 
 def search_workload(
@@ -317,6 +387,15 @@ def search_workload(
             combine_ops += n_pairs * 2 * (4 * b * b) * n_samples  # wy + xy
     # Rounds:
     tensor4 = n_rounds * 2 * (4 * b * b) * (4 * b * b) * n_samples
+    # Executed: per Xi, the wx rows of every wi <= xi (one same-block
+    # pair) times the yz rows of every round of the (wi, xi) pair.
+    executed_tensor4 = sum(
+        2
+        * (combined_rows(xi, xi, b) + xi * combined_rows(0, 1, b))
+        * _executed_yz_rows(xi, nb, b)
+        * n_samples
+        for xi in range(nb)
+    )
     if not cache_operands:
         combine_ops += n_rounds * (4 * b * b) * n_samples  # yz combine
 
@@ -332,6 +411,7 @@ def search_workload(
         block_size=b,
         n_samples=n_samples,
         tensor4_ops=tensor4,
+        executed_tensor4_ops=executed_tensor4,
         tensor3_ops=tensor3,
         combine_bit_ops=combine_ops,
         pairwise_ops=pairwise,

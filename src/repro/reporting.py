@@ -80,22 +80,21 @@ def format_search_report(
     add(f"  {'total':<10s} {result.wall_seconds:9.3f}s")
     add("")
 
-    if result.metrics is not None:
-        m = result.metrics
-        ops = m.sum_by("epi4_tensor_ops_total", "form")
-        launches = m.sum_by("epi4_kernel_launches_total", "kernel")
-        add("device work counters (all devices)")
-        add(_rule())
-        add(f"  tensor ops (raw)    : {ops.get('raw', 0.0):.3e}")
-        add(f"  tensor ops (padded) : {ops.get('padded', 0.0):.3e}")
-        add(f"  combine bit ops     : {m.total('epi4_combine_bit_ops_total'):.3e}")
-        add(f"  score cells         : {m.total('epi4_score_cells_total'):.3e}")
-        add(f"  transferred bytes   : {int(m.total('epi4_transfer_bytes_total')):,}")
-        kernel_counts = ", ".join(
-            f"{name}={count:.0f}" for name, count in sorted(launches.items())
-        )
-        add(f"  kernel launches     : {kernel_counts}")
-        add("")
+    m = result.metrics
+    ops = m.sum_by("epi4_tensor_ops_total", "form")
+    launches = m.sum_by("epi4_kernel_launches_total", "kernel")
+    add("device work counters (all devices)")
+    add(_rule())
+    add(f"  tensor ops (raw)    : {ops.get('raw', 0.0):.3e}")
+    add(f"  tensor ops (padded) : {ops.get('padded', 0.0):.3e}")
+    add(f"  combine bit ops     : {m.total('epi4_combine_bit_ops_total'):.3e}")
+    add(f"  score cells         : {m.total('epi4_score_cells_total'):.3e}")
+    add(f"  transferred bytes   : {int(m.total('epi4_transfer_bytes_total')):,}")
+    kernel_counts = ", ".join(
+        f"{name}={count:.0f}" for name, count in sorted(launches.items())
+    )
+    add(f"  kernel launches     : {kernel_counts}")
+    add("")
 
     if result.cache_stats is not None:
         cs = result.cache_stats
@@ -118,11 +117,7 @@ def format_search_report(
         )
         add("")
 
-    if (
-        result.metrics is not None
-        and "epi4_applyscore_positions_total" in result.metrics.names()
-    ):
-        m = result.metrics
+    if "epi4_applyscore_positions_total" in m.names():
         positions = m.total("epi4_applyscore_positions_total")
         valid = m.total("epi4_applyscore_valid_total")
         add("applyScore (mask-first compaction)")
@@ -151,38 +146,36 @@ def format_search_report(
             )
         add("")
 
-    if result.metrics is not None:
-        add("observability (per-device attribution)")
-        add(_rule())
-        by_device = result.phase_seconds_by_device
-        devices = sorted({d for per in by_device.values() for d in per})
-        add("  phase seconds by device (recorded at the launch site;")
-        add("  immune to threaded out-of-order completion):")
-        for phase in sorted(by_device):
-            cells = "  ".join(
-                f"dev {d}: {by_device[phase].get(d, 0.0):8.3f}s"
-                for d in devices
-                if d in by_device[phase]
+    add("observability (per-device attribution)")
+    add(_rule())
+    by_device = result.phase_seconds_by_device
+    devices = sorted({d for per in by_device.values() for d in per})
+    add("  phase seconds by device (recorded at the launch site;")
+    add("  immune to threaded out-of-order completion):")
+    for phase in sorted(by_device):
+        cells = "  ".join(
+            f"dev {d}: {by_device[phase].get(d, 0.0):8.3f}s"
+            for d in devices
+            if d in by_device[phase]
+        )
+        add(f"    {phase:<10s} {cells}")
+    rounds = m.sum_by("epi4_rounds_total", "device")
+    if rounds:
+        add(
+            "  rounds by device    : "
+            + ", ".join(
+                f"dev {d}: {int(n)}" for d, n in sorted(rounds.items())
             )
-            add(f"    {phase:<10s} {cells}")
-        m = result.metrics
-        rounds = m.sum_by("epi4_rounds_total", "device")
-        if rounds:
-            add(
-                "  rounds by device    : "
-                + ", ".join(
-                    f"dev {d}: {int(n)}" for d, n in sorted(rounds.items())
-                )
-            )
-        requests = m.total("epi4_operand_requests_total")
-        if requests:
-            executed = m.total("epi4_operand_executed_total")
-            served = m.total("epi4_operand_cache_served_total")
-            add(
-                f"  operand requests    : {int(requests)} = "
-                f"{int(executed)} executed + {int(served)} cache-served"
-            )
-        add("")
+        )
+    requests = m.total("epi4_operand_requests_total")
+    if requests:
+        executed = m.total("epi4_operand_executed_total")
+        served = m.total("epi4_operand_cache_served_total")
+        add(
+            f"  operand requests    : {int(requests)} = "
+            f"{int(executed)} executed + {int(served)} cache-served"
+        )
+    add("")
 
     if result.fault_log is not None and result.fault_log.any_activity:
         fl = result.fault_log
@@ -208,8 +201,9 @@ def format_search_report(
             )
         for line in fl.summary_lines():
             add(f"  {line}")
-        if c.faults_injected:
-            add(f"  injected launch faults (harness): {c.faults_injected}")
+        injected = int(m.total("epi4_faults_injected_total"))
+        if injected:
+            add(f"  injected launch faults (harness): {injected}")
         add(
             "  results are unaffected: retried/requeued iterations are "
             "idempotent and degraded"
@@ -220,25 +214,21 @@ def format_search_report(
         )
         add("")
 
-    if (
-        result.metrics is not None
-        and "epi4_journal_commits_total" in result.metrics.names()
-    ):
-        jm = result.metrics
+    if "epi4_journal_commits_total" in m.names():
         add("round journal (crash-safe exactly-once resume)")
         add(_rule())
         add(
             f"  commits appended    : "
-            f"{int(jm.total('epi4_journal_commits_total'))}"
+            f"{int(m.total('epi4_journal_commits_total'))}"
         )
         add(
             f"  commits replayed    : "
-            f"{int(jm.total('epi4_journal_replayed_total'))}"
+            f"{int(m.total('epi4_journal_replayed_total'))}"
         )
-        torn = int(jm.total("epi4_journal_torn_bytes"))
+        torn = int(m.total("epi4_journal_torn_bytes"))
         if torn:
             add(f"  torn bytes dropped  : {torn}")
-        compactions = int(jm.total("epi4_journal_compactions_total"))
+        compactions = int(m.total("epi4_journal_compactions_total"))
         if compactions:
             add(f"  compactions         : {compactions}")
         add("")

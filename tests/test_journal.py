@@ -26,7 +26,7 @@ from repro.core.reduction import TopKReducer
 from repro.core.search import Epi4TensorSearch, SearchConfig
 from repro.core.solution import Solution
 from repro.datasets import generate_random_dataset
-from repro.perfmodel.workload import outer_iteration_tensor_ops
+from repro.perfmodel.workload import outer_iteration_executed_tensor_ops
 from tests.helpers import cut_journal
 
 FP = "M8r8c48k48B4Eand_popcSk2K3G1"
@@ -313,7 +313,7 @@ class TestSearchResume:
         assert resumed.solution == reference.solution
         # Only iterations 2 and 3 were re-executed.
         expected_ops = sum(
-            outer_iteration_tensor_ops(wi, 4, 4, 120) for wi in (2, 3)
+            outer_iteration_executed_tensor_ops(wi, 4, 4, 120) for wi in (2, 3)
         )
         assert resumed.metrics.total("epi4_tensor_ops_total", form="raw") == expected_ops
 

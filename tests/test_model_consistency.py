@@ -50,7 +50,7 @@ class TestWorkloadVsCounters:
         wl = search_workload(m, cfg["n_samples"], cfg["block_size"])
         c = res.metrics
         raw = c.sum_by("epi4_tensor_ops_total", "kernel", form="raw")
-        assert raw["tensor4"] == wl.tensor4_ops
+        assert raw["tensor4"] == wl.executed_tensor4_ops
         assert raw["tensor3"] == wl.tensor3_ops
         assert c.total("epi4_combine_bit_ops_total") == wl.combine_bit_ops
         assert c.total("epi4_score_cells_total") == wl.score_cells

@@ -107,8 +107,13 @@ class TestObservabilitySection:
         assert requests == executed + served
         assert served > 0
 
-    def test_section_skipped_without_metrics(self):
-        ds, res = _result()
-        object.__setattr__(res, "metrics", None)
+
+
+class TestResilienceSection:
+    def test_injected_faults_read_from_registry(self):
+        ds, res = _result(
+            inject_faults="transient:op=tensor4,count=2;seed=1", max_retries=3
+        )
         report = format_search_report(res, ds)
-        assert "observability (per-device attribution)" not in report
+        assert "resilience (faults observed this run)" in report
+        assert "injected launch faults (harness): 2" in report

@@ -10,6 +10,7 @@ from repro.device.specs import A100_PCIE, TITAN_RTX
 from repro.perfmodel.workload import search_workload
 from repro.scoring import K2Score, make_score
 from repro.scoring.base import normalized_for_minimization
+from tests.helpers import assert_matches_oracle, brute_force_topk
 
 
 def _oracle(ds):
@@ -26,6 +27,21 @@ class TestCorrectness:
         quad, score = _oracle(ds)
         assert res.best_quad == quad
         np.testing.assert_allclose(res.best_score, score, rtol=1e-12)
+
+    @pytest.mark.parametrize("engine_kind", ["and_popc", "xor_popc"])
+    @pytest.mark.parametrize("batch_rounds", [1, 4])
+    def test_top_k_matches_oracle_on_padded_data(self, engine_kind, batch_rounds):
+        # 13 SNPs at B=4: the last block is padded, and every same-block
+        # wx/yz operand enters the 4-way GEMM diagonal-compact.
+        ds = generate_random_dataset(13, 160, seed=11)
+        config = SearchConfig(
+            block_size=4,
+            top_k=25,
+            engine_kind=engine_kind,
+            batch_rounds=batch_rounds,
+        )
+        res = Epi4TensorSearch(ds, config).run()
+        assert_matches_oracle(res, brute_force_topk(ds, 25))
 
     def test_single_block_dataset(self):
         # M == B: every quad comes from the one all-overlapping round.
@@ -136,7 +152,8 @@ class TestAccounting:
         res = search_best_quad(ds, block_size=4, prune=False)
         wl = search_workload(16, 240, 4, n_real_snps=13)
         raw = res.metrics.sum_by("epi4_tensor_ops_total", "kernel", form="raw")
-        assert raw["tensor4"] == wl.tensor4_ops
+        # Same-block operands run diagonal-compact: the executed closed form.
+        assert raw["tensor4"] == wl.executed_tensor4_ops
         assert raw["tensor3"] == wl.tensor3_ops
         assert res.metrics.total("epi4_combine_bit_ops_total") == wl.combine_bit_ops
         assert res.metrics.total("epi4_score_cells_total") == wl.score_cells

@@ -59,7 +59,7 @@ class TestCachedEquivalence:
         assert raw["tensor3"] == wl.tensor3_ops
         assert res.metrics.total("epi4_combine_bit_ops_total") == wl.combine_bit_ops
         # Round work is per-quad unique and must be unaffected.
-        assert raw["tensor4"] == wl.tensor4_ops
+        assert raw["tensor4"] == wl.executed_tensor4_ops
 
     def test_hit_rate_above_half(self):
         ds = generate_random_dataset(24, 160, seed=1)

@@ -21,7 +21,11 @@ bars:
   :func:`~repro.perfmodel.workload.search_gemm_launches`;
 - logical GEMM problems (``gemm_problems``) are batch-invariant: fusion
   changes how work is launched, never how much work exists;
-- total launches collapse >= 4x at ``batch_rounds=8`` (5.01x at nb=12).
+- total launches collapse >= 4x at ``batch_rounds=8`` (5.01x at nb=12);
+- the operand-cache peak is the same in every cell and within the
+  search's §3.3 ``operand cache`` memory charge: batching never changes
+  what the cache holds.  (The peak sits below the charge because pruning
+  leaves some completed-triplet tables uncomputed.)
 
 Results append to ``BENCH_batching.json`` next to this file.
 Set ``EPI4TENSOR_BENCH_SMALL=1`` for a CI-sized workload.
@@ -112,6 +116,10 @@ def test_batching_ablation(benchmark):
                     result.metrics.total("epi4_gemm_problems_total", kernel="tensor4")
                 ),
                 "stage_overlap_seconds": overlap_s,
+                "cache_peak_bytes": result.cache_stats.peak_bytes,
+                "cache_charge_bytes": search.memory_estimate.components[
+                    "operand cache"
+                ],
                 "top_k_sha256": digests[label],
             }
         )
@@ -139,6 +147,13 @@ def test_batching_ablation(benchmark):
     assert problems == {
         search_gemm_launches(nb, batch_rounds=1, cache_operands=True)["tensor4"]
     }
+
+    # The cache holds the same bytes at every batch width, within what the
+    # up-front fit check charged for it.
+    peaks = {rec["cache_peak_bytes"] for rec in records}
+    assert len(peaks) == 1, peaks
+    for rec in records:
+        assert rec["cache_peak_bytes"] <= rec["cache_charge_bytes"], rec["config"]
 
     # The headline bar: >=4x total launch collapse at batch_rounds=8.
     by_label = {rec["config"]: rec for rec in records}

@@ -141,51 +141,18 @@ class BitMatrix:
         """Unpack to a ``(R, K)`` boolean array."""
         return self._unpack(np.bool_)
 
-    def to_float32(self) -> np.ndarray:
-        """Unpack to ``(R, K)`` float32 0/1 — the dense-GEMM operand form."""
-        return self.dense_operand(np.float32)
-
-    def dense_operand(
-        self, dtype: np.dtype | type = np.float32, *, memoize: bool = False
-    ) -> np.ndarray:
+    def dense_operand(self, dtype: np.dtype | type = np.float32) -> np.ndarray:
         """Unpacked ``(R, K)`` 0/1 matrix of ``dtype`` — the dense-GEMM
-        operand form.
-
-        With ``memoize=True`` the unpacked planes are cached on the instance
-        (read-only, one dtype at a time), so repeated GEMMs against the same
-        operand — e.g. one ``wx`` against a whole batch of ``yz`` — unpack
-        it once.  Callers that memoize are responsible for accounting the
-        extra bytes (see :meth:`projected_dense_nbytes`).
+        operand form, formed for one GEMM and never cached.
 
         A matrix carrying float32 :attr:`planes` forms its float32 operand
         from them (a broadcast multiply, or a view for a plain slice) and
         never unpacks.
         """
         dtype = np.dtype(dtype)
-        if memoize:
-            memo = getattr(self, "_dense_memo", None)
-            if memo is not None and memo[0] == dtype:
-                return memo[1]
         if self.planes is not None and self.planes.planes.dtype == dtype:
-            dense = self.planes.dense()
-        else:
-            dense = self._unpack(dtype)
-        if memoize:
-            dense.setflags(write=False)
-            # Benign race under threads: both sides compute identical
-            # read-only planes and the last assignment wins.
-            object.__setattr__(self, "_dense_memo", (dtype, dense))
-        return dense
-
-    @property
-    def dense_memo_nbytes(self) -> int:
-        """Bytes currently held by the memoized dense planes (0 if none)."""
-        memo = getattr(self, "_dense_memo", None)
-        return int(memo[1].nbytes) if memo is not None else 0
-
-    def projected_dense_nbytes(self, dtype: np.dtype | type = np.float32) -> int:
-        """Bytes the dense memo for ``dtype`` would occupy if populated."""
-        return self.n_rows * self.n_bits * np.dtype(dtype).itemsize
+            return self.planes.dense()
+        return self._unpack(dtype)
 
     # ------------------------------------------------------------------ #
     # Shape

@@ -155,10 +155,7 @@ class OperandCache:
     # ------------------------------------------------------------------ #
 
     def get_or_compute(
-        self,
-        key: Hashable,
-        factory: Callable[[], Any],
-        nbytes: Callable[[Any], int] | None = None,
+        self, key: Hashable, factory: Callable[[], Any]
     ) -> tuple[Any, bool]:
         """Return the cached value for ``key``, computing it on first use.
 
@@ -167,9 +164,8 @@ class OperandCache:
 
         Args:
             key: hashable cache key.
-            factory: zero-argument callable producing the value.  It runs
-                *outside* the cache lock.
-            nbytes: payload size extractor; defaults to ``value.nbytes``.
+            factory: zero-argument callable producing the value (anything
+                with an ``nbytes`` size).  It runs *outside* the cache lock.
 
         Returns:
             ``(value, hit)`` — ``hit`` is ``True`` when no computation
@@ -199,7 +195,7 @@ class OperandCache:
             pending.event.set()
             raise
 
-        size = int(nbytes(value) if nbytes is not None else value.nbytes)
+        size = int(value.nbytes)
         with self._lock:
             self._misses += 1
             del self._pending[key]
@@ -294,9 +290,6 @@ def _freeze(value: Any) -> None:
             value.setflags(write=False)
         except ValueError:  # pragma: no cover - non-owning views
             pass
-    elif isinstance(value, (list, tuple)):
-        for item in value:
-            _freeze(item)
     else:
         data = getattr(value, "data", None)
         if isinstance(data, np.ndarray):

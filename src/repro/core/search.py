@@ -99,7 +99,6 @@ from repro.device.virtual_gpu import VirtualGPU
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.trace import NULL_TRACER, Tracer
 from repro.perfmodel.workload import outer_iteration_tensor_ops
-from repro.tensor.and_popc import dense_acc_dtype
 from repro.scoring.bounds import K2BoundKernel
 from repro.scoring.k2 import K2Score
 from repro.scoring.lgamma_table import LgammaTable
@@ -421,8 +420,8 @@ class Epi4TensorSearch:
         self._encode_seconds = encode_timer.elapsed
         self._run_span = None
         self._low: LowOrderTables | None = None
-        #: Per-class packed planes, carrying their float32 planes when the
-        #: engine runs the dense path (built by ``_prepare_devices``).
+        #: Per-class packed planes, carrying the float32 planes every dense
+        #: GEMM operand is formed from (built by ``_prepare_devices``).
         self._class_planes: list[BitMatrix] = []
         self._progress_callback = None
         self._progress_lock = threading.Lock()
@@ -597,12 +596,6 @@ class Epi4TensorSearch:
                 schedule = self._make_schedule()
                 self._prepare_devices()
                 self._cache = OperandCache.create(self.config.cache_mb)
-                # Dense bit-plane unpacking is memoized only when batching
-                # makes reuse likely (the same cached combine operand
-                # recurs across fused launches); the memo bytes are
-                # charged to the operand-cache budget in combine().
-                for gpu in self.cluster.gpus:
-                    gpu.engine.memoize_dense = self.config.batch_rounds > 1
             reducer = TopKReducer(self.config.top_k)
             self._global_reducer = reducer
             done: set[int] = set()
@@ -875,10 +868,8 @@ class Epi4TensorSearch:
             self._low = pairw_pop(self.encoded)
         # Dense GEMM operands are formed from float32 planes, unpacked
         # once per class here — before any device thread starts.
-        dense = self.cluster.gpus[0].engine.mode == "dense"
         self._class_planes = [
-            planes.with_float_planes() if dense else planes
-            for planes in (self.encoded.class_matrix(c) for c in (0, 1))
+            self.encoded.class_matrix(c).with_float_planes() for c in (0, 1)
         ]
         m, n = self.encoded.n_snps, self.encoded.n_samples
 
@@ -1352,15 +1343,6 @@ class _SingleDeviceExecutor:
         value, hit = self._cache.get_or_compute(
             ("combine", cls, off_a, off_b),
             lambda: self._combine_cold(cls, off_a, off_b),
-            # When the engine memoizes dense unpacking, a cached combine
-            # pins its (lazily built) float operand too — charge the
-            # budget for it up front so admission stays deterministic.
-            nbytes=lambda bm: bm.nbytes
-            + (
-                bm.projected_dense_nbytes(dense_acc_dtype(bm.n_bits))
-                if self._gpu.engine.memoize_dense
-                else 0
-            ),
         )
         metrics.inc(
             "epi4_operand_cache_served_total"

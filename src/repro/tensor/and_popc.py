@@ -24,21 +24,17 @@ def dense_acc_dtype(n_bits: int) -> np.dtype:
     return np.dtype(np.float32 if n_bits <= _F32_EXACT_MAX else np.float64)
 
 
-def dense_dot_counts(
-    a: BitMatrix, b: BitMatrix, *, memoize: bool = False
-) -> np.ndarray:
+def dense_dot_counts(a: BitMatrix, b: BitMatrix) -> np.ndarray:
     """AND-popcounts via a dense 0/1 matmul (BLAS-backed).
 
     Exactness: the accumulator dtype is chosen so every intermediate integer
-    (bounded by the bit width ``K``) is exactly representable.  With
-    ``memoize=True`` the unpacked planes are cached on the operands (see
-    :meth:`BitMatrix.dense_operand`).
+    (bounded by the bit width ``K``) is exactly representable.
     """
     if a.n_bits != b.n_bits:
         raise ValueError(f"operand bit widths differ: {a.n_bits} vs {b.n_bits}")
     acc_dtype = dense_acc_dtype(a.n_bits)
-    dense_a = a.dense_operand(acc_dtype, memoize=memoize)
-    dense_b = b.dense_operand(acc_dtype, memoize=memoize)
+    dense_a = a.dense_operand(acc_dtype)
+    dense_b = b.dense_operand(acc_dtype)
     product = dense_a @ dense_b.T
     return np.rint(product).astype(np.int64)
 
@@ -52,5 +48,5 @@ class AndPopcEngine(BinaryTensorEngine):
     def matmul_popcount(self, a: BitMatrix, b: BitMatrix) -> np.ndarray:
         self._record(a, b)
         if self.mode == "dense":
-            return dense_dot_counts(a, b, memoize=self.memoize_dense)
+            return dense_dot_counts(a, b)
         return gemm_and_popcount(a, b, block_bytes=self.block_bytes)

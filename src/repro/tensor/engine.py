@@ -57,9 +57,12 @@ class BinaryTensorEngine(abc.ABC):
     """Base class for binary tensor-GEMM engines.
 
     Args:
-        mode: ``"dense"`` (bit-planes unpacked to float32, BLAS matmul — the
-            fast path) or ``"packed"`` (blocked popcount over uint64 words —
-            the reference path).  Both produce identical integers.
+        mode: ``"dense"`` (BLAS matmul of 0/1 float operands — the fast
+            path) or ``"packed"`` (blocked popcount over uint64 words —
+            the reference path).  Both produce identical integers.  A
+            dense operand is formed for its one GEMM, from the operand's
+            float32 planes when it carries them (else by a one-pass
+            unpack), and freed after it; the engine caches nothing.
         block_bytes: intermediate-buffer budget per packed-GEMM block (the
             tiling knob of :mod:`repro.tensor.gemm_packed`); ignored by the
             dense path.
@@ -82,11 +85,6 @@ class BinaryTensorEngine(abc.ABC):
         self.block_bytes = int(block_bytes)
         #: Shapes of GEMMs launched since the last :meth:`reset_shapes` call.
         self.last_shapes: list[GemmShape] = []
-        #: When set, the dense path caches unpacked bit-planes on each
-        #: :class:`BitMatrix` operand (see :meth:`BitMatrix.dense_operand`)
-        #: so batched launches never re-unpack a reused operand.  The search
-        #: layer charges the extra bytes through the operand-cache budget.
-        self.memoize_dense = False
 
     # ------------------------------------------------------------------ #
 

@@ -74,7 +74,7 @@ class XorPopcEngine(BinaryTensorEngine):
             # bookkeeping that reproduces the hardware's output.
             from repro.tensor.and_popc import dense_dot_counts
 
-            dots = dense_dot_counts(a, b, memoize=self.memoize_dense)
+            dots = dense_dot_counts(a, b)
             return (
                 a.row_popcounts()[:, None] + b.row_popcounts()[None, :] - 2 * dots
             )

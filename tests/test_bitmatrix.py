@@ -38,7 +38,8 @@ class TestRoundTrip:
     def test_float32_conversion(self):
         rows = np.array([[True, False, True]])
         np.testing.assert_array_equal(
-            BitMatrix.from_bool(rows).to_float32(), [[1.0, 0.0, 1.0]]
+            BitMatrix.from_bool(rows).dense_operand(np.float32),
+            [[1.0, 0.0, 1.0]],
         )
 
 

@@ -68,13 +68,6 @@ class TestBasics:
         assert s.hit_rate == pytest.approx(1 / 3)
         assert len(cache) == 2
 
-    def test_custom_nbytes_extractor(self):
-        cache = OperandCache(100)
-        cache.get_or_compute(
-            "chunks", lambda: [_arr(24), _arr(16)], nbytes=lambda v: 40
-        )
-        assert cache.stats.current_bytes == 40
-
     def test_values_frozen(self):
         cache = OperandCache(UNBOUNDED)
         value, _ = cache.get_or_compute("k", lambda: _arr(64))

@@ -12,7 +12,8 @@ Three layers under test:
   forms of :func:`repro.perfmodel.workload.search_gemm_launches`, while
   per-problem totals (``gemm_problems``) stay batch-invariant, and the
   operand ledger ``requests == executed + cache_served`` must hold under
-  batching.
+  batching, and with nothing pruned the operand cache's resident peak
+  must equal its §3.3 memory charge at every batch width.
 """
 
 import numpy as np
@@ -394,27 +395,22 @@ class TestModelAndMemory:
                 assert batched["tensor3"] <= seed["tensor3"]
 
 
-class TestDenseMemoization:
-    def test_enabled_only_for_dense_batched(self):
+class TestCacheResidentBytes:
+    @pytest.mark.parametrize("batch", [1, 8])
+    def test_peak_equals_memory_charge(self, batch):
+        """The cache holds packed operands, sweeps and completed triplets
+        only, whatever the batching: with nothing pruned every one of them
+        is computed, so the resident peak is exactly the §3.3 ``operand
+        cache`` charge the up-front fit check made."""
         ds = generate_random_dataset(16, 120, seed=53)
-        for batch, expected in [(8, True), (1, False)]:
-            search, _ = _run(ds, block_size=4, batch_rounds=batch)
-            assert (
-                search.cluster.gpus[0].engine.memoize_dense is expected
-            ), batch
-
-    def test_memo_results_identical(self):
-        rng = np.random.default_rng(54)
-        a = _rand_bits(rng, 10, 200)
-        b = _rand_bits(rng, 6, 200)
-        plain = make_engine("and_popc")
-        memo = make_engine("and_popc")
-        memo.memoize_dense = True
-        np.testing.assert_array_equal(
-            plain.matmul_popcount(a, b), memo.matmul_popcount(a, b)
+        search, result = _run(
+            ds,
+            block_size=4,
+            cache_mb=float("inf"),
+            batch_rounds=batch,
+            prune=False,
         )
-        # Second call reuses the cached unpacking, same bits.
-        np.testing.assert_array_equal(
-            plain.matmul_popcount(a, b), memo.matmul_popcount(a, b)
+        assert (
+            result.cache_stats.peak_bytes
+            == search.memory_estimate.components["operand cache"]
         )
-        assert a.dense_memo_nbytes > 0

@@ -29,12 +29,14 @@ def test_gemm_engine(benchmark, operands, kind, mode):
     a, b = operands
     engine = make_engine(kind, mode=mode)
     out = benchmark(engine.matmul_popcount, a, b)
-    # Throughput context: fused ops of this GEMM.
-    fused = 2 * ROWS * ROWS * K_BITS
-    print(
-        f"\n{kind}/{mode}: {fused / benchmark.stats['mean'] / 1e9:.2f} "
-        "G fused-ops/s (simulator)"
-    )
+    # Throughput context: fused ops of this GEMM (no timing stats under
+    # --benchmark-disable).
+    if benchmark.stats is not None:
+        fused = 2 * ROWS * ROWS * K_BITS
+        print(
+            f"\n{kind}/{mode}: {fused / benchmark.stats['mean'] / 1e9:.2f} "
+            "G fused-ops/s (simulator)"
+        )
     assert out.shape == (ROWS, ROWS)
 
 

@@ -2,9 +2,9 @@
 """The full "real tool" workflow on a PLINK study export.
 
 Simulates what a user with an actual GWAS export does: load a PLINK
-.ped/.map pair, run QC, pilot-subsample to estimate cost, run the
-exhaustive fourth-order search with a resume journal, assess the winner's
-significance and bootstrap stability, and archive a text report.
+.ped/.map pair, run QC, run the exhaustive fourth-order search with a
+resume journal, assess the winner's significance, and archive a text
+report.
 
 Run:  python examples/plink_workflow.py
 """
@@ -15,7 +15,6 @@ from pathlib import Path
 from repro.core.search import Epi4TensorSearch, SearchConfig
 from repro.datasets import generate_epistatic_dataset, load_plink, save_plink
 from repro.datasets.qc import apply_qc
-from repro.datasets.resample import bootstrap_best_quad, subsample
 from repro.reporting import format_search_report
 from repro.scoring.significance import permutation_pvalue
 
@@ -38,16 +37,7 @@ def main() -> None:
     print(f"loaded      : {dataset}")
     print(f"{qc.summary()}")
 
-    # --- 2. Pilot run on a subsample ---------------------------------------
-    pilot = subsample(dataset, 400, seed=0)
-    pilot_result = Epi4TensorSearch(pilot, SearchConfig(block_size=5)).run()
-    print(
-        f"pilot       : {pilot.n_samples} samples -> "
-        f"{pilot_result.wall_seconds:.2f}s; full run estimated "
-        f"~{pilot_result.wall_seconds * dataset.n_samples / pilot.n_samples:.2f}s"
-    )
-
-    # --- 3. Full search with a resume journal -----------------------------
+    # --- 2. Full search with a resume journal -----------------------------
     journal = workdir / "search.journal"
     result = Epi4TensorSearch(
         dataset, SearchConfig(block_size=5, top_k=3)
@@ -55,15 +45,13 @@ def main() -> None:
     print(f"best quad   : {result.best_quad} "
           f"({'== truth' if result.best_quad == truth else '!= truth'})")
 
-    # --- 4. Significance + stability ----------------------------------------
+    # --- 3. Significance ----------------------------------------------------
     perm = permutation_pvalue(
         dataset, result.best_quad, n_permutations=99, seed=1
     )
-    boot = bootstrap_best_quad(dataset, n_bootstrap=6, block_size=5, seed=1)
     print(f"p-value     : {perm.p_value:.3f} (99 permutations)")
-    print(f"stability   : {boot.stability:.0%} of bootstrap resamples")
 
-    # --- 5. Report -----------------------------------------------------------
+    # --- 4. Report -----------------------------------------------------------
     report_path = workdir / "report.txt"
     report_path.write_text(format_search_report(result, dataset))
     print(f"report      : {report_path}")

@@ -28,7 +28,7 @@ from repro.datasets import (
     save_dataset,
 )
 from repro.device.specs import A100_PCIE, A100_SXM4, SYSTEMS, TITAN_RTX
-from repro.scoring import K2Score, make_score
+from repro.scoring import K2Score
 
 __version__ = "1.0.0"
 
@@ -68,7 +68,6 @@ __all__ = [
     "generate_epistatic_dataset",
     "generate_random_dataset",
     "load_dataset",
-    "make_score",
     "predict_multi_gpu",
     "predict_search",
     "save_dataset",

@@ -24,7 +24,7 @@ from repro.bitops.bitmatrix import BitMatrix
 from repro.bitops.popcount import popcount_u64
 from repro.core.solution import Solution
 from repro.datasets.dataset import Dataset
-from repro.scoring.base import ScoreFunction, normalized_for_minimization
+from repro.scoring.base import ScoreFunction
 from repro.scoring.k2 import K2Score
 
 
@@ -45,7 +45,6 @@ class BitEpiBaseline:
 
     def __init__(self, score: ScoreFunction | None = None) -> None:
         self._score = score or K2Score()
-        self._score_min = normalized_for_minimization(self._score)
 
     def search(self, dataset: Dataset) -> Solution:
         """Evaluate every quad with bitwise AND+POPC table construction."""
@@ -73,7 +72,7 @@ class BitEpiBaseline:
                     cross = wx[cls][:, None, :] & yz[None, :, :]
                     counts = popcount_u64(cross).sum(axis=-1)
                     tables.append(counts.reshape(3, 3, 3, 3))
-                score = float(self._score_min(tables[0], tables[1], order=4))
+                score = float(self._score(tables[0], tables[1], order=4))
                 best = min(best, Solution.from_quad((w, x, y, z), score))
         return best
 

@@ -15,7 +15,7 @@ import numpy as np
 from repro.contingency.brute_force import contingency_table
 from repro.core.solution import Solution
 from repro.datasets.dataset import Dataset
-from repro.scoring.base import ScoreFunction, normalized_for_minimization
+from repro.scoring.base import ScoreFunction
 from repro.scoring.k2 import K2Score
 
 
@@ -26,7 +26,6 @@ class NaiveBaseline:
 
     def __init__(self, score: ScoreFunction | None = None) -> None:
         self._score = score or K2Score()
-        self._score_min = normalized_for_minimization(self._score)
 
     def search(self, dataset: Dataset) -> Solution:
         """Exhaustively evaluate every quad; returns the best solution."""
@@ -38,7 +37,7 @@ class NaiveBaseline:
             idx = list(quad)
             t0 = contingency_table(genotypes[0][idx])
             t1 = contingency_table(genotypes[1][idx])
-            score = float(self._score_min(t0, t1, order=4))
+            score = float(self._score(t0, t1, order=4))
             best = min(best, Solution.from_quad(quad, score))
         return best
 
@@ -57,6 +56,6 @@ class NaiveBaseline:
             idx = list(quad)
             t0 = contingency_table(genotypes[0][idx])
             t1 = contingency_table(genotypes[1][idx])
-            self._score_min(t0, t1, order=4)
+            self._score(t0, t1, order=4)
         elapsed = time.perf_counter() - start
         return len(quads) / elapsed if elapsed > 0 else float("inf")

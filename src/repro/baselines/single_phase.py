@@ -22,7 +22,7 @@ import numpy as np
 from repro.contingency.brute_force import contingency_table
 from repro.core.solution import Solution
 from repro.datasets.dataset import Dataset
-from repro.scoring.base import ScoreFunction, normalized_for_minimization
+from repro.scoring.base import ScoreFunction
 from repro.scoring.k2 import K2Score
 
 
@@ -56,7 +56,6 @@ class SinglePhaseBaseline:
         memory_limit_bytes: int = 2 * 1024**3,
     ) -> None:
         self._score = score or K2Score()
-        self._score_min = normalized_for_minimization(self._score)
         self.memory_limit_bytes = memory_limit_bytes
 
     # ------------------------------------------------------------------ #
@@ -127,7 +126,7 @@ class SinglePhaseBaseline:
                         t[_triplet_rank(x, y, z)].reshape(3, 3, 3),
                     )
                 )
-            score = float(self._score_min(tables[0], tables[1], order=4))
+            score = float(self._score(tables[0], tables[1], order=4))
             best = min(best, Solution.from_quad(quad, score))
         return best
 

@@ -13,8 +13,26 @@ Subcommands:
 from __future__ import annotations
 
 import argparse
+import contextlib
 import os
 import sys
+
+
+class _UsageError(Exception):
+    """A flag value rejected before the search starts (exit code 2)."""
+
+
+@contextlib.contextmanager
+def _flag_values():
+    """Report a value that loading or configuring rejects as a usage
+    error, the way argparse reports its own (one ``error:`` line after
+    the usage, exit code 2, no traceback)."""
+    try:
+        yield
+    except KeyError as exc:  # gpu_by_name
+        raise _UsageError(exc.args[0]) from None
+    except (OSError, ValueError) as exc:
+        raise _UsageError(str(exc)) from None
 
 
 def _add_search(sub: argparse._SubParsersAction) -> argparse.ArgumentParser:
@@ -26,13 +44,7 @@ def _add_search(sub: argparse._SubParsersAction) -> argparse.ArgumentParser:
     p.add_argument("--snps", type=int, default=48, help="synthetic SNP count")
     p.add_argument("--samples", type=int, default=512, help="synthetic sample count")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--order", type=int, default=4, choices=(2, 3, 4),
-                   help="interaction order")
     p.add_argument("--block-size", type=int, default=16)
-    p.add_argument(
-        "--score", default="k2", choices=("k2", "chi2", "gtest", "mi"),
-        help="score of the --order 2/3 searches; --order 4 scores with K2 only",
-    )
     p.add_argument("--gpu", default="A100 PCIe", help="device model to account against")
     p.add_argument("--n-gpus", type=int, default=1)
     p.add_argument(
@@ -232,6 +244,18 @@ def _load_or_generate(args: argparse.Namespace):
     return dataset
 
 
+def _search_dataset(args: argparse.Namespace):
+    """The dataset a search runs on: loaded or generated, then QC'd if
+    ``--qc`` is set."""
+    dataset = _load_or_generate(args)
+    if args.qc:
+        from repro.datasets.qc import apply_qc
+
+        dataset, qc_report = apply_qc(dataset)
+        print(qc_report.summary())
+    return dataset
+
+
 def _search_config_from_args(args: argparse.Namespace):
     """Build the fourth-order :class:`SearchConfig` from parsed flags
     (shared by the plain, sharded-coordinator and shard-worker modes)."""
@@ -292,14 +316,10 @@ def _cmd_sharded(args: argparse.Namespace) -> int:
     from repro.obs.manifest import _config_dict
 
     if args.shards is None or args.shards < 1:
-        raise SystemExit("--shard-index requires --shards N (N >= 1)")
-    dataset = _load_or_generate(args)
-    if args.qc:
-        from repro.datasets.qc import apply_qc
-
-        dataset, qc_report = apply_qc(dataset)
-        print(qc_report.summary())
-    config = _search_config_from_args(args)
+        raise _UsageError("--shard-index requires --shards N (N >= 1)")
+    with _flag_values():
+        dataset = _search_dataset(args)
+        config = _search_config_from_args(args)
 
     if args.shard_index is None:
         merged = run_sharded(
@@ -328,17 +348,18 @@ def _cmd_sharded(args: argparse.Namespace) -> int:
     from repro.datasets import save_dataset
     from repro.device.specs import gpu_by_name
 
-    probe = Epi4TensorSearch(
-        dataset, config, spec=gpu_by_name(args.gpu), n_gpus=args.n_gpus
-    )
-    plan = plan_shards(
-        probe.scheme.nb,
-        args.shards,
-        block_size=config.block_size,
-        n_samples=probe.encoded.n_samples,
-    )
+    with _flag_values():
+        probe = Epi4TensorSearch(
+            dataset, config, spec=gpu_by_name(args.gpu), n_gpus=args.n_gpus
+        )
+        plan = plan_shards(
+            probe.scheme.nb,
+            args.shards,
+            block_size=config.block_size,
+            n_samples=probe.encoded.n_samples,
+        )
     if not 0 <= args.shard_index < args.shards:
-        raise SystemExit(
+        raise _UsageError(
             f"--shard-index must be in [0, {args.shards}), "
             f"got {args.shard_index}"
         )
@@ -370,7 +391,6 @@ def _cmd_sharded(args: argparse.Namespace) -> int:
 
 
 def _cmd_search(args: argparse.Namespace) -> int:
-    from repro.core.korder import search_second_order, search_third_order
     from repro.core.search import Epi4TensorSearch
     from repro.device.specs import gpu_by_name
     from repro.scoring.significance import permutation_pvalue
@@ -380,124 +400,104 @@ def _cmd_search(args: argparse.Namespace) -> int:
     if args.shards is not None or args.shard_index is not None:
         return _cmd_sharded(args)
 
-    dataset = _load_or_generate(args)
-    if args.qc:
-        from repro.datasets.qc import apply_qc
+    tracer = None
+    if args.trace_out:
+        from repro.obs.trace import Tracer
 
-        dataset, qc_report = apply_qc(dataset)
-        print(qc_report.summary())
-    names = dataset.snp_names
-    spec = gpu_by_name(args.gpu)
-
-    if args.order in (2, 3):
-        searcher = search_second_order if args.order == 2 else search_third_order
-        kres = searcher(
-            dataset, block_size=args.block_size, score=args.score, spec=spec,
-            n_gpus=args.n_gpus,
-        )
-        labels = ", ".join(names[i] for i in kres.best_tuple)
-        print(f"best {args.order}-set : {kres.best_tuple} = {labels}")
-        print(f"score     : {kres.best_score:.6f} ({args.score})")
-        print(f"wall time : {kres.wall_seconds:.2f}s "
-              f"({kres.n_sets_evaluated} sets, {kres.tensor_ops:.2e} tensor ops)")
-        best_tuple = kres.best_tuple
-    else:
+        tracer = Tracer()
+    with _flag_values():
+        dataset = _search_dataset(args)
         config = _search_config_from_args(args)
-        tracer = None
-        if args.trace_out:
-            from repro.obs.trace import Tracer
-
-            tracer = Tracer()
         search = Epi4TensorSearch(
-            dataset, config, spec=spec, n_gpus=args.n_gpus, tracer=tracer
+            dataset, config, spec=gpu_by_name(args.gpu), n_gpus=args.n_gpus,
+            tracer=tracer,
         )
-        result = search.run(journal_path=args.journal)
-        if args.trace_out or args.metrics_out or args.manifest_out:
-            from repro.obs.exporters import export_run_artifacts
-            from repro.obs.manifest import build_run_manifest
+    result = search.run(journal_path=args.journal)
+    if args.trace_out or args.metrics_out or args.manifest_out:
+        from repro.obs.exporters import export_run_artifacts
+        from repro.obs.manifest import build_run_manifest
 
-            manifest = (
-                build_run_manifest(search, result, dataset=dataset)
-                if args.manifest_out
-                else None
-            )
-            written = export_run_artifacts(
-                tracer=tracer,
-                metrics=result.metrics,
-                manifest=manifest,
-                trace_out=args.trace_out,
-                metrics_out=args.metrics_out,
-                manifest_out=args.manifest_out,
-            )
-            for kind, path in sorted(written.items()):
-                print(f"{kind:<9} : written to {path}")
-        for rank, sol in enumerate(result.top_solutions, start=1):
-            w, x, y, z = sol.quad
-            print(f"#{rank}: ({w}, {x}, {y}, {z}) = "
-                  f"{names[w]}, {names[x]}, {names[y]}, {names[z]}  "
-                  f"score {sol.score:.6f}")
-        print(f"device    : {result.n_devices}x {result.spec_name} "
-              f"[{result.engine_name}]")
-        print(f"useful    : {100 * result.block_scheme.useful_fraction:.1f}% of "
-              f"{result.block_scheme.quads_processed} processed quads")
-        print(f"wall time : {result.wall_seconds:.2f}s "
-              f"({result.quads_per_second_scaled:.3e} quad-samples/s)")
-        if "epi4_applyscore_compaction_ratio" in result.metrics.names():
-            ratio = result.metrics.value("epi4_applyscore_compaction_ratio")
-            print(f"applyScore: {100 * ratio:.1f}% of grid cells completed "
-                  "(mask-first compaction)")
-        pruned = result.metrics.total("epi4_prune_quads_total")
-        if pruned:
-            survivors = result.metrics.total("epi4_applyscore_valid_total")
-            frac = pruned / max(1.0, pruned + survivors)
-            print(f"pruning   : {pruned:.0f} quads ({100 * frac:.1f}% of "
-                  f"mask-valid) bound-pruned before completion")
-        if config.batch_rounds > 1 or config.n_streams > 1:
-            t4 = int(result.metrics.total("epi4_gemm_launches_total", kernel="tensor4"))
-            t4_problems = int(
-                result.metrics.total("epi4_gemm_problems_total", kernel="tensor4")
-            )
-            overlap_s = result.metrics.total("epi4_stage_overlap_seconds_total")
-            print(f"batching  : {t4_problems} tensor4 GEMMs in {t4} launches "
-                  f"(batch_rounds={config.batch_rounds}, "
-                  f"n_streams={config.n_streams}, "
-                  f"{overlap_s:.2f}s staged off the scoring thread)")
-        if result.cache_stats is not None:
-            cs = result.cache_stats
-            print(f"cache     : {100 * cs.hit_rate:.1f}% hit rate "
-                  f"({cs.hits} hits / {cs.misses} misses, "
-                  f"{cs.evictions} evictions, "
-                  f"peak {cs.peak_bytes / 1e6:.1f} MB)")
-        if result.fault_log is not None and result.fault_log.any_activity:
-            fl = result.fault_log
-            quarantined = fl.quarantined_devices
-            print(f"faults    : {fl.total_failures} launch failures, "
-                  f"{fl.total_retries} retries "
-                  f"({fl.total_backoff_seconds * 1e3:.0f} ms backoff), "
-                  f"{fl.total_requeues} requeues, "
-                  f"{fl.total_degraded_rounds} degraded rounds, "
-                  f"quarantined {quarantined if quarantined else 'none'}")
-            if fl.total_watchdog_trips:
-                print(f"watchdog  : {fl.total_watchdog_trips} stalled "
-                      f"launch(es) cancelled at deadline "
-                      f"{config.deadline_ms:.0f} ms")
-        if args.journal:
-            commits = result.metrics.total("epi4_journal_commits_total")
-            replayed = result.metrics.total("epi4_journal_replayed_total")
-            print(f"journal   : {commits:.0f} commit(s) appended, "
-                  f"{replayed:.0f} replayed from {args.journal}")
-        best_tuple = result.best_quad
-        if args.report:
-            from repro.reporting import format_search_report
+        manifest = (
+            build_run_manifest(search, result, dataset=dataset)
+            if args.manifest_out
+            else None
+        )
+        written = export_run_artifacts(
+            tracer=tracer,
+            metrics=result.metrics,
+            manifest=manifest,
+            trace_out=args.trace_out,
+            metrics_out=args.metrics_out,
+            manifest_out=args.manifest_out,
+        )
+        for kind, path in sorted(written.items()):
+            print(f"{kind:<9} : written to {path}")
+    names = dataset.snp_names
+    for rank, sol in enumerate(result.top_solutions, start=1):
+        w, x, y, z = sol.quad
+        print(f"#{rank}: ({w}, {x}, {y}, {z}) = "
+              f"{names[w]}, {names[x]}, {names[y]}, {names[z]}  "
+              f"score {sol.score:.6f}")
+    print(f"device    : {result.n_devices}x {result.spec_name} "
+          f"[{result.engine_name}]")
+    print(f"useful    : {100 * result.block_scheme.useful_fraction:.1f}% of "
+          f"{result.block_scheme.quads_processed} processed quads")
+    print(f"wall time : {result.wall_seconds:.2f}s "
+          f"({result.quads_per_second_scaled:.3e} quad-samples/s)")
+    if "epi4_applyscore_compaction_ratio" in result.metrics.names():
+        ratio = result.metrics.value("epi4_applyscore_compaction_ratio")
+        print(f"applyScore: {100 * ratio:.1f}% of grid cells completed "
+              "(mask-first compaction)")
+    pruned = result.metrics.total("epi4_prune_quads_total")
+    if pruned:
+        survivors = result.metrics.total("epi4_applyscore_valid_total")
+        frac = pruned / max(1.0, pruned + survivors)
+        print(f"pruning   : {pruned:.0f} quads ({100 * frac:.1f}% of "
+              f"mask-valid) bound-pruned before completion")
+    if config.batch_rounds > 1 or config.n_streams > 1:
+        t4 = int(result.metrics.total("epi4_gemm_launches_total", kernel="tensor4"))
+        t4_problems = int(
+            result.metrics.total("epi4_gemm_problems_total", kernel="tensor4")
+        )
+        overlap_s = result.metrics.total("epi4_stage_overlap_seconds_total")
+        print(f"batching  : {t4_problems} tensor4 GEMMs in {t4} launches "
+              f"(batch_rounds={config.batch_rounds}, "
+              f"n_streams={config.n_streams}, "
+              f"{overlap_s:.2f}s staged off the scoring thread)")
+    if result.cache_stats is not None:
+        cs = result.cache_stats
+        print(f"cache     : {100 * cs.hit_rate:.1f}% hit rate "
+              f"({cs.hits} hits / {cs.misses} misses, "
+              f"{cs.evictions} evictions, "
+              f"peak {cs.peak_bytes / 1e6:.1f} MB)")
+    if result.fault_log is not None and result.fault_log.any_activity:
+        fl = result.fault_log
+        quarantined = fl.quarantined_devices
+        print(f"faults    : {fl.total_failures} launch failures, "
+              f"{fl.total_retries} retries "
+              f"({fl.total_backoff_seconds * 1e3:.0f} ms backoff), "
+              f"{fl.total_requeues} requeues, "
+              f"{fl.total_degraded_rounds} degraded rounds, "
+              f"quarantined {quarantined if quarantined else 'none'}")
+        if fl.total_watchdog_trips:
+            print(f"watchdog  : {fl.total_watchdog_trips} stalled "
+                  f"launch(es) cancelled at deadline "
+                  f"{config.deadline_ms:.0f} ms")
+    if args.journal:
+        commits = result.metrics.total("epi4_journal_commits_total")
+        replayed = result.metrics.total("epi4_journal_replayed_total")
+        print(f"journal   : {commits:.0f} commit(s) appended, "
+              f"{replayed:.0f} replayed from {args.journal}")
+    if args.report:
+        from repro.reporting import format_search_report
 
-            with open(args.report, "w", encoding="utf-8") as fh:
-                fh.write(format_search_report(result, dataset))
-            print(f"report    : written to {args.report}")
-
+        with open(args.report, "w", encoding="utf-8") as fh:
+            fh.write(format_search_report(result, dataset))
+        print(f"report    : written to {args.report}")
     if args.permutations > 0:
         perm = permutation_pvalue(
             dataset,
-            best_tuple,
+            result.best_quad,
             n_permutations=args.permutations,
             seed=args.seed,
         )
@@ -620,39 +620,6 @@ def _cmd_generate(args: argparse.Namespace) -> int:
     return 0
 
 
-#: Flags only the fourth-order search reads; ``--order 2|3`` rejects any
-#: of them set away from its default rather than silently ignoring it.
-FOURTH_ORDER_FLAGS = (
-    "--engine", "--top-k", "--selfcheck", "--cache-mb", "--max-chunk-cells",
-    "--batch-rounds", "--n-streams", "--max-retries", "--backoff-base-ms",
-    "--quarantine-after", "--inject-faults", "--deadline-ms", "--prune",
-    "--journal", "--report", "--trace-out", "--metrics-out", "--manifest-out",
-    "--shards",
-)
-
-
-def _check_order_flags(search_parser: argparse.ArgumentParser, args) -> None:
-    """Reject flags the chosen ``--order`` does not read (exit code 2)."""
-    if args.order == 4:
-        if args.score != "k2":
-            search_parser.error(
-                f"--score {args.score}: the fourth-order search scores with "
-                "K2 only; other scores need --order 2 or 3"
-            )
-        return
-    dests = {flag: flag[2:].replace("-", "_") for flag in FOURTH_ORDER_FLAGS}
-    unread = [
-        flag
-        for flag, dest in dests.items()
-        if getattr(args, dest) != search_parser.get_default(dest)
-    ]
-    if unread:
-        search_parser.error(
-            f"fourth-order-only flag(s) set with --order {args.order}: "
-            + ", ".join(unread)
-        )
-
-
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(
         prog="epi4tensor",
@@ -666,8 +633,10 @@ def main(argv: list[str] | None = None) -> int:
     _add_qc(sub)
     _add_generate(sub)
     args = parser.parse_args(argv)
-    if args.command == "search":
-        _check_order_flags(search_parser, args)
+    if args.command == "search" and args.permutations < 0:
+        search_parser.error(
+            f"argument --permutations: must be >= 0, got {args.permutations}"
+        )
     handlers = {
         "search": _cmd_search,
         "predict": _cmd_predict,
@@ -678,6 +647,8 @@ def main(argv: list[str] | None = None) -> int:
     try:
         code = handlers[args.command](args)
         sys.stdout.flush()
+    except _UsageError as exc:
+        sub.choices[args.command].error(str(exc))
     except BrokenPipeError:
         # The reader went away (``| head``).  Point stdout at devnull so
         # the interpreter's exit-time flush cannot raise again, and exit

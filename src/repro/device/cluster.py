@@ -135,7 +135,6 @@ class VirtualCluster:
         spec: GPUSpec,
         n_gpus: int,
         *,
-        mode: str = "dense",
         engine_kind: str | None = None,
     ) -> None:
         if n_gpus < 1:
@@ -144,8 +143,7 @@ class VirtualCluster:
         self.gpus = [
             VirtualGPU(
                 spec,
-                engine=None if engine_kind is None else make_engine(engine_kind, mode=mode),
-                mode=mode,
+                engine=None if engine_kind is None else make_engine(engine_kind),
                 device_id=i,
             )
             for i in range(n_gpus)

@@ -551,7 +551,3 @@ class FaultyGPU:
                 np.ascontiguousarray(outs[0])
             )
         return outs
-
-    def launch_plane_gemm(self, category, a, b):
-        out, _ = self._execute(category, lambda: self._gpu.launch_plane_gemm(category, a, b))
-        return out

@@ -30,7 +30,6 @@ class VirtualGPU:
         engine: override the tensor engine (defaults to the spec's native
             kind — the paper's Turing runs use XOR+POPC because that is all
             Turing supports).
-        mode: engine execution path (``"dense"`` or ``"packed"``).
         device_id: ordinal within a multi-GPU system.
     """
 
@@ -38,12 +37,11 @@ class VirtualGPU:
         self,
         spec: GPUSpec,
         engine: BinaryTensorEngine | None = None,
-        mode: str = "dense",
         device_id: int = 0,
     ) -> None:
         self.spec = spec
         self.engine = engine if engine is not None else make_engine(
-            spec.native_engine_kind, mode=mode
+            spec.native_engine_kind
         )
         if self.engine.native_op == "and" and not spec.supports_and_popc:
             raise ValueError(
@@ -162,15 +160,6 @@ class VirtualGPU:
         )
         self._account_tensor("tensor4")
         return outs
-
-    def launch_plane_gemm(
-        self, category: str, a: BitMatrix, b: BitMatrix
-    ) -> np.ndarray:
-        """Generic binary GEMM launch on tensor cores (e.g. second-order
-        plane-by-plane corners), accounted under ``category``."""
-        out = self.engine.matmul_popcount(a, b)
-        self._account_tensor(category)
-        return out
 
     def account_score_cells(self, n_cells: int) -> None:
         """Account ``applyScore`` work: completed + scored table cells."""

@@ -1,50 +1,23 @@
 """Statistical association scores over case/control contingency tables.
 
-The paper evaluates with the Bayesian K2 score (§2, §3.5); because the score
-cost is invariant in the sample count, it also notes the choice of test does
-not affect performance.  We implement K2 as the default plus three common
-alternatives behind the same interface so the claim can be checked.
+The search scores with the Bayesian K2 score (paper §2, §3.5): lower is
+stronger, ``lgamma`` values come from a lookup table, and a table's score
+costs the same at any sample count.  The :class:`ScoreFunction` base lets
+the baselines and the permutation test take any score that minimises.
 
-All scores are *batched*: they accept ``(..., 3, 3, 3, 3)`` (or any order
+Scores are *batched*: they accept ``(..., 3, 3, 3, 3)`` (or any order
 ``k``) tables per class and return ``(...)`` floats.
 """
 
-from repro.scoring.base import ScoreFunction, normalized_for_minimization
+from repro.scoring.base import ScoreFunction
 from repro.scoring.bounds import PRUNE_SLACK, K2BoundKernel
-from repro.scoring.chi2 import ChiSquaredScore
-from repro.scoring.gtest import GTestScore
 from repro.scoring.k2 import K2Score
 from repro.scoring.lgamma_table import LgammaTable
-from repro.scoring.mutual_info import MutualInformationScore
-
-#: Registry of score-function factories by name (CLI / config entry point).
-SCORE_FUNCTIONS = {
-    "k2": K2Score,
-    "chi2": ChiSquaredScore,
-    "gtest": GTestScore,
-    "mi": MutualInformationScore,
-}
-
-
-def make_score(name: str, **kwargs) -> ScoreFunction:
-    """Instantiate a score function by registry name."""
-    if name not in SCORE_FUNCTIONS:
-        raise ValueError(
-            f"unknown score {name!r}; available: {sorted(SCORE_FUNCTIONS)}"
-        )
-    return SCORE_FUNCTIONS[name](**kwargs)
-
 
 __all__ = [
-    "ChiSquaredScore",
-    "GTestScore",
     "K2BoundKernel",
     "K2Score",
     "LgammaTable",
-    "MutualInformationScore",
     "PRUNE_SLACK",
-    "SCORE_FUNCTIONS",
     "ScoreFunction",
-    "make_score",
-    "normalized_for_minimization",
 ]

@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import abc
-from typing import Callable
 
 import numpy as np
 
@@ -15,14 +14,14 @@ class ScoreFunction(abc.ABC):
     batches; genotype axes may come in any ``(3,)*k`` arrangement since every
     implemented statistic is cell-permutation invariant.
 
+    Every score minimises: a lower score is a stronger association, which
+    is the direction the searches and baselines reduce in.
+
     Attributes:
-        name: registry name.
-        higher_is_better: natural direction of the statistic.  The search
-            driver normalizes via :func:`normalized_for_minimization`.
+        name: short name of the score.
     """
 
     name: str = "abstract"
-    higher_is_better: bool = False
 
     @abc.abstractmethod
     def __call__(
@@ -75,23 +74,3 @@ class ScoreFunction(abc.ABC):
     def __repr__(self) -> str:
         return f"{type(self).__name__}()"
 
-
-def normalized_for_minimization(
-    score_fn: ScoreFunction,
-) -> Callable[[np.ndarray, np.ndarray], np.ndarray]:
-    """Wrap a score so that *lower is always better* (reduction convention).
-
-    The tensor pipeline's reduction keeps the minimum; scores whose natural
-    direction is "higher is better" are negated.
-    """
-    if not score_fn.higher_is_better:
-        return score_fn
-
-    def negated(
-        controls_table: np.ndarray,
-        cases_table: np.ndarray,
-        order: int | None = None,
-    ) -> np.ndarray:
-        return -np.asarray(score_fn(controls_table, cases_table, order=order))
-
-    return negated

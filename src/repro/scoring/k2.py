@@ -35,7 +35,6 @@ class StagedK2Kernel:
     """
 
     name = "k2-staged"
-    higher_is_better = False
 
     def __init__(self, table: LgammaTable) -> None:
         self._table = table
@@ -108,7 +107,6 @@ class K2Score(ScoreFunction):
     """
 
     name = "k2"
-    higher_is_better = False
 
     def __init__(self, lgamma_table: LgammaTable | None = None) -> None:
         self._table = lgamma_table

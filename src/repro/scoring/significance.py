@@ -13,7 +13,7 @@ Two nulls are offered:
 - :func:`search_max_statistic_pvalue` — family-wise null: the best score of
   a *full search* per permutation.  Corrects for the multiple testing of
   all ``C(M, 4)`` quads; costs one search per permutation, so it is only
-  practical at reduced ``M`` (or after filtering).
+  practical at reduced ``M``.
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.datasets.dataset import Dataset
-from repro.scoring.base import ScoreFunction, normalized_for_minimization
+from repro.scoring.base import ScoreFunction
 from repro.scoring.k2 import K2Score
 
 
@@ -32,8 +32,8 @@ class PermutationResult:
     """Outcome of a permutation test.
 
     Attributes:
-        observed_score: the statistic on the real labels (lower = stronger,
-            minimization-normalized).
+        observed_score: the statistic on the real labels (lower =
+            stronger).
         null_scores: statistic per permutation.
         p_value: ``(1 + #{null <= observed}) / (1 + n_permutations)``
             (the add-one estimator — never exactly zero).
@@ -64,10 +64,11 @@ def permutation_pvalue(
 
     Args:
         dataset: the case-control dataset.
-        snps: the SNP tuple whose association is being tested.
+        snps: the SNP tuple whose association is being tested: distinct
+            indices in ``[0, dataset.n_snps)``.
         n_permutations: permutation count (p-value resolution is
             ``1 / (n_permutations + 1)``).
-        score: association score (default K2).
+        score: association score, lower = stronger (default K2).
         seed: RNG seed.
 
     Returns:
@@ -75,10 +76,15 @@ def permutation_pvalue(
     """
     if n_permutations < 1:
         raise ValueError(f"n_permutations must be >= 1, got {n_permutations}")
+    out_of_range = [i for i in snps if not 0 <= i < dataset.n_snps]
+    if out_of_range:
+        raise ValueError(
+            f"snps must lie in [0, {dataset.n_snps}), got {tuple(snps)}"
+        )
     if len(set(snps)) != len(snps):
         raise ValueError(f"snps must be distinct, got {snps}")
     order = len(snps)
-    score_min = normalized_for_minimization(score or K2Score())
+    score = score or K2Score()
     code = _joint_code(dataset, tuple(snps))
     n_cells = 3**order
     labels = np.asarray(dataset.phenotypes)
@@ -87,7 +93,7 @@ def permutation_pvalue(
         t1 = np.bincount(code[is_case], minlength=n_cells)
         t0 = np.bincount(code[~is_case], minlength=n_cells)
         return float(
-            score_min(
+            score(
                 t0.reshape((3,) * order), t1.reshape((3,) * order), order=order
             )
         )
@@ -115,7 +121,8 @@ def search_max_statistic_pvalue(
     Runs the full Epi4Tensor search once on the real labels and once per
     permuted label vector; the null is the distribution of the *best* score
     over all quads, which controls the family-wise error of the exhaustive
-    scan.  Expensive — use after filtering or on small ``M``.
+    scan.  Expensive: one full search per permutation, so keep ``M``
+    small.
     """
     from repro.core.search import Epi4TensorSearch, SearchConfig
 

@@ -11,7 +11,6 @@ from repro.core.pairwise import pairw_pop
 from repro.core.threeway import tensorop_3way
 from repro.datasets import encode_dataset, generate_random_dataset
 from repro.scoring import K2Score
-from repro.scoring.base import normalized_for_minimization
 from repro.tensor import AndPopcEngine
 
 
@@ -88,7 +87,7 @@ class TestApplyScore:
     def test_scores_match_brute_force(self, setup):
         ds, enc, engine, low = setup
         b = 4
-        score_min = normalized_for_minimization(K2Score())
+        score_min = K2Score()
         operands = _make_round(ds, enc, engine, (0, 4, 8, 12), b, low)
         scores = _score_grid(enc, operands, low.pairs)
         for (i, j, k, l) in [(0, 0, 0, 0), (3, 1, 2, 0), (2, 2, 2, 2)]:
@@ -113,7 +112,7 @@ class TestApplyScore:
 
     def test_overlapping_round_scores_match_brute_force(self, setup):
         ds, enc, engine, low = setup
-        score_min = normalized_for_minimization(K2Score())
+        score_min = K2Score()
         operands = _make_round(ds, enc, engine, (4, 4, 8, 8), 4, low)
         scores = _score_grid(enc, operands, low.pairs)
         # Valid position: w=4+0 < x=4+2, y=8+1 < z=8+3.

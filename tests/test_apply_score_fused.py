@@ -34,7 +34,6 @@ from repro.core.pairwise import pairw_pop
 from repro.core.selfcheck import direct_round_operands
 from repro.datasets import encode_dataset, generate_random_dataset
 from repro.scoring import K2BoundKernel, K2Score
-from repro.scoring.base import normalized_for_minimization
 
 
 def _setup(n_snps=20, n_samples=112, block_size=4, seed=11):
@@ -42,9 +41,8 @@ def _setup(n_snps=20, n_samples=112, block_size=4, seed=11):
     enc = encode_dataset(ds, block_size=block_size)
     pairs = pairw_pop(enc).pairs
     score = K2Score()
-    score_min = normalized_for_minimization(score)
     staged = score.staged_kernel(enc.n_samples)
-    return ds, enc, pairs, score_min, staged
+    return ds, enc, pairs, score, staged
 
 
 def _cache_provider(cache: OperandCache):
@@ -299,17 +297,15 @@ class TestStagedK2Kernel:
             np.testing.assert_array_equal(ref, via_flat)
 
     def test_minimization_normalization_matches(self):
-        # The search feeds the staged kernel where it would feed
-        # normalized_for_minimization(K2Score()); K2 already minimizes, so
-        # the two must agree exactly.
+        # The search scores with the staged kernel; it must agree exactly
+        # with K2Score, which minimizes as the search's reduction does.
         rng = np.random.default_rng(3)
         score = K2Score()
         staged = score.staged_kernel(200)
-        score_min = normalized_for_minimization(score)
         t0 = rng.integers(0, 3, size=(11, 3, 3, 3, 3)).astype(np.int64)
         t1 = rng.integers(0, 3, size=(11, 3, 3, 3, 3)).astype(np.int64)
         np.testing.assert_array_equal(
-            score_min(t0, t1, order=4), staged(t0, t1, order=4)
+            score(t0, t1, order=4), staged(t0, t1, order=4)
         )
 
     def test_negative_counts_rejected(self):

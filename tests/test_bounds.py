@@ -35,7 +35,6 @@ from repro.core.search import Epi4TensorSearch, SearchConfig
 from repro.core.selfcheck import direct_round_operands
 from repro.datasets import encode_dataset, generate_random_dataset
 from repro.scoring import K2Score, PRUNE_SLACK, K2BoundKernel
-from repro.scoring.base import normalized_for_minimization
 from repro.scoring.lgamma_table import LgammaTable
 
 # Same overlap-order coverage as the fused applyScore suite: distinct
@@ -58,10 +57,9 @@ def _setup(n_snps=18, n_samples=112, block_size=4, seed=11):
     enc = encode_dataset(ds, block_size=block_size)
     pairs = pairw_pop(enc).pairs
     score = K2Score()
-    score_min = normalized_for_minimization(score)
     staged = score.staged_kernel(enc.n_samples)
     kernel = K2BoundKernel(staged.table, enc.n_controls, enc.n_cases)
-    return enc, pairs, score_min, kernel
+    return enc, pairs, score, kernel
 
 
 @pytest.fixture(scope="module")

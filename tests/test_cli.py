@@ -28,56 +28,6 @@ class TestSearch:
         assert "#3:" in out
         assert "p-value" in out
 
-    @pytest.mark.parametrize("order", ["2", "3"])
-    def test_lower_orders(self, order, capsys):
-        assert main(
-            ["search", "--snps", "10", "--samples", "96", "--block-size", "5",
-             "--order", order]
-        ) == 0
-        assert f"best {order}-set" in capsys.readouterr().out
-
-    @pytest.mark.parametrize("order", ["2", "3"])
-    @pytest.mark.parametrize(
-        "flags",
-        [
-            ["--engine", "xor_popc"],
-            ["--top-k", "5"],
-            ["--selfcheck"],
-            ["--prune", "off"],
-            ["--journal", "run.journal"],
-            ["--metrics-out", "m.txt"],
-            ["--shards", "2"],
-        ],
-    )
-    def test_lower_orders_reject_fourth_order_flags(
-        self, order, flags, tmp_path, monkeypatch, capsys
-    ):
-        monkeypatch.chdir(tmp_path)
-        with pytest.raises(SystemExit) as exc:
-            main(["search", "--snps", "10", "--samples", "96",
-                  "--block-size", "5", "--order", order, *flags])
-        assert exc.value.code == 2
-        assert flags[0] in capsys.readouterr().err
-        assert not list(tmp_path.iterdir())
-
-    def test_lower_orders_accept_defaults_and_n_gpus(self, monkeypatch, capsys):
-        import repro.core.korder as korder
-
-        seen = {}
-        real = korder.search_second_order
-
-        def spy(*args, **kwargs):
-            seen.update(kwargs)
-            return real(*args, **kwargs)
-
-        monkeypatch.setattr(korder, "search_second_order", spy)
-        assert main(
-            ["search", "--snps", "10", "--samples", "96", "--block-size", "5",
-             "--order", "2", "--n-gpus", "3", "--prune", "on", "--top-k", "1"]
-        ) == 0
-        assert seen["n_gpus"] == 3
-        assert "best 2-set" in capsys.readouterr().out
-
     def test_plink_input(self, tmp_path, capsys):
         from repro.datasets import generate_random_dataset, save_plink
 
@@ -100,14 +50,7 @@ class TestSearch:
         save_dataset_csv(path, ds)
         assert main(["search", "--input", str(path), "--block-size", "4"]) == 0
 
-    def test_alternative_score_and_engine(self, capsys):
-        assert main(
-            [
-                "search", "--snps", "10", "--samples", "96",
-                "--block-size", "5", "--order", "2", "--score", "chi2",
-            ]
-        ) == 0
-        assert "(chi2)" in capsys.readouterr().out
+    def test_alternative_engine(self, capsys):
         assert main(
             [
                 "search", "--snps", "10", "--samples", "96",
@@ -117,13 +60,40 @@ class TestSearch:
         ) == 0
         assert "xor_popc" in capsys.readouterr().out
 
-    @pytest.mark.parametrize("score", ["chi2", "gtest", "mi"])
-    def test_fourth_order_rejects_non_k2_score(self, score, capsys):
+    @pytest.mark.parametrize(
+        "flags, named",
+        [
+            (["--top-k", "0"], "top_k"),
+            (["--n-gpus", "0"], "n_gpus"),
+            (["--block-size", "0"], "block_size"),
+            (["--batch-rounds", "0"], "batch_rounds"),
+            (["--permutations", "-5"], "--permutations"),
+            (["--gpu", "H100"], "H100"),
+            (["--input", "missing.npz"], "missing.npz"),
+            (["--shards", "2", "--top-k", "0"], "top_k"),
+        ],
+    )
+    def test_bad_value_is_a_usage_error(
+        self, flags, named, tmp_path, monkeypatch, capsys
+    ):
+        monkeypatch.chdir(tmp_path)
         with pytest.raises(SystemExit) as exc:
-            main(["search", "--snps", "10", "--samples", "96", "--score", score])
+            main(["search", "--snps", "10", "--samples", "96", *flags])
         assert exc.value.code == 2
         err = capsys.readouterr().err
-        assert f"--score {score}" in err and "K2" in err
+        assert "error:" in err and named in err
+        assert "Traceback" not in err
+        assert not list(tmp_path.iterdir())
+
+    def test_error_while_running_keeps_its_traceback(self, monkeypatch):
+        from repro.core.search import Epi4TensorSearch
+
+        def fail(self, journal_path=None):
+            raise ValueError("raised by the running search")
+
+        monkeypatch.setattr(Epi4TensorSearch, "run", fail)
+        with pytest.raises(ValueError, match="running search"):
+            main(["search", "--snps", "10", "--samples", "96"])
 
 
 class TestPredict:

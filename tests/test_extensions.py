@@ -1,10 +1,7 @@
-"""Tests for the extension models: broadcast, multi-node, energy, filter."""
+"""Tests for the extension models: broadcast, multi-node, energy."""
 
-import numpy as np
 import pytest
 
-from repro.core.filter import marginal_chi2_filter, refine_with_search
-from repro.datasets import generate_epistatic_dataset, generate_random_dataset
 from repro.device.broadcast import (
     broadcast_host_serial,
     broadcast_p2p_allgather,
@@ -109,57 +106,3 @@ class TestEnergy:
         pred = predict_search(A100_SXM4, 1024, 32768, 32)
         with pytest.raises(ValueError, match="draw_fraction"):
             estimate_energy(pred, draw_fraction=0.0)
-
-
-class TestFilterRefine:
-    def test_filter_keeps_requested_count(self):
-        ds = generate_random_dataset(20, 200, seed=1)
-        kept = marginal_chi2_filter(ds, keep=8)
-        assert kept.shape == (8,)
-        assert (np.diff(kept) > 0).all()
-
-    def test_filter_validation(self):
-        ds = generate_random_dataset(10, 50, seed=0)
-        with pytest.raises(ValueError, match="keep"):
-            marginal_chi2_filter(ds, keep=3)
-        with pytest.raises(ValueError, match="keep"):
-            marginal_chi2_filter(ds, keep=11)
-
-    def test_refine_maps_back_to_original_indices(self):
-        ds, truth = generate_epistatic_dataset(
-            18, 2500, interacting_snps=(2, 7, 11, 15), effect_size=2.8, seed=5
-        )
-        kept = marginal_chi2_filter(ds, keep=10)
-        if not set(truth) <= set(kept.tolist()):
-            pytest.skip("filter missed the signal for this seed")
-        result = refine_with_search(ds, kept, block_size=5)
-        assert result.best_quad == truth
-
-    def test_refine_validation(self):
-        ds = generate_random_dataset(10, 60, seed=0)
-        with pytest.raises(ValueError, match=">= 4"):
-            refine_with_search(ds, np.array([1, 2, 3]))
-        with pytest.raises(ValueError, match="out of range"):
-            refine_with_search(ds, np.array([1, 2, 3, 99]))
-
-    def test_refine_equals_subset_search(self):
-        from repro.core.search import search_best_quad
-
-        ds = generate_random_dataset(14, 150, seed=6)
-        candidates = np.array([0, 2, 3, 5, 8, 9, 12, 13])
-        refined = refine_with_search(ds, candidates, block_size=4)
-        direct = search_best_quad(ds.subset_snps(candidates), block_size=4)
-        mapped = tuple(int(candidates[i]) for i in direct.best_quad)
-        assert refined.best_quad == mapped
-
-    def test_refine_remaps_top_solutions_too(self):
-        from repro.core.search import Epi4TensorSearch, SearchConfig
-
-        ds = generate_random_dataset(14, 150, seed=6)
-        candidates = np.array([1, 3, 4, 6, 7, 10, 11, 13])
-        refined = refine_with_search(ds, candidates, block_size=4)
-        # All returned indices must come from the candidate set (i.e. be
-        # original-dataset indices, not subset positions).
-        for sol in refined.top_solutions:
-            assert set(sol.quad) <= set(candidates.tolist())
-        assert refined.top_solutions[0] == refined.solution

@@ -1,8 +1,5 @@
 """System-level integration tests: the paper's end-use scenarios."""
 
-import numpy as np
-import pytest
-
 from repro.core.search import Epi4TensorSearch, SearchConfig, search_best_quad
 from repro.datasets import (
     encode_dataset,
@@ -90,29 +87,3 @@ class TestScalePath:
             enc, SearchConfig(block_size=4, engine_kind="xor_popc")
         ).run()
         assert r1.solution == r2.solution
-
-
-class TestFilterRefinePipeline:
-    """§5 remark: the exhaustive core can sit behind a candidate filter."""
-
-    def test_refine_on_filtered_candidates(self):
-        ds, truth = generate_epistatic_dataset(
-            20, 2500, interacting_snps=(3, 8, 12, 17), effect_size=2.8, seed=9
-        )
-        # Filter: keep the 8 most marginally-associated SNPs (chi2 on
-        # singles) plus enough random fillers to pad a block.
-        from repro.scoring import ChiSquaredScore
-        from repro.contingency import contingency_table
-
-        chi2 = ChiSquaredScore()
-        marginal = []
-        for m in range(ds.n_snps):
-            t0 = contingency_table(ds.class_genotypes(0)[[m]])
-            t1 = contingency_table(ds.class_genotypes(1)[[m]])
-            marginal.append(float(chi2(t0, t1)))
-        keep = np.argsort(marginal)[-8:]
-        assert set(truth) <= set(keep.tolist()), "filter must retain the signal"
-        sub = ds.subset_snps(np.sort(keep))
-        result = search_best_quad(sub, block_size=4)
-        found = tuple(int(np.sort(keep)[i]) for i in result.best_quad)
-        assert found == truth

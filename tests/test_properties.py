@@ -613,13 +613,11 @@ class TestBoundAdmissibility:
         from repro.core.pairwise import pairw_pop
         from repro.core.selfcheck import direct_round_operands
         from repro.scoring import PRUNE_SLACK, K2BoundKernel, K2Score
-        from repro.scoring.base import normalized_for_minimization
 
         b = 4
         enc = encode_dataset(ds, block_size=b)
         pairs = pairw_pop(enc).pairs
         score = K2Score()
-        score_min = normalized_for_minimization(score)
         kernel = K2BoundKernel(
             score.staged_kernel(enc.n_samples).table,
             enc.n_controls,
@@ -634,7 +632,7 @@ class TestBoundAdmissibility:
         w, x, y, z = np.nonzero(mask)
         if w.size == 0:
             return
-        exact = apply_score_dense(operands, pairs, score_min, enc.n_real_snps)
+        exact = apply_score_dense(operands, pairs, score, enc.n_real_snps)
         bounds = kernel.quad_bounds(operands, w, x, y, z)
         assert bounds is not None
         assert np.all(bounds <= exact[mask] + PRUNE_SLACK)

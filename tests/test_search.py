@@ -8,8 +8,7 @@ from repro.core.search import Epi4TensorSearch, SearchConfig, search_best_quad
 from repro.datasets import Dataset, encode_dataset, generate_random_dataset
 from repro.device.specs import A100_PCIE, TITAN_RTX
 from repro.perfmodel.workload import search_workload
-from repro.scoring import K2Score, make_score
-from repro.scoring.base import normalized_for_minimization
+from repro.scoring import K2Score
 from tests.helpers import assert_matches_oracle, brute_force_topk
 
 
@@ -115,7 +114,7 @@ class TestTopK:
 
         ds = generate_random_dataset(12, 130, seed=2)
         res = Epi4TensorSearch(ds, SearchConfig(block_size=4, top_k=5)).run()
-        fn = normalized_for_minimization(make_score("k2"))
+        fn = K2Score()
         ranked = sorted(
             (float(fn(*contingency_tables_by_class(ds, q), order=4)), q)
             for q in combinations(range(12), 4)

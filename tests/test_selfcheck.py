@@ -12,7 +12,6 @@ from repro.core.selfcheck import (
 )
 from repro.datasets import encode_dataset, generate_random_dataset
 from repro.scoring import K2Score
-from repro.scoring.base import normalized_for_minimization
 
 
 class TestDirectTables:
@@ -37,7 +36,7 @@ class TestVerifyRound:
     def test_accepts_consistent_scores(self):
         ds = generate_random_dataset(8, 80, seed=3)
         enc = encode_dataset(ds, block_size=4)
-        fn = normalized_for_minimization(K2Score())
+        fn = K2Score()
         t0, t1 = contingency_tables_by_class(ds, (0, 1, 4, 5))
         scores = np.full((4, 4, 4, 4), np.inf)
         scores[0, 1, 0, 1] = float(fn(t0, t1, order=4))
@@ -46,7 +45,7 @@ class TestVerifyRound:
     def test_rejects_corrupted_score(self):
         ds = generate_random_dataset(8, 80, seed=3)
         enc = encode_dataset(ds, block_size=4)
-        fn = normalized_for_minimization(K2Score())
+        fn = K2Score()
         scores = np.full((4, 4, 4, 4), np.inf)
         scores[0, 1, 0, 1] = 42.0  # not the true score of (0, 1, 4, 5)
         with pytest.raises(SelfCheckError, match="corruption"):
@@ -55,7 +54,7 @@ class TestVerifyRound:
     def test_fully_masked_round_is_skipped(self):
         ds = generate_random_dataset(8, 80, seed=3)
         enc = encode_dataset(ds, block_size=4)
-        fn = normalized_for_minimization(K2Score())
+        fn = K2Score()
         verify_round_best(
             enc, np.full((4, 4, 4, 4), np.inf), (0, 0, 4, 4), fn
         )

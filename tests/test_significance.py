@@ -49,6 +49,16 @@ class TestPerQuadPvalue:
         with pytest.raises(ValueError, match="distinct"):
             permutation_pvalue(ds, (0, 0, 1, 2))
 
+    @pytest.mark.parametrize(
+        "snps", [(0, 1, 2, -1), (0, 1, 2, -1, 7), (0, 1, 2, 8), (-9, 1, 2, 3)]
+    )
+    def test_rejects_index_outside_dataset(self, snps):
+        # A negative index must not wrap around to count a SNP from the
+        # end, and an index past the end must name the valid range.
+        ds = generate_random_dataset(8, 50, seed=0)
+        with pytest.raises(ValueError, match=r"\[0, 8\)"):
+            permutation_pvalue(ds, snps, n_permutations=3)
+
     def test_deterministic_with_seed(self):
         ds = generate_random_dataset(8, 120, seed=6)
         a = permutation_pvalue(ds, (0, 2, 4, 6), n_permutations=29, seed=42)

@@ -310,16 +310,23 @@ def _cmd_merge(args: argparse.Namespace) -> int:
 def _cmd_sharded(args: argparse.Namespace) -> int:
     """``--shards N`` (coordinator) / ``--shards N --shard-index I``
     (single-shard worker, for manual per-node runs)."""
-    from repro.dist import plan_shards, run_shard, run_sharded
-    from repro.dist.coordinator import DATASET_NAME
+    from repro.dist import run_shard, run_sharded
+    from repro.dist.coordinator import DATASET_NAME, plan_run
     from repro.dist.worker import build_request
     from repro.obs.manifest import _config_dict
 
     if args.shards is None or args.shards < 1:
         raise _UsageError("--shard-index requires --shards N (N >= 1)")
+    # Plan deterministically (every node derives the same plan from the
+    # same dataset/flags) before anything is written, so a rejected flag
+    # value leaves no --dist-dir behind.
     with _flag_values():
         dataset = _search_dataset(args)
         config = _search_config_from_args(args)
+        plan = plan_run(
+            dataset, config, n_shards=args.shards, spec_name=args.gpu,
+            n_gpus=args.n_gpus,
+        )
 
     if args.shard_index is None:
         merged = run_sharded(
@@ -331,6 +338,7 @@ def _cmd_sharded(args: argparse.Namespace) -> int:
             n_gpus=args.n_gpus,
             max_procs=args.max_procs,
             max_restarts=args.shard_restarts,
+            plan=plan,
         )
         _print_merged(merged, dataset.snp_names)
         print(f"manifest  : written to {args.dist_dir}/merged-manifest.json")
@@ -342,22 +350,9 @@ def _cmd_sharded(args: argparse.Namespace) -> int:
             print(f"report    : written to {args.report}")
         return 0
 
-    # Worker mode: plan deterministically (every node derives the same
-    # plan from the same dataset/flags), execute one shard, export.
-    from repro.core.search import Epi4TensorSearch
+    # Worker mode: execute one shard of the plan, export.
     from repro.datasets import save_dataset
-    from repro.device.specs import gpu_by_name
 
-    with _flag_values():
-        probe = Epi4TensorSearch(
-            dataset, config, spec=gpu_by_name(args.gpu), n_gpus=args.n_gpus
-        )
-        plan = plan_shards(
-            probe.scheme.nb,
-            args.shards,
-            block_size=config.block_size,
-            n_samples=probe.encoded.n_samples,
-        )
     if not 0 <= args.shard_index < args.shards:
         raise _UsageError(
             f"--shard-index must be in [0, {args.shards}), "

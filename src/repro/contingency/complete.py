@@ -28,7 +28,10 @@ import numpy as np
 
 
 def complete_tables(
-    corner: np.ndarray, marginals: Sequence[np.ndarray], order: int
+    corner: np.ndarray,
+    marginals: Sequence[np.ndarray],
+    order: int,
+    dtype: type = np.int64,
 ) -> np.ndarray:
     """Complete a batched ``(3,)*order`` table from its ``{0,1}^order`` corner.
 
@@ -40,9 +43,11 @@ def complete_tables(
             shape.  (For ``order == 1`` pass a single 0-d/batched total
             count ``N``.)
         order: interaction order ``k >= 1``.
+        dtype: integer type of the result.  Every cell is a count in
+            ``[0, N]``, so any type that holds ``N`` is exact.
 
     Returns:
-        ``(..., 3, 3, ..., 3)`` int64 completed table.
+        ``(..., 3, 3, ..., 3)`` completed table of ``dtype``.
     """
     corner = np.asarray(corner)
     if order < 1:
@@ -54,7 +59,7 @@ def complete_tables(
     if len(marginals) != order:
         raise ValueError(f"need {order} marginals, got {len(marginals)}")
     batch = corner.shape[: corner.ndim - order]
-    out = np.zeros(batch + (3,) * order, dtype=np.int64)
+    out = np.zeros(batch + (3,) * order, dtype=dtype)
     out[(...,) + (slice(0, 2),) * order] = corner
 
     for axis in reversed(range(order)):
@@ -117,8 +122,14 @@ def complete_triple(
         pair_ab: full ``(..., 3, 3)`` table of ``(a, b)``.
         pair_ac: full ``(..., 3, 3)`` table of ``(a, c)``.
         pair_bc: full ``(..., 3, 3)`` table of ``(b, c)``.
+
+    Returns:
+        ``(..., 3, 3, 3)`` int32 completed table: counts are below
+        ``2^31``, and int32 halves the bytes a cached table occupies.
     """
-    return complete_tables(corner, [pair_bc, pair_ac, pair_ab], order=3)
+    return complete_tables(
+        corner, [pair_bc, pair_ac, pair_ab], order=3, dtype=np.int32
+    )
 
 
 def complete_quad(

@@ -18,15 +18,22 @@ simulated tensor-core substrate:
    on multicore hosts.  Each device reduces locally, the host reduces at
    the end.
 
-Two hot-path optimizations ride on top of the seed algorithm, both exactly
+Three hot-path optimizations ride on top of the seed algorithm, all exactly
 result-preserving:
 
-- a **round-operand cache** (:mod:`repro.core.operand_cache`): the loop
-  nest re-requests the same ``(class, off_a, off_b)`` combine outputs and
-  third-order sweeps many times (``wy`` recurs across ``Xi``, ``xy``
-  across ``Wi``, ``yz`` across every outer pair); with the cache enabled
-  the loop-invariant work is hoisted — computed on first use, served from
-  a byte-bounded LRU afterwards.  Cache hits skip kernel-launch
+- a **per-``Wi`` sweep hold**, always on: the 3-way sweeps whose first
+  block is ``Wi`` are kept for the whole outer iteration, the loop scope
+  that reads them (§3.3's three-phase scheme).  Sweep ``(Wi, b)`` is the
+  ``wx`` sweep of pair ``(Wi, b)`` and the ``wy`` sweep of every
+  ``Xi <= b``, so a search runs ``2*C(nb+2, 3)`` tensor3 launches instead
+  of the seed loop's ``2*C(nb+1, 2) + 4*C(nb+2, 3)`` (see
+  :mod:`repro.perfmodel.workload`).
+- a **round-operand cache** (:mod:`repro.core.operand_cache`), off by
+  default: the loop nest re-requests the same ``(class, off_a, off_b)``
+  combine outputs, ``xy`` sweeps and completed triplets across pairs and
+  outer iterations (``xy`` across ``Wi``, ``yz`` across every outer
+  pair); with the cache enabled that work is computed on first use and
+  served from a byte-bounded LRU afterwards.  Cache hits skip kernel-launch
   accounting, so the device work series always reflect executed work.
 - a **batched round pipeline**, the one loop nest every run goes
   through: rounds sharing one ``(Wi, Xi)`` pair are staged in groups of
@@ -127,10 +134,11 @@ class SearchConfig:
             bitwise path and abort on any disagreement (paranoia mode for
             long production runs; see :mod:`repro.core.selfcheck`).
         cache_mb: round-operand cache budget in megabytes.  ``None`` or
-            ``0`` disables caching (the seed behaviour); ``float("inf")``
-            is unbounded (charged to the memory model at the full working
-            set).  Results are bit-identical either way — the cache only
-            changes which launches execute.
+            ``0`` disables caching; ``float("inf")`` is unbounded
+            (charged to the memory model at the full working set).  The
+            cache sits behind the per-``Wi`` sweep hold and adds reuse
+            across pairs and outer iterations.  Results are bit-identical
+            either way — the cache only changes which launches execute.
         max_retries: additional attempts a failed outer iteration gets on
             the same device before it is requeued to surviving devices
             (see :mod:`repro.core.resilience`).
@@ -620,7 +628,7 @@ class Epi4TensorSearch:
                     # spans opened on the stager thread (empty span stack)
                     # parent correctly.
                     local = self._run_rounds(
-                        executor, [wi], parent_span=outer_span
+                        executor, wi, parent_span=outer_span
                     )
                 with commit_lock:
                     reducer.merge(local)
@@ -892,18 +900,19 @@ class Epi4TensorSearch:
     def _run_rounds(
         self,
         executor: "_SingleDeviceExecutor",
-        outer_iters: Iterable[int],
+        wi: int,
         parent_span=None,
     ) -> TopKReducer:
-        """The Algorithm 1 loop nest over one executor's kernel primitives.
+        """The Algorithm 1 loop nest of one outer iteration ``Wi``.
 
-        Loop-invariant operands are requested through the executor's
-        ``combine``/``sweep3`` primitives: with the round-operand cache
-        enabled, the per-``Yi`` ``wy``/``xy`` combine+sweep is computed
-        once and served from the cache across outer pairs, and the ``yz``
-        combines are shared across every enclosing ``(Wi, Xi)``; with the
-        cache disabled every request recomputes, launch-for-launch the
-        seed driver at ``batch_rounds == 1``.
+        Operands are requested through the executor's ``combine``/
+        ``sweep3`` primitives.  The sweeps whose first block is ``Wi``
+        are held until the iteration returns (see :meth:`_stage_tasks`),
+        so each runs once however many pairs read it; the ``xy`` sweeps
+        of a pair live for that pair.  With the round-operand cache
+        enabled, the ``xy`` sweeps are also shared across outer
+        iterations, the ``yz`` combines across every enclosing
+        ``(Wi, Xi)`` and the completed triplets across rounds.
 
         Rounds sharing one ``(Wi, Xi)`` pair are chunked into groups of
         ``batch_rounds``; each group's ``yz`` combines and 4-way GEMMs
@@ -918,7 +927,7 @@ class Epi4TensorSearch:
         assert self._low is not None, "_prepare_devices must run first"
         depth = stage_lookahead(self.config.n_streams)
         reducer = TopKReducer(self.config.top_k)
-        tasks = self._stage_tasks(executor, outer_iters, parent_span)
+        tasks = self._stage_tasks(executor, wi, parent_span)
         if depth == 0:
             for task in tasks:
                 self._score_staged_group(executor, reducer, task())
@@ -965,32 +974,40 @@ class Epi4TensorSearch:
     def _stage_tasks(
         self,
         executor: "_SingleDeviceExecutor",
-        outer_iters: Iterable[int],
+        wi: int,
         parent_span,
     ) -> Iterator[Callable[[], "_StagedGroup"]]:
-        """Stage tasks of every round group, generated lazily in loop
-        order, so a pair's shared operands are freed once its last group
-        is scored."""
+        """Stage tasks of every round group of outer iteration ``wi``,
+        generated lazily in loop order, so a pair's own operands are freed
+        once its last group is scored.
+
+        ``held`` keeps every sweep ``(wi, b)`` — keyed ``(cls, b * B)`` —
+        for the whole iteration: it is the ``wx`` sweep of pair ``(wi, b)`` and the ``wy`` sweep of every ``Xi <= b`` (and,
+        at ``Xi == wi``, the ``xy`` sweep too).  It is local to this
+        generator, so a retried iteration starts empty, and only the
+        stage side (the stager thread, or the inline path) touches it.
+        """
         nb, batch = self.scheme.nb, self.config.batch_rounds
-        for wi in outer_iters:
-            for xi in range(wi, nb):
-                rounds = [
-                    (yi, zi)
-                    for yi in range(xi, nb)
-                    for zi in range(yi, nb)
-                ]
-                # Per-(wi, xi) operands shared across the pair's groups;
-                # mutated only by the (single, in-order) stager thread.
-                shared: dict = {}
-                for start in range(0, len(rounds), batch):
-                    yield self._make_stage_task(
-                        executor,
-                        wi,
-                        xi,
-                        rounds[start : start + batch],
-                        shared,
-                        parent_span,
-                    )
+        held: dict[tuple[int, int], np.ndarray] = {}
+        for xi in range(wi, nb):
+            rounds = [
+                (yi, zi)
+                for yi in range(xi, nb)
+                for zi in range(yi, nb)
+            ]
+            # Per-(wi, xi) operands shared across the pair's groups;
+            # mutated only by the (single, in-order) stager thread.
+            shared: dict = {}
+            for start in range(0, len(rounds), batch):
+                yield self._make_stage_task(
+                    executor,
+                    wi,
+                    xi,
+                    rounds[start : start + batch],
+                    shared,
+                    held,
+                    parent_span,
+                )
 
     def _make_stage_task(
         self,
@@ -999,6 +1016,7 @@ class Epi4TensorSearch:
         xi: int,
         group: list[tuple[int, int]],
         shared: dict,
+        held: dict,
         parent_span,
     ) -> Callable[[], "_StagedGroup"]:
         """Build the (idempotent) stage closure for one round group: all
@@ -1007,17 +1025,29 @@ class Epi4TensorSearch:
 
         Launches issue in the seed loop's order: the pair's ``wx``
         combine + sweep, the per-``Yi`` ``wy``/``xy`` sweeps, the ``yz``
-        combines, then the fused 4-way GEMM.  A same-block ``wx`` or
-        ``yz`` enters the 4-way GEMM diagonal-compact: only its ``w < x``
-        rows can feed a valid quad.
+        combines, then the fused 4-way GEMM.  Sweeps whose first block is
+        ``Wi`` come from the iteration's ``held`` sweeps, so they launch
+        only on first use.  A same-block ``wx`` or ``yz`` enters the 4-way
+        GEMM diagonal-compact: only its ``w < x`` rows can feed a valid
+        quad.
         """
         b = self.scheme.block_size
+        wo, xo = wi * b, xi * b
 
         def rows4(op: BitMatrix, same_block: bool) -> BitMatrix:
             return diagonal_compact(op, b) if same_block else op
 
+        def held_sweep(
+            cls: int, off_b: int, combined: BitMatrix | None = None
+        ) -> np.ndarray:
+            sweep = held.get((cls, off_b))
+            if sweep is None:
+                sweep = held[cls, off_b] = executor.sweep3(
+                    cls, wo, off_b, combined=combined
+                )
+            return sweep
+
         def stage() -> _StagedGroup:
-            wo, xo = wi * b, xi * b
             t0 = time.perf_counter()
             with self.tracer.span(
                 "stage",
@@ -1029,8 +1059,7 @@ class Epi4TensorSearch:
                 if "wx" not in shared:
                     wx = [executor.combine(c, wo, xo) for c in (0, 1)]
                     shared["sweep_wx"] = [
-                        executor.sweep3(c, wo, xo, combined=wx[c])
-                        for c in (0, 1)
+                        held_sweep(c, xo, combined=wx[c]) for c in (0, 1)
                     ]
                     shared["wx"] = [rows4(op, wi == xi) for op in wx]
                     shared["sweeps"] = {}
@@ -1040,8 +1069,13 @@ class Epi4TensorSearch:
                     if yi not in sweeps:
                         yo = yi * b
                         sweeps[yi] = (
-                            [executor.sweep3(c, wo, yo) for c in (0, 1)],
-                            [executor.sweep3(c, xo, yo) for c in (0, 1)],
+                            [held_sweep(c, yo) for c in (0, 1)],
+                            [
+                                held_sweep(c, yo)
+                                if xi == wi
+                                else executor.sweep3(c, xo, yo)
+                                for c in (0, 1)
+                            ],
                         )
                 yz_by_round = [
                     [

@@ -116,7 +116,8 @@ def complete_threeway(
         c_indices: global SNP indices along the third axis.
 
     Returns:
-        ``(A, B, C, 3, 3, 3)`` int64 completed tables.
+        ``(A, B, C, 3, 3, 3)`` int32 completed tables (see
+        :func:`~repro.contingency.complete.complete_triple`).
     """
     a_idx = np.asarray(a_indices, dtype=np.intp)
     b_idx = np.asarray(b_indices, dtype=np.intp)

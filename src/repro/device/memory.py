@@ -8,6 +8,12 @@ table, low-order tables, the three live 3-way sweep corners, the combined
 operands and the 4-way corner/score buffers — so a search can be checked
 against a GPU's memory *before* it runs, and refuses configurations that
 cannot fit (the same failure the paper reports for [15] at large ``M``).
+
+:func:`held_operand_bytes` sizes the 3-way sweeps the simulator's host
+side holds for one outer iteration: ``O(B * M^2)``, far below the
+single-phase ``O(M^3)``.  They are not part of the paper's device design,
+which keeps three live sweeps, so :func:`estimate_search_memory` does not
+charge them.
 """
 
 from __future__ import annotations
@@ -86,14 +92,29 @@ def triplet_working_set_bytes(n_snps: int, block_size: int) -> int:
 
     The cross-round triplet cache (``("full3", cls, a, b, c)`` entries in
     :mod:`repro.core.operand_cache`) stores one completed ``(B, B, B, 27)``
-    int64 table per class per unordered block triple ``(ai <= bi <= ci)``.
+    int32 table per class per unordered block triple ``(ai <= bi <= ci)``.
     Like :func:`cache_working_set_bytes`, this bounds the cache's maximum
     resident set for the §3.3 memory check.
     """
     if min(n_snps, block_size) <= 0:
         raise ValueError("all dimensions must be positive")
     nb = n_snps // block_size
-    return 2 * comb(nb + 2, 3) * block_size**3 * 27 * 8
+    return 2 * comb(nb + 2, 3) * block_size**3 * 27 * 4
+
+
+def held_operand_bytes(n_snps: int, block_size: int) -> int:
+    """Peak bytes of the per-``Wi`` sweep hold (both classes).
+
+    One outer iteration ``Wi`` holds the int32 ``(B, B, M - b*B, 2, 2, 2)``
+    3-way sweeps ``(Wi, b)`` for every ``b >= Wi``.  They shrink as ``Wi``
+    grows, so the first iteration holds the most — every sweep ``(0, b)``,
+    ``O(B * M^2)`` bytes, against the single-phase scheme's ``O(M^3)`` —
+    and holds exactly this once its last pair is staged.
+    """
+    if min(n_snps, block_size) <= 0:
+        raise ValueError("all dimensions must be positive")
+    m, b = n_snps, block_size
+    return sum(2 * (b * b * (m - bi * b) * 8) * 4 for bi in range(m // b))
 
 
 def estimate_search_memory(

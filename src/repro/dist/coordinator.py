@@ -22,7 +22,7 @@ import multiprocessing
 import os
 
 from repro.dist.merge import MergedRun, merge_shards
-from repro.dist.plan import plan_shards
+from repro.dist.plan import ShardPlan, plan_shards
 from repro.dist.worker import build_request, run_shard, shard_artifact_name
 
 #: Coordinator artifact names in the output directory.
@@ -47,6 +47,7 @@ def run_sharded(
     max_restarts: int = 2,
     inline: bool = False,
     trace: bool = False,
+    plan: ShardPlan | None = None,
 ) -> MergedRun:
     """Execute ``dataset``'s search as ``n_shards`` communication-free
     shards and return the deterministically merged result.
@@ -67,35 +68,27 @@ def run_sharded(
             dies before the run aborts.
         inline: run the shard workers sequentially in this process.
         trace: have each worker record and export its span tree.
+        plan: the :func:`plan_run` result for these arguments, when the
+            caller already built it (planned here otherwise).
 
     Returns:
         :class:`~repro.dist.merge.MergedRun` — its ``top_k_sha256`` is
         bit-identical to the unsharded run's.
     """
-    from repro.core.search import Epi4TensorSearch, SearchConfig
+    from repro.core.search import SearchConfig
     from repro.datasets import save_dataset
     from repro.obs.manifest import _config_dict
 
     config = config or SearchConfig()
     out_dir = os.fspath(out_dir)
+    if plan is None:
+        plan = plan_run(
+            dataset, config, n_shards=n_shards, spec_name=spec_name,
+            n_gpus=n_gpus,
+        )
+    nb = plan.nb
+
     os.makedirs(out_dir, exist_ok=True)
-
-    # One probe construction (no run) pins the block scheme the workers
-    # must agree on, and fails fast on config/dataset errors here rather
-    # than in N child processes.
-    from repro.device.specs import gpu_by_name
-
-    probe = Epi4TensorSearch(
-        dataset, config, spec=gpu_by_name(spec_name), n_gpus=n_gpus
-    )
-    nb = probe.scheme.nb
-    plan = plan_shards(
-        nb,
-        n_shards,
-        block_size=config.block_size,
-        n_samples=probe.encoded.n_samples,
-    )
-
     dataset_path = os.path.join(out_dir, DATASET_NAME)
     save_dataset(dataset_path, dataset)
 
@@ -123,6 +116,35 @@ def run_sharded(
     merged = merge_shards(out_dir)
     _export_merged(merged, out_dir)
     return merged
+
+
+def plan_run(
+    dataset,
+    config,
+    *,
+    n_shards: int,
+    spec_name: str = "A100 PCIe",
+    n_gpus: int = 1,
+) -> ShardPlan:
+    """The shard plan of ``dataset``'s search, from one probe construction.
+
+    The probe (built, never run) pins the block scheme the workers must
+    agree on, and raises on config/dataset errors here rather than in N
+    child processes.  It writes nothing, so a caller can validate a run
+    before creating its output directory.
+    """
+    from repro.core.search import Epi4TensorSearch
+    from repro.device.specs import gpu_by_name
+
+    probe = Epi4TensorSearch(
+        dataset, config, spec=gpu_by_name(spec_name), n_gpus=n_gpus
+    )
+    return plan_shards(
+        probe.scheme.nb,
+        n_shards,
+        block_size=config.block_size,
+        n_samples=probe.encoded.n_samples,
+    )
 
 
 def _drive_workers(

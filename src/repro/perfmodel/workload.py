@@ -11,11 +11,19 @@ All counts follow the paper's conventions:
   ``Xi`` iteration for ``wx``, two per ``Yi`` iteration for ``wy``/``xy``).
 
 Those are the paper's scheme, which the performance model and Figs. 2-3
-charge.  The executed 4-way GEMM is smaller: a same-block ``wx`` (``Wi ==
-Xi``) or ``yz`` (``Yi == Zi``) operand carries only the ``2B(B-1)`` rows
-with ``w < x`` (see :func:`combined_rows`), so a round executes
-``r(Wi, Xi) x r(Yi, Zi) x N_c`` bits per class.  The ``executed_*`` forms
-count that volume.
+charge.  The search executes less:
+
+- the 4-way GEMM is smaller: a same-block ``wx`` (``Wi == Xi``) or ``yz``
+  (``Yi == Zi``) operand carries only the ``2B(B-1)`` rows with ``w < x``
+  (see :func:`combined_rows`), so a round executes
+  ``r(Wi, Xi) x r(Yi, Zi) x N_c`` bits per class;
+- each outer iteration ``Wi`` holds its sweeps ``(Wi, b)`` for the whole
+  iteration, so sweep ``(Wi, b)`` runs once per ``Wi`` — not once as the
+  ``wx`` sweep of pair ``(Wi, b)`` and again as the ``wy`` sweep of every
+  ``Xi <= b`` — and only the ``xy`` sweeps with ``Xi > Wi`` stay one per
+  ``(Wi, Xi, Yi)``: ``2*C(nb+2, 3)`` tensor3 launches in all.
+
+The ``executed_*`` forms count that work.
 
 These formulas are asserted against the work the
 :class:`~repro.device.VirtualGPU` launches count in the test suite, so the
@@ -45,7 +53,12 @@ class SearchWorkload:
             same-block operands diagonal-compact (see
             :func:`combined_rows`).
         tensor3_ops: fused-op volume of all ``tensorOp_3way`` GEMMs.
+        executed_tensor3_ops: the 3-way volume the search executes, with
+            each ``Wi``'s sweeps held for the iteration (see
+            :func:`outer_iteration_executed_tensor3_ops`).
         combine_bit_ops: bitwise AND volume of all ``combine`` launches.
+        executed_combine_bit_ops: the ``combine`` volume the search
+            executes under the per-``Wi`` hold.
         pairwise_ops: plane-dot volume of ``pairwPop``.
         score_cells: 81-cell-table cells completed and scored by the
             mask-first compacted ``applyScore`` (the default path): every
@@ -72,7 +85,9 @@ class SearchWorkload:
     tensor4_ops: int
     executed_tensor4_ops: int
     tensor3_ops: int
+    executed_tensor3_ops: int
     combine_bit_ops: int
+    executed_combine_bit_ops: int
     pairwise_ops: int
     score_cells: int
     transfer_bytes: int
@@ -89,7 +104,7 @@ class SearchWorkload:
     @property
     def executed_tensor_ops(self) -> int:
         """All tensor-core fused-op volume the search executes."""
-        return self.executed_tensor4_ops + self.tensor3_ops
+        return self.executed_tensor4_ops + self.executed_tensor3_ops
 
     @property
     def score_cells_dense(self) -> int:
@@ -189,11 +204,14 @@ def search_gemm_launches(
 
     Args:
         nb: number of SNP blocks.
-        batch_rounds: rounds fused per 4-way launch group (1 = the seed
-            loop, launch-for-launch).
+        batch_rounds: rounds fused per 4-way launch group (1 = one
+            4-way launch per round and class).
         cache_operands: model an unbounded round-operand cache — every
-            unique block-pair sweep executes exactly once per class, so
-            the 3-way launch count is independent of batching.
+            unique block-pair sweep executes exactly once per class.
+            Without it, each ``Wi`` runs its held sweeps ``(Wi, b)`` once
+            and the ``xy`` sweeps with ``Xi > Wi`` once per ``(Wi, Xi,
+            Yi)``.  Either way the 3-way launch count is independent of
+            batching.
 
     Returns:
         ``{"tensor3": launches, "tensor4": launches}``.  The matching
@@ -208,13 +226,14 @@ def search_gemm_launches(
     for xi in range(nb):
         rounds = comb(nb - xi + 1, 2)
         tensor4 += (xi + 1) * 2 * -(-rounds // batch_rounds)
-    # wx sweeps: one per class per unique (wi <= xi) pair — also the
-    # *total* cached-path count, since every sweep is pair-keyed.
-    tensor3 = 2 * comb(nb + 1, 2)
-    if not cache_operands:
-        # wy + xy sweeps per (wi <= xi <= yi) triple, one launch per
-        # class each.
-        tensor3 += 4 * comb(nb + 2, 3)
+    if cache_operands:
+        # wx sweeps: one per class per unique (ai <= bi) pair — every
+        # sweep is pair-keyed.
+        tensor3 = 2 * comb(nb + 1, 2)
+    else:
+        # Per Wi: the held sweeps (Wi, b), b >= Wi, plus one xy sweep per
+        # (Wi < Xi <= Yi) — C(nb - Wi + 1, 2) per class, summed over Wi.
+        tensor3 = 2 * comb(nb + 2, 3)
     return {"tensor3": tensor3, "tensor4": tensor4}
 
 
@@ -282,17 +301,40 @@ def outer_iteration_executed_tensor4_ops(
     )
 
 
+def _sweep_ops(bi: int, nb: int, block_size: int, n_samples: int) -> int:
+    """Volume of one 3-way sweep over the tail ``[bi*B, M)``, both
+    classes: ``(4B^2) x 2(M - bi*B) x N`` bits."""
+    b = block_size
+    return 2 * (4 * b * b) * (2 * (nb - bi) * b) * n_samples
+
+
+def outer_iteration_executed_tensor3_ops(
+    wi: int, nb: int, block_size: int, n_samples: int
+) -> int:
+    """Executed 3-way volume of outer iteration ``Wi = wi`` with the
+    operand cache off: the held sweeps ``(wi, b)`` for every ``b >= wi``,
+    each once, plus the ``xy`` sweep ``(Xi, Yi)`` of every
+    ``wi < Xi <= Yi``."""
+    if not 0 <= wi < nb:
+        raise ValueError(f"wi must be in [0, {nb}), got {wi}")
+    held = sum(
+        _sweep_ops(bi, nb, block_size, n_samples) for bi in range(wi, nb)
+    )
+    xy = sum(
+        (yi - wi) * _sweep_ops(yi, nb, block_size, n_samples)
+        for yi in range(wi + 1, nb)
+    )
+    return held + xy
+
+
 def outer_iteration_executed_tensor_ops(
     wi: int, nb: int, block_size: int, n_samples: int
 ) -> int:
     """Executed tensor-op volume of outer iteration ``Wi = wi`` with the
-    operand cache off: :func:`outer_iteration_tensor_ops` with its 4-way
-    term replaced by the executed one."""
-    return (
-        outer_iteration_tensor_ops(wi, nb, block_size, n_samples)
-        - outer_iteration_tensor4_ops(wi, nb, block_size, n_samples)
-        + outer_iteration_executed_tensor4_ops(wi, nb, block_size, n_samples)
-    )
+    operand cache off: the executed 4-way and 3-way terms."""
+    return outer_iteration_executed_tensor4_ops(
+        wi, nb, block_size, n_samples
+    ) + outer_iteration_executed_tensor3_ops(wi, nb, block_size, n_samples)
 
 
 def shard_tensor_ops(
@@ -347,7 +389,8 @@ def search_workload(
             ``C(nb+1, 2)`` unique pairs and ``tensorOp_3way`` volume to the
             ``wx``-shaped sum over unique ``(ai <= bi)`` pairs (the ``wy`` /
             ``xy`` re-sweeps and repeated ``yz`` combines become cache
-            hits).  Round work (``tensorOp_4way``, ``applyScore``) is
+            hits); the ``executed_*`` 3-way and combine volumes equal
+            these.  Round work (``tensorOp_4way``, ``applyScore``) is
             per-quad unique and unaffected.  These reduced totals are
             asserted against executed :class:`~repro.device.VirtualGPU`
             work series in the equivalence suite.
@@ -396,8 +439,21 @@ def search_workload(
         * n_samples
         for xi in range(nb)
     )
-    if not cache_operands:
+    if cache_operands:
+        executed_tensor3 = tensor3
+        executed_combine = combine_ops
+    else:
         combine_ops += n_rounds * (4 * b * b) * n_samples  # yz combine
+        executed_tensor3 = sum(
+            outer_iteration_executed_tensor3_ops(wi, nb, b, n_samples)
+            for wi in range(nb)
+        )
+        # Combines: wx per (wi <= xi) pair; each held sweep (wi, b > wi)
+        # forms its own (the sweep at b == wi reuses the wx combine); one
+        # per xy sweep (wi < xi <= yi); yz per round.
+        executed_combine = (
+            comb(nb + 1, 2) + comb(nb, 2) + comb(nb + 1, 3) + n_rounds
+        ) * (4 * b * b) * n_samples
 
     pairwise = 2 * (2 * m) * (2 * m) * n_samples  # plane-dot volume, both classes
     # Mask-first compacted applyScore: only *valid* positions are completed
@@ -413,7 +469,9 @@ def search_workload(
         tensor4_ops=tensor4,
         executed_tensor4_ops=executed_tensor4,
         tensor3_ops=tensor3,
+        executed_tensor3_ops=executed_tensor3,
         combine_bit_ops=combine_ops,
+        executed_combine_bit_ops=executed_combine,
         pairwise_ops=pairwise,
         score_cells=score_cells,
         transfer_bytes=transfer,

@@ -71,6 +71,10 @@ class TestSearch:
             (["--gpu", "H100"], "H100"),
             (["--input", "missing.npz"], "missing.npz"),
             (["--shards", "2", "--top-k", "0"], "top_k"),
+            # Rejected by the sharded search's device model and shard
+            # plan: still before --dist-dir is created.
+            (["--shards", "2", "--n-gpus", "0"], "n_gpus"),
+            (["--shards", "9", "--block-size", "4"], "n_shards"),
         ],
     )
     def test_bad_value_is_a_usage_error(

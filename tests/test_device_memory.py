@@ -9,6 +9,7 @@ from repro.device.memory import (
     cache_working_set_bytes,
     check_fits,
     estimate_search_memory,
+    held_operand_bytes,
     triplet_working_set_bytes,
 )
 from repro.device.specs import A100_PCIE, TITAN_RTX
@@ -49,6 +50,39 @@ class TestEstimate:
     def test_validation(self):
         with pytest.raises(ValueError, match="positive"):
             estimate_search_memory(0, 10, 10, 4)
+
+
+class TestHeldOperands:
+    def test_equals_bytes_held_by_the_first_iteration(self, monkeypatch):
+        # Only iteration Wi = 0 sweeps with first offset 0, and it holds
+        # each such sweep from its one launch to the iteration's end.
+        import repro.core.search as search_mod
+
+        executor_cls = search_mod._SingleDeviceExecutor
+        sweep3 = executor_cls.sweep3
+        launched = []
+
+        def recording(self, cls, off_a, off_b, combined=None):
+            out = sweep3(self, cls, off_a, off_b, combined=combined)
+            if off_a == 0:
+                launched.append((cls, off_b, out.nbytes))
+            return out
+
+        monkeypatch.setattr(executor_cls, "sweep3", recording)
+        ds = generate_random_dataset(20, 120, seed=4)
+        search = Epi4TensorSearch(ds, SearchConfig(block_size=4, prune=False))
+        search.run()
+        assert len(launched) == len({(c, off) for c, off, _ in launched})
+        held = sum(nbytes for _, _, nbytes in launched)
+        assert held == held_operand_bytes(20, 4)
+        # Host memory of the simulator, not charged to the device.
+        assert "held operands" not in search.memory_estimate.components
+
+    def test_grows_as_b_m_squared_not_m_cubed(self):
+        small = held_operand_bytes(256, 32)
+        large = held_operand_bytes(2048, 32)
+        # sum over b of (M - b*B) is B * nb * (nb + 1) / 2.
+        assert large / small == pytest.approx((64 * 65) / (8 * 9))
 
 
 class TestCacheBudget:

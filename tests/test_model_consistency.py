@@ -51,8 +51,8 @@ class TestWorkloadVsCounters:
         c = res.metrics
         raw = c.sum_by("epi4_tensor_ops_total", "kernel", form="raw")
         assert raw["tensor4"] == wl.executed_tensor4_ops
-        assert raw["tensor3"] == wl.tensor3_ops
-        assert c.total("epi4_combine_bit_ops_total") == wl.combine_bit_ops
+        assert raw["tensor3"] == wl.executed_tensor3_ops
+        assert c.total("epi4_combine_bit_ops_total") == wl.executed_combine_bit_ops
         assert c.total("epi4_score_cells_total") == wl.score_cells
         assert c.total("epi4_pairwise_ops_total") == wl.pairwise_ops
         # The counter reflects word-padded storage; the closed form counts

@@ -151,10 +151,13 @@ class TestAccounting:
         res = search_best_quad(ds, block_size=4, prune=False)
         wl = search_workload(16, 240, 4, n_real_snps=13)
         raw = res.metrics.sum_by("epi4_tensor_ops_total", "kernel", form="raw")
-        # Same-block operands run diagonal-compact: the executed closed form.
+        # Same-block operands run diagonal-compact and each Wi holds its
+        # sweeps: the executed closed forms.
         assert raw["tensor4"] == wl.executed_tensor4_ops
-        assert raw["tensor3"] == wl.tensor3_ops
-        assert res.metrics.total("epi4_combine_bit_ops_total") == wl.combine_bit_ops
+        assert raw["tensor3"] == wl.executed_tensor3_ops
+        assert res.metrics.total("epi4_combine_bit_ops_total") == (
+            wl.executed_combine_bit_ops
+        )
         assert res.metrics.total("epi4_score_cells_total") == wl.score_cells
 
     def test_padded_ops_at_least_raw(self):

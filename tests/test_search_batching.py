@@ -26,7 +26,7 @@ from repro.datasets import generate_random_dataset
 from repro.device.memory import estimate_search_memory
 from repro.device.streams import HostStream, stage_lookahead
 from repro.perfmodel.model import predict_search
-from repro.perfmodel.workload import search_gemm_launches
+from repro.perfmodel.workload import search_gemm_launches, search_workload
 from repro.tensor.engine import make_engine
 from tests.helpers import cut_journal
 
@@ -214,6 +214,43 @@ class TestLaunchAccounting:
                 res.metrics.total("epi4_gemm_problems_total", kernel="tensor4")
                 == seed_launches["tensor4"]
             )
+
+    @pytest.mark.parametrize("cache_mb", [None, float("inf")])
+    @pytest.mark.parametrize("n_gpus", [1, 2])
+    @pytest.mark.parametrize("n_streams", [1, 2])
+    @pytest.mark.parametrize("batch", [1, 8])
+    def test_held_sweeps_match_executed_closed_forms(
+        self, batch, n_streams, n_gpus, cache_mb
+    ):
+        # Each Wi holds its sweeps: tensor3 launches and the executed
+        # tensor3 and combine volumes equal the executed closed forms
+        # exactly, with or without the cache behind the hold.
+        ds = generate_random_dataset(16, 120, seed=34)
+        _, res = _run(
+            ds,
+            n_gpus=n_gpus,
+            block_size=4,
+            batch_rounds=batch,
+            n_streams=n_streams,
+            cache_mb=cache_mb,
+            prune=False,
+        )
+        nb = res.block_scheme.nb
+        cached = cache_mb is not None
+        m = res.metrics
+        launches = search_gemm_launches(
+            nb, batch_rounds=batch, cache_operands=cached
+        )
+        assert m.total("epi4_kernel_launches_total", kernel="tensor3") == (
+            launches["tensor3"]
+        )
+        wl = search_workload(16, 120, 4, cache_operands=cached)
+        assert m.total(
+            "epi4_tensor_ops_total", form="raw", kernel="tensor3"
+        ) == wl.executed_tensor3_ops
+        assert m.total("epi4_combine_bit_ops_total") == (
+            wl.executed_combine_bit_ops
+        )
 
     def test_cached_launches_match_closed_forms(self):
         ds = generate_random_dataset(24, 128, seed=31)

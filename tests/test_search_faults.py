@@ -268,10 +268,10 @@ class TestDegradedFleet:
         search = Epi4TensorSearch(ds, SearchConfig(block_size=4), n_gpus=2)
         run_rounds = Epi4TensorSearch._run_rounds
 
-        def broken(self, executor, outer_iters, parent_span=None):
-            if list(outer_iters) == [2]:
+        def broken(self, executor, wi, parent_span=None):
+            if wi == 2:
                 raise RuntimeError("host bug")
-            return run_rounds(self, executor, outer_iters, parent_span)
+            return run_rounds(self, executor, wi, parent_span)
 
         monkeypatch.setattr(Epi4TensorSearch, "_run_rounds", broken)
         error = _run_bounded(search)
@@ -393,3 +393,62 @@ class TestElasticConfigValidation:
         # time.sleep on the first retry, mid-search.
         with pytest.raises(ValueError, match="backoff_base_ms"):
             SearchConfig(backoff_base_ms=bad)
+
+
+class TestOperandHoldUnderFaults:
+    """Each outer iteration holds the sweeps whose first block is its own
+    for the whole iteration.  A retried iteration must start from an
+    empty hold, so every fault spec keeps the fault-free digest."""
+
+    @pytest.mark.parametrize(
+        "n_gpus, n_streams", [(1, 1), (1, 2), (2, 1)]
+    )
+    @pytest.mark.parametrize(
+        "spec",
+        [
+            "corrupt:count=3",
+            "transient:op=tensor3,count=2",
+            "transient:op=tensor4,iter=0,count=1",
+        ],
+    )
+    def test_fault_specs_keep_the_fault_free_digest(
+        self, spec, n_gpus, n_streams
+    ):
+        # 14 SNPs at B=4: the last block is padded (M % B != 0).
+        ds = _dataset(14, 96, seed=9)
+        knobs = dict(n_gpus=n_gpus, n_streams=n_streams, max_retries=3)
+        _, baseline = _run(ds, **knobs)
+        _, faulty = _run(ds, inject_faults=f"{spec};seed={FAULT_SEED}", **knobs)
+        assert _solutions(faulty) == _solutions(baseline)
+        assert_matches_oracle(faulty, brute_force_topk(ds, 3))
+        log = faulty.fault_log
+        if spec.startswith("corrupt"):
+            assert log.total_degraded_rounds > 0
+        else:
+            assert log.total_retries >= 1
+
+    def test_retried_iteration_starts_with_an_empty_hold(self, monkeypatch):
+        import repro.core.search as search_mod
+
+        executor_cls = search_mod._SingleDeviceExecutor
+        sweep3 = executor_cls.sweep3
+        launched = []
+
+        def recording(self, cls, off_a, off_b, combined=None):
+            launched.append((cls, off_a, off_b))
+            return sweep3(self, cls, off_a, off_b, combined=combined)
+
+        monkeypatch.setattr(executor_cls, "sweep3", recording)
+        ds = _dataset(12, 96)
+        _, baseline = _run(ds)
+        # Sweep (4, 4): iteration 1's first held sweep, and iteration 0's
+        # xy sweep of pair (0, 1).
+        fault_free = launched.count((0, 4, 4))
+        launched.clear()
+        _, faulty = _run(
+            ds, inject_faults="transient:op=tensor4,iter=1,count=2", max_retries=3
+        )
+        assert _solutions(faulty) == _solutions(baseline)
+        # Iteration 1 ran three times; each retry re-launched its first
+        # held sweep, so none reused an earlier attempt's hold.
+        assert launched.count((0, 4, 4)) == fault_free + 2

@@ -13,7 +13,11 @@ Three cells on the same workload:
   staged-lgamma scorer, no operand cache (every round completes its own
   third-order tables);
 - ``fused+triplets`` — adds the cross-round completed-triplet cache
-  (unbounded budget), so each block triple is completed once per sweep.
+  (unbounded budget), so each block triple is completed once per sweep;
+- ``terms``          — every round of the workload scored by
+  :func:`~repro.core.apply_score.score_round` twice, with the per-run K2
+  term table (:class:`~repro.scoring.workspace.K2CellTerms`) on and off
+  (three lgamma gathers per cell), on the same operands.
 
 Reported per search cell: total wall, the ``score``-phase wall, the
 compaction ratio, the full3 cache hit rate and the executed score-cell
@@ -21,8 +25,8 @@ volume; the ``dense`` cell reports both scorers' summed seconds.  Hard
 bars:
 
 - the two search cells' ranked top-k digests (``top_k_sha256``) are
-  identical, and the dense and fused scorers return bit-identical score
-  grids on every round;
+  identical, the dense and fused scorers return bit-identical score
+  grids on every round, and so do the term table's two forms;
 - the fused scorer is >=1.5x faster than the dense one on the same
   operands;
 - the compaction ratio equals the block scheme's unique fraction;
@@ -49,8 +53,11 @@ from repro.core.selfcheck import direct_round_operands
 from repro.datasets import encode_dataset, generate_random_dataset
 from repro.obs.manifest import solutions_digest
 from repro.perfmodel.workload import search_workload, unique_block_triples
+from repro.scoring import workspace as workspace_module
+from repro.scoring.bounds import K2BoundKernel
 from repro.scoring.k2 import K2Score
 from repro.scoring.lgamma_table import LgammaTable
+from repro.scoring.workspace import CHUNK_POSITIONS, K2CellTerms, K2Workspace
 
 from conftest import print_table
 
@@ -78,6 +85,18 @@ def _run(ds, extra):
     return search, result, wall
 
 
+def _round_operands(encoded):
+    """``(offsets, operands)`` of every round of the workload, rebuilt by
+    the independent bitwise path."""
+    nb = encoded.n_snps // BLOCK
+    for wi in range(nb):
+        for xi in range(wi, nb):
+            for yi in range(xi, nb):
+                for zi in range(yi, nb):
+                    offsets = (wi * BLOCK, xi * BLOCK, yi * BLOCK, zi * BLOCK)
+                    yield offsets, direct_round_operands(encoded, offsets, BLOCK)
+
+
 def _scorer_seconds(ds):
     """Summed seconds of the dense and the fused scorer over every round
     of the workload, on identical operands; asserts identical grids."""
@@ -85,39 +104,62 @@ def _scorer_seconds(ds):
     pairs = pairw_pop(encoded).pairs
     k2 = K2Score(LgammaTable.for_samples(encoded.n_samples))
     staged = k2.staged_kernel(encoded.n_samples)
-    nb = encoded.n_snps // BLOCK
     dense_s = fused_s = 0.0
-    for wi in range(nb):
-        for xi in range(wi, nb):
-            for yi in range(xi, nb):
-                for zi in range(yi, nb):
-                    offsets = (wi * BLOCK, xi * BLOCK, yi * BLOCK, zi * BLOCK)
-                    operands = direct_round_operands(encoded, offsets, BLOCK)
-                    t0 = time.perf_counter()
-                    dense = apply_score_dense(
-                        operands, pairs, k2, encoded.n_real_snps
-                    )
-                    t1 = time.perf_counter()
-                    fused, _ = score_round(
-                        operands, pairs, staged, encoded.n_real_snps
-                    )
-                    t2 = time.perf_counter()
-                    assert np.array_equal(dense, fused), offsets
-                    dense_s += t1 - t0
-                    fused_s += t2 - t1
+    for offsets, operands in _round_operands(encoded):
+        t0 = time.perf_counter()
+        dense = apply_score_dense(operands, pairs, k2, encoded.n_real_snps)
+        t1 = time.perf_counter()
+        fused, _ = score_round(operands, pairs, staged, encoded.n_real_snps)
+        t2 = time.perf_counter()
+        assert np.array_equal(dense, fused), offsets
+        dense_s += t1 - t0
+        fused_s += t2 - t1
     return dense_s, fused_s
 
 
-def test_applyscore_ablation(benchmark):
+def _term_table_seconds(ds, monkeypatch):
+    """Summed seconds of :func:`score_round` over every round with the
+    per-run term table and with three lgamma gathers per cell (the form
+    above its size gate); asserts identical grids."""
+    encoded = encode_dataset(ds, block_size=BLOCK)
+    pairs = pairw_pop(encoded).pairs
+    staged = K2Score(LgammaTable.for_samples(encoded.n_samples)).staged_kernel()
+    classes = (encoded.n_controls, encoded.n_cases)
+    kernel = K2BoundKernel(staged.table, *classes)
+    table = K2CellTerms(staged.table, *classes)
+    with monkeypatch.context() as patch:
+        patch.setattr(workspace_module, "TERM_TABLE_MAX_BYTES", 0)
+        three_gather = K2CellTerms(staged.table, *classes)
+    assert table.table is not None and three_gather.table is None
+    workspaces = [K2Workspace(t, CHUNK_POSITIONS) for t in (table, three_gather)]
+    seconds = [0.0, 0.0]
+    for offsets, operands in _round_operands(encoded):
+        grids = []
+        for i, workspace in enumerate(workspaces):
+            t0 = time.perf_counter()
+            grid, _ = score_round(
+                operands, pairs, staged, encoded.n_real_snps,
+                bound_kernel=kernel, workspace=workspace,
+            )
+            seconds[i] += time.perf_counter() - t0
+            grids.append(grid)
+        assert np.array_equal(grids[0], grids[1]), offsets
+    return tuple(seconds)
+
+
+def test_applyscore_ablation(benchmark, monkeypatch):
     ds = generate_random_dataset(N_SNPS, N_SAMPLES, seed=42)
 
     def sweep():
         scorers = _scorer_seconds(ds)
-        return scorers, [
+        terms = _term_table_seconds(ds, monkeypatch)
+        return scorers, terms, [
             (label, *_run(ds, extra)) for label, extra in SEARCH_CELLS
         ]
 
-    (dense_s, fused_s), runs = benchmark.pedantic(sweep, rounds=1, iterations=1)
+    (dense_s, fused_s), (table_s, gather_s), runs = benchmark.pedantic(
+        sweep, rounds=1, iterations=1
+    )
     scorer_speedup = dense_s / fused_s if fused_s else 0.0
 
     digests = {label: solutions_digest(r.top_solutions) for label, _, r, _ in runs}
@@ -128,7 +170,12 @@ def test_applyscore_ablation(benchmark):
             "dense_scorer_seconds": dense_s,
             "fused_scorer_seconds": fused_s,
             "scorer_speedup_vs_dense": scorer_speedup,
-        }
+        },
+        {
+            "config": "terms",
+            "term_table_seconds": table_s,
+            "three_gather_seconds": gather_s,
+        },
     ]
     for label, search, result, wall in runs:
         m = search.metrics
@@ -174,6 +221,10 @@ def test_applyscore_ablation(benchmark):
         f"dense scorer {dense_s:.2f} s vs fused scorer {fused_s:.2f} s on "
         f"identical operands: {scorer_speedup:.2f}x"
     )
+    print(
+        f"term table {table_s:.2f} s vs three lgamma gathers {gather_s:.2f} s "
+        "per cell, identical grids on every round"
+    )
 
     # --- assertions ------------------------------------------------------ #
     # Bit-identity: the optimization may not move a single ranked result
@@ -183,7 +234,7 @@ def test_applyscore_ablation(benchmark):
     scheme = runs[0][2].block_scheme
     wl = search_workload(N_SNPS, N_SAMPLES, BLOCK)
 
-    _, fused_rec, triplets_rec = records
+    _, _, fused_rec, triplets_rec = records
     # The fused paths execute exactly the compacted (= unique) cell volume.
     for rec in (fused_rec, triplets_rec):
         assert rec["score_cells_executed"] == wl.score_cells

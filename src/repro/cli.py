@@ -72,11 +72,6 @@ def _add_search(sub: argparse._SubParsersAction) -> argparse.ArgumentParser:
         "unbounded; charged against device memory before the search runs)",
     )
     p.add_argument(
-        "--max-chunk-cells", type=int, default=None, metavar="CELLS",
-        help="fix the applyScore chunking bound (cells per class per chunk) "
-        "instead of the default",
-    )
-    p.add_argument(
         "--batch-rounds", type=int, default=1, metavar="R",
         help="evaluation rounds fused per batched GEMM launch group "
         "(1 = one launch per round, the seed loop; results are "
@@ -261,9 +256,6 @@ def _search_config_from_args(args: argparse.Namespace):
     (shared by the plain, sharded-coordinator and shard-worker modes)."""
     from repro.core.search import SearchConfig
 
-    config_kwargs = {}
-    if args.max_chunk_cells is not None:
-        config_kwargs["max_chunk_cells"] = args.max_chunk_cells
     return SearchConfig(
         block_size=args.block_size,
         engine_kind=args.engine,
@@ -278,7 +270,6 @@ def _search_config_from_args(args: argparse.Namespace):
         inject_faults=args.inject_faults,
         deadline_ms=args.deadline_ms,
         prune=args.prune == "on",
-        **config_kwargs,
     )
 
 

@@ -2,77 +2,84 @@
 
 Takes the per-class fourth-order corners (16 counts/quad from the tensor
 GEMM) and the third-order corner slices for the four contained triplets,
-completes everything to full 81-cell tables per class (§3.3), scores every
-*useful* quad, and marks non-useful positions (repeated/unsorted quads and
-padding) with ``+inf``.
+completes the tables per class (§3.3), scores every *useful* quad, and
+marks non-useful positions (repeated/unsorted quads and padding) and
+pruned ones with ``+inf``.
 
 Two implementations are provided:
 
-:func:`score_round` (the default, *fused* path)
-    **Mask-first compaction**: the validity mask is computed *before* any
-    completion, the valid positions are gathered into a flat compacted
-    batch, and only those are completed and scored.  Diagonal rounds —
-    where most of the ``B^4`` grid is repeated/unsorted — skip the vast
-    majority of the completion and scoring arithmetic entirely.
+:func:`score_round` (the search's kernel)
+    **Mask-first**: only the validity mask's positions are touched.  They
+    are walked in chunks of :data:`CHUNK_POSITIONS`, and every chunk runs
+    the bound, the completion and the K2 sum in one cache-sized
+    :class:`~repro.scoring.workspace.K2Workspace`, reused by every chunk
+    and round, so no per-chunk temporary holds more than a few vectors of
+    positions:
 
-    **Cross-round completed-triplet reuse**: the full 27-cell third-order
-    tables are requested through a pluggable ``full3_provider``.  The table
-    for a block triple is a pure function of the (sorted) block offsets —
-    the same pair sweep sliced at the same tail block, completed with the
-    same global indices — regardless of which *role* (``wxy``/``wxz``/
-    ``wyz``/``xyz``) the triple plays in a round, so the search wires the
-    provider to the byte-accounted
+    1. :meth:`K2BoundKernel.quad_bounds
+       <repro.scoring.bounds.K2BoundKernel.quad_bounds>` gathers the 48
+       cells with at most one ``aa`` index and their K2 terms, and returns
+       each position's admissible lower bound.  With a finite top-k
+       threshold, positions whose bound exceeds it are dropped, so the
+       final top-k stays bit-identical to the exhaustive run.
+    2. The survivors keep those cells and terms.  :func:`complete_quad`
+       derives only the 33 cells with two or more ``aa`` indices, from
+       the 48 cells and the completed triplets.
+    3. :meth:`StagedK2Kernel.score_flat
+       <repro.scoring.k2.StagedK2Kernel.score_flat>` looks up the other 33
+       terms and sums each position's 81 terms in canonical cell order.
+
+    Per-cell terms come from the run's
+    :class:`~repro.scoring.workspace.K2CellTerms`: one gather from a
+    ``(N0 + 1) x (N1 + 1)`` table when it fits its size gate, else three
+    lgamma gathers.  Either way, bounds and scores are bit-identical to
+    the reference :class:`~repro.scoring.k2.K2Score` (same float lookups,
+    same elementwise ``a - b - c``, same row sum).
+
+    The completed third-order tables are requested through a pluggable
+    ``full3_provider`` on the first chunk with a survivor.  A block
+    triple's table is a pure function of its (sorted) block offsets, so
+    the search wires the provider to the
     :class:`~repro.core.operand_cache.OperandCache` under keys
-    ``("full3", cls, a, b, c)`` and each triplet is completed **once per
-    sweep** instead of once per round.  Within a single round, duplicate
-    roles (diagonal rounds share block triples between roles) are deduped
-    locally before the provider is consulted.
-
-    **Bound-first branch-and-bound gate**: when a
-    :class:`~repro.scoring.bounds.K2BoundKernel` and a top-k threshold
-    callable are supplied, every mask-valid position's admissible K2
-    lower bound is evaluated from the already-materialized corner counts
-    *before* completion, and positions that provably cannot beat the
-    current ``TopKReducer.kth_score()`` are dropped — no third-order
-    gathers, no 81-cell completion, no staged-lgamma work.  Pruned
-    positions surface as ``+inf`` exactly like masked ones, so the final
-    top-k stays bit-identical to the exhaustive run.
-
-    **Staged-lgamma scoring**: a
-    :class:`~repro.scoring.k2.StagedK2Kernel` gathers scores directly
-    from pre-shifted lgamma views on the int64 count arrays and reduces
-    them in one pass — bit-identical to the reference
-    :class:`~repro.scoring.k2.K2Score` (same float lookups, same
-    elementwise ``a - b - c``, same trailing-axis sum), without the
-    integer ``n + k`` index temporaries.
+    ``("full3", cls, a, b, c)``; within a round, duplicate roles (diagonal
+    rounds share block triples between roles) are deduped first.
 
 :func:`apply_score_dense` (the legacy reference)
     Completes and scores the full ``B^4 x 81`` grid, then masks.  Kept
     bit-identical to the pre-fusion implementation as the per-round
-    reference the fused path is tested and benchmarked against.
-
-Memory stays bounded in both paths by chunking — along ``w`` in the dense
-path, along the compacted position axis in the fused path — mirroring how
-the CUDA kernel never materializes all 81 counts for a whole round at once.
+    reference the kernel is tested and benchmarked against.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import math
+from dataclasses import dataclass, replace
 from typing import TYPE_CHECKING, Callable
 
 import numpy as np
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.scoring.bounds import K2BoundKernel
     from repro.scoring.k2 import StagedK2Kernel
 
-from repro.contingency.complete import complete_quad
+from repro.contingency.complete import complete_quad as complete_quad_table
 from repro.core.threeway import complete_threeway
-from repro.scoring.bounds import PRUNE_SLACK
+from repro.scoring.bounds import PRUNE_SLACK, K2BoundKernel
+from repro.scoring.workspace import (
+    CHUNK_POSITIONS,
+    DERIVATION,
+    N_KNOWN,
+    K2CellTerms,
+    K2Workspace,
+)
 
-#: Default cap on materialized table cells per chunk (per class), in cells.
-DEFAULT_MAX_CHUNK_CELLS = 32 * 1024 * 1024
+#: Cells per class the dense reference completes at once (chunked along
+#: ``w``).
+DENSE_CHUNK_CELLS = 32 * 1024 * 1024
+
+#: Completed triplet read by each derived level of
+#: :data:`~repro.scoring.workspace.DERIVATION`: the one without the
+#: level's axis.
+_LEVEL_ROLES = {0: "xyz", 1: "wyz", 2: "wxz"}
 
 #: ``full3_provider`` signature: ``(cls, (a, b, c) block offsets, factory)
 #: -> (table, served_from_cache)``.
@@ -122,7 +129,8 @@ class RoundScoreStats:
         valid: mask-valid positions that survived the bound gate and were
             completed + scored (without pruning this equals the mask-valid
             count; the conservation law is ``mask_valid == valid + pruned``).
-        chunks: compacted chunks processed.
+        chunks: chunks of mask-valid positions walked (each is bounded,
+            whether or not any of its positions survives).
         full3_requests: unique ``(class, block-triple)`` completed-table
             requests this round (duplicate roles deduped locally first).
         full3_computed: requests that executed a third-order completion.
@@ -241,18 +249,66 @@ def _full3_tables(
     return tables, requests, computed, cache_hits
 
 
+def complete_quad(
+    cells: np.ndarray,
+    margins: list[list[np.ndarray]],
+    rows: list[np.ndarray],
+    workspace: K2Workspace,
+) -> np.ndarray:
+    """Derive the cells with two or more ``aa`` indices (§3.3).
+
+    Fills rows ``48..80`` of a workspace slot whose 48 known rows hold
+    the fourth-order corners and one-``aa`` fibers, level by level in
+    :data:`~repro.scoring.workspace.DERIVATION` order: each cell is its
+    completed-triplet marginal minus the two cells that differ from it
+    only in the level's axis (``g_a = 0`` and ``g_a = 1``), all of which
+    are already filled.
+
+    Args:
+        cells: ``(2, 81, V)`` int64 slot counts (both classes).
+        margins: per class and derived level, the ``(K, B^3)`` int64
+            counts of the round's completed triplet without the level's
+            axis, at the level's ``K`` cells.
+        rows: per derived level, the ``(V,)`` row of each position in
+            that triplet.
+        workspace: supplies the int64 scratch.
+
+    Returns:
+        ``cells``, completed in place.
+    """
+    n = cells.shape[2]
+    for cls in (0, 1):
+        counts = cells[cls]
+        for (_, start, stop, _, low, high), margin, row in zip(
+            DERIVATION, margins[cls], rows
+        ):
+            out = counts[start:stop]
+            np.take(margin, row, axis=1, out=out, mode="clip")
+            other = workspace.scratch((stop - start, n))
+            np.take(counts, low, axis=0, out=other, mode="clip")
+            out -= other
+            np.take(counts, high, axis=0, out=other, mode="clip")
+            out -= other
+    return cells
+
+
+def _class_sizes(pairs: np.ndarray) -> tuple[int, int]:
+    """``(N0, N1)``: every pairwise table of a class sums to its size."""
+    return int(pairs[0, 0, 0].sum()), int(pairs[1, 0, 0].sum())
+
+
 def score_round(
     operands: RoundOperands,
     pairs: np.ndarray,
     staged_kernel: "StagedK2Kernel",
     n_real_snps: int,
     *,
-    max_chunk_cells: int = DEFAULT_MAX_CHUNK_CELLS,
     full3_provider: Full3Provider | None = None,
-    bound_kernel: "K2BoundKernel | None" = None,
+    bound_kernel: K2BoundKernel | None = None,
     prune_threshold: Callable[[], float] | None = None,
+    workspace: K2Workspace | None = None,
 ) -> tuple[np.ndarray, RoundScoreStats]:
-    """Fused mask-first scoring of one round (see module docstring).
+    """Chunked mask-first scoring of one round (see module docstring).
 
     Args:
         operands: the round's tensor outputs, see :class:`RoundOperands`.
@@ -260,24 +316,27 @@ def score_round(
         staged_kernel: the :class:`~repro.scoring.k2.StagedK2Kernel` that
             scores the completed tables (K2, lower is better).
         n_real_snps: unpadded SNP count (padding exclusion).
-        max_chunk_cells: bound on materialized 81-cell-table cells per
-            class per chunk; controls peak memory.
         full3_provider: optional cross-round completed-triplet cache hook
             (see :data:`Full3Provider`).
-        bound_kernel: optional
-            :class:`~repro.scoring.bounds.K2BoundKernel`; enables the
-            branch-and-bound gate between mask compaction and completion.
+        bound_kernel: the :class:`~repro.scoring.bounds.K2BoundKernel`
+            that gathers each chunk's known cells; one over the lgamma
+            table of ``staged_kernel`` and the class sizes of ``pairs``
+            when omitted.
         prune_threshold: zero-argument callable returning the current
             top-k threshold (``TopKReducer.kth_score``-style: ``+inf``
-            disables).  Mask-valid positions whose admissible lower bound
-            exceeds it are dropped before any third-order gather or
-            staged-lgamma work; pruned positions stay ``+inf`` in the
+            disables), read once per round.  Mask-valid positions whose
+            admissible lower bound exceeds it are dropped before any
+            completion or scoring; pruned positions stay ``+inf`` in the
             returned grid, exactly like masked ones, so the reduction is
             oblivious to pruning.
+        workspace: the scoring thread's
+            :class:`~repro.scoring.workspace.K2Workspace`; its capacity is
+            the chunk size.  A private one of :data:`CHUNK_POSITIONS`
+            positions (term table built for this call) when omitted.
 
     Returns:
         ``(scores, stats)`` — the ``(B, B, B, B)`` float64 grid with
-        ``+inf`` at masked positions, and the round's
+        ``+inf`` at masked and pruned positions, and the round's
         :class:`RoundScoreStats`.
     """
     b = operands.block_size
@@ -290,76 +349,109 @@ def score_round(
             positions=b**4, valid=0, chunks=0,
             full3_requests=0, full3_computed=0, full3_cache_hits=0,
         )
-
-    n_pruned = 0
-    if bound_kernel is not None and prune_threshold is not None:
-        threshold = float(prune_threshold())
-        if np.isfinite(threshold):
-            bounds = bound_kernel.quad_bounds(
-                operands, w_pos, x_pos, y_pos, z_pos
-            )
-            if bounds is not None:
-                # Strictly-above-threshold only (plus FP slack): ties are
-                # kept, so the admissible bound can never drop a quad the
-                # exhaustive reduction would have ranked.
-                keep = bounds <= threshold + PRUNE_SLACK
-                n_pruned = n_valid - int(keep.sum())
-                if n_pruned:
-                    w_pos = w_pos[keep]
-                    x_pos = x_pos[keep]
-                    y_pos = y_pos[keep]
-                    z_pos = z_pos[keep]
-                    n_valid = int(w_pos.size)
-                if n_valid == 0:
-                    return scores, RoundScoreStats(
-                        positions=b**4, valid=0, chunks=0,
-                        full3_requests=0, full3_computed=0,
-                        full3_cache_hits=0, pruned=n_pruned,
-                    )
-
-    full3, requests, computed, hits = _full3_tables(
-        operands, pairs, full3_provider
-    )
-    # Flat row views: one gather per operand with one flat index per
-    # position (``w*B^3 + x*B^2 + y*B + z`` into ``B^4`` rows, ``a*B^2 +
-    # b*B + c`` into a triplet's ``B^3`` rows).
-    corner4 = [operands.corner4[cls].reshape(-1, 2, 2, 2, 2) for cls in (0, 1)]
-    f_wxy, f_wxz, f_wyz, f_xyz = (
-        [table.reshape(-1, 3, 3, 3) for table in full3[role]]
-        for role in ("wxy", "wxz", "wyz", "xyz")
-    )
-    wx = w_pos * b + x_pos
-    rows_wxy = wx * b + y_pos
-    rows_wxz = wx * b + z_pos
-    rows_wyz = (w_pos * b + y_pos) * b + z_pos
-    rows_xyz = (x_pos * b + y_pos) * b + z_pos
-    rows4 = rows_wxy * b + z_pos
-
-    chunk = max(1, max_chunk_cells // 81)
-    flat_scores = np.empty(n_valid, dtype=np.float64)
-    n_chunks = 0
-    for v0 in range(0, n_valid, chunk):
-        v1 = min(v0 + chunk, n_valid)
-        n_chunks += 1
-        part = slice(v0, v1)
-        tables = [
-            complete_quad(
-                np.take(corner4[cls], rows4[part], axis=0),   # (V, 2, 2, 2, 2)
-                np.take(f_wxy[cls], rows_wxy[part], axis=0),  # (V, 3, 3, 3)
-                np.take(f_wxz[cls], rows_wxz[part], axis=0),
-                np.take(f_wyz[cls], rows_wyz[part], axis=0),
-                np.take(f_xyz[cls], rows_xyz[part], axis=0),
-            )
-            for cls in (0, 1)
-        ]
-        n = v1 - v0
-        flat_scores[v0:v1] = staged_kernel.score_flat(
-            tables[0].reshape(n, -1), tables[1].reshape(n, -1)
+    if bound_kernel is None:
+        bound_kernel = K2BoundKernel(staged_kernel.table, *_class_sizes(pairs))
+    if workspace is None:
+        workspace = K2Workspace(
+            K2CellTerms(
+                staged_kernel.table,
+                bound_kernel.n_controls,
+                bound_kernel.n_cases,
+            ),
+            min(n_valid, CHUNK_POSITIONS),
         )
-    scores.reshape(-1)[rows4] = flat_scores
+    threshold = math.inf if prune_threshold is None else float(prune_threshold())
+    # Strictly-above-threshold only (plus FP slack): ties are kept, so the
+    # admissible bound can never drop a quad the exhaustive reduction
+    # would have ranked.
+    limit = threshold + PRUNE_SLACK if math.isfinite(threshold) else None
+    # Every chunk gathers from the corners: make them contiguous int64 once.
+    operands = replace(
+        operands,
+        **{
+            role: tuple(
+                np.ascontiguousarray(c, dtype=np.int64)
+                for c in getattr(operands, role)
+            )
+            for role in (
+                "corner4",
+                "corner3_wxy",
+                "corner3_wxz",
+                "corner3_wyz",
+                "corner3_xyz",
+            )
+        },
+    )
+    flat_scores = scores.reshape(-1)
+    margins: list[list[np.ndarray]] | None = None
+    requests = computed = hits = 0
+    n_scored = n_pruned = n_chunks = 0
+    for v0 in range(0, n_valid, workspace.capacity):
+        part = slice(v0, v0 + workspace.capacity)
+        w, x, y, z = w_pos[part], x_pos[part], y_pos[part], z_pos[part]
+        n = int(w.size)
+        n_chunks += 1
+        bounds = bound_kernel.quad_bounds(operands, w, x, y, z, workspace)
+        cells, terms = workspace.slot(0, n)
+        # A declined bound leaves the known terms unset: score_flat then
+        # looks up (and range-checks) all 81.
+        known = 0 if bounds is None else N_KNOWN
+        if bounds is not None and limit is not None:
+            keep = np.flatnonzero(bounds <= limit)
+            if keep.size < n:
+                n_pruned += n - int(keep.size)
+                if keep.size == 0:
+                    continue
+                w, x, y, z = w[keep], x[keep], y[keep], z[keep]
+                n = int(keep.size)
+                kept_cells, kept_terms = workspace.slot(1, n)
+                for cls in (0, 1):
+                    np.take(
+                        cells[cls, :N_KNOWN], keep, axis=1,
+                        out=kept_cells[cls, :N_KNOWN], mode="clip",
+                    )
+                np.take(
+                    terms[:N_KNOWN], keep, axis=1,
+                    out=kept_terms[:N_KNOWN], mode="clip",
+                )
+                cells, terms = kept_cells, kept_terms
+        if margins is None:
+            full3, requests, computed, hits = _full3_tables(
+                operands, pairs, full3_provider
+            )
+            # Per class and derived level, the level's triplet cells as
+            # (K, B^3) rows, so a chunk gathers (K, V) with one take.
+            margins = [
+                [
+                    np.ascontiguousarray(
+                        full3[_LEVEL_ROLES[axis]][cls].reshape(-1, 27)[
+                            :, triplet_cells
+                        ].T,
+                        dtype=np.int64,
+                    )
+                    for axis, _, _, triplet_cells, _, _ in DERIVATION
+                ]
+                for cls in (0, 1)
+            ]
+        triplet_rows = {
+            "wxz": (w * b + x) * b + z,
+            "wyz": (w * b + y) * b + z,
+            "xyz": (x * b + y) * b + z,
+        }
+        complete_quad(
+            cells,
+            margins,
+            [triplet_rows[_LEVEL_ROLES[level[0]]] for level in DERIVATION],
+            workspace,
+        )
+        rows4 = ((w * b + x) * b + y) * b + z
+        flat_scores[rows4] = staged_kernel.score_flat(
+            cells[0, known:], cells[1, known:], terms, workspace
+        )
+        n_scored += n
     return scores, RoundScoreStats(
         positions=b**4,
-        valid=n_valid,
+        valid=n_scored,
         chunks=n_chunks,
         full3_requests=requests,
         full3_computed=computed,
@@ -373,8 +465,6 @@ def apply_score_dense(
     pairs: np.ndarray,
     score_min_fn: ScoreMinFn,
     n_real_snps: int,
-    *,
-    max_chunk_cells: int = DEFAULT_MAX_CHUNK_CELLS,
 ) -> np.ndarray:
     """Legacy dense reference: complete + score the full grid, then mask.
 
@@ -396,7 +486,7 @@ def apply_score_dense(
     ]
 
     cells_per_w = b * b * b * 81
-    chunk_w = max(1, min(b, max_chunk_cells // max(cells_per_w, 1)))
+    chunk_w = max(1, min(b, DENSE_CHUNK_CELLS // max(cells_per_w, 1)))
 
     scores = np.empty((b, b, b, b), dtype=np.float64)
     for w0 in range(0, b, chunk_w):
@@ -413,7 +503,7 @@ def apply_score_dense(
                 operands.corner3_wyz[cls][w0:w1], pairs[cls], w_idx[w0:w1], y_idx, z_idx
             )
             tables.append(
-                complete_quad(
+                complete_quad_table(
                     operands.corner4[cls][w0:w1],
                     full3_wxy[:, :, :, None],   # (Wc, B, B, 1, 3, 3, 3)
                     full3_wxz[:, :, None, :],   # (Wc, B, 1, B, 3, 3, 3)

@@ -66,11 +66,7 @@ import numpy as np
 
 from repro.bitops.bitmatrix import BitMatrix
 from repro.bitops.combine import diagonal_compact
-from repro.core.apply_score import (
-    DEFAULT_MAX_CHUNK_CELLS,
-    RoundOperands,
-    score_round,
-)
+from repro.core.apply_score import RoundOperands, score_round
 from repro.core.blocks import BlockScheme
 from repro.core.journal import RoundJournal, domain_clause, search_fingerprint
 from repro.core.operand_cache import CacheStats, OperandCache
@@ -109,6 +105,7 @@ from repro.perfmodel.workload import outer_iteration_tensor_ops
 from repro.scoring.bounds import K2BoundKernel
 from repro.scoring.k2 import K2Score
 from repro.scoring.lgamma_table import LgammaTable
+from repro.scoring.workspace import CHUNK_POSITIONS, K2CellTerms, K2Workspace
 from repro.utils.timing import Timer
 
 
@@ -127,7 +124,6 @@ class SearchConfig:
             4) are staged ahead on a host stream while the current group
             scores, and ``1`` stages every group inline.  Results are
             identical for any value.
-        max_chunk_cells: peak materialized table cells in ``applyScore``.
         top_k: number of ranked solutions to report (1 = the paper's
             single-best reduction).
         selfcheck: re-derive every round's best quad through an independent
@@ -176,7 +172,6 @@ class SearchConfig:
     block_size: int = 16
     engine_kind: str | None = None
     n_streams: int = 1
-    max_chunk_cells: int = DEFAULT_MAX_CHUNK_CELLS
     top_k: int = 1
     selfcheck: bool = False
     cache_mb: float | None = None
@@ -196,11 +191,6 @@ class SearchConfig:
         if self.batch_rounds < 1:
             raise ValueError(
                 f"batch_rounds must be >= 1, got {self.batch_rounds}"
-            )
-        if self.max_chunk_cells < 81:
-            raise ValueError(
-                "max_chunk_cells must be >= 81 (one 81-cell table), "
-                f"got {self.max_chunk_cells}"
             )
         if self.top_k < 1:
             raise ValueError(f"top_k must be >= 1, got {self.top_k}")
@@ -401,7 +391,6 @@ class Epi4TensorSearch:
             encoded.n_controls,
             encoded.n_cases,
             self.config.block_size,
-            max_chunk_cells=self.config.max_chunk_cells,
             cache_budget_bytes=self.config.cache_budget_bytes,
             batch_rounds=self.config.batch_rounds,
         )
@@ -416,6 +405,10 @@ class Epi4TensorSearch:
         self._bound_kernel = K2BoundKernel(
             self._staged.table, encoded.n_controls, encoded.n_cases
         )
+        #: Per-cell K2 terms with the run's term table, built at the start
+        #: of every :meth:`run` (see :mod:`repro.scoring.workspace`); each
+        #: device scores in its own workspace over them.
+        self._cell_terms: K2CellTerms | None = None
         #: Canonical phase names reported in ``SearchResult.phase_seconds``.
         #: Per-(phase, device) attribution lives in the metrics registry
         #: as ``epi4_phase_seconds_total{phase=..., device=...}`` — the
@@ -604,6 +597,11 @@ class Epi4TensorSearch:
                 schedule = self._make_schedule()
                 self._prepare_devices()
                 self._cache = OperandCache.create(self.config.cache_mb)
+                self._cell_terms = K2CellTerms(
+                    self._staged.table,
+                    self.encoded.n_controls,
+                    self.encoded.n_cases,
+                )
             reducer = TopKReducer(self.config.top_k)
             self._global_reducer = reducer
             done: set[int] = set()
@@ -1207,12 +1205,12 @@ class Epi4TensorSearch:
             self._low.pairs,
             self._staged,
             self.scheme.n_real_snps,
-            max_chunk_cells=self.config.max_chunk_cells,
             full3_provider=executor.full3 if triplet_cache else None,
-            bound_kernel=self._bound_kernel if prune else None,
+            bound_kernel=self._bound_kernel,
             prune_threshold=(
                 (lambda: self._prune_threshold(reducer)) if prune else None
             ),
+            workspace=executor.workspace,
         )
         dev = str(executor.device_id)
         self.metrics.inc(
@@ -1358,6 +1356,9 @@ class _SingleDeviceExecutor:
         self._gpu = gpu
         self._cache = cache
         self._planes = search._class_planes
+        assert search._cell_terms is not None, "run() builds the term table"
+        #: This device's scoring buffers (scoring runs on one thread).
+        self.workspace = K2Workspace(search._cell_terms, CHUNK_POSITIONS)
 
     @property
     def device_id(self) -> int:

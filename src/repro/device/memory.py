@@ -23,6 +23,11 @@ from math import comb
 
 from repro.bitops.combine import combined_nbytes
 from repro.device.specs import GPUSpec
+from repro.scoring.workspace import (
+    CHUNK_POSITIONS,
+    term_table_bytes,
+    workspace_bytes,
+)
 
 
 class DeviceMemoryError(MemoryError):
@@ -123,7 +128,6 @@ def estimate_search_memory(
     n_cases: int,
     block_size: int,
     *,
-    max_chunk_cells: int = 32 * 1024 * 1024,
     cache_budget_bytes: float = 0,
     batch_rounds: int = 1,
 ) -> DeviceMemoryEstimate:
@@ -134,7 +138,6 @@ def estimate_search_memory(
         n_snps: padded SNP count ``M``.
         n_controls / n_cases: class sizes.
         block_size: ``B``.
-        max_chunk_cells: the ``applyScore`` chunking bound (cells/class).
         cache_budget_bytes: round-operand cache budget.  ``0`` = caching
             disabled (no component); ``float("inf")`` = unbounded, charged
             at the full :func:`cache_working_set_bytes`.  A finite budget
@@ -171,8 +174,10 @@ def estimate_search_memory(
         "combined operands": 8 * 4 * 2 * (4 * b * b) * max(words0, words1),
         # 4-way corners for one round: (B^4, 16) per class, int64.
         "4-way corners": 8 * 2 * b**4 * 16,
-        # applyScore working tables: chunked 81-cell tables, both classes.
-        "score tables": 8 * 2 * min(b**4 * 81, max_chunk_cells),
+        # applyScore kernel: the fixed chunk workspace plus the per-run
+        # K2 term table (0 above its size gate; see scoring.workspace).
+        "score tables": workspace_bytes(CHUNK_POSITIONS)
+        + term_table_bytes(n_controls, n_cases),
         # Round score grid (float64) + reduction buffers.
         "score grid": 8 * b**4,
     }

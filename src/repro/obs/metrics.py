@@ -81,8 +81,26 @@ DEFAULT_BUCKETS: tuple[float, ...] = (
 _LabelKey = tuple[tuple[str, str], ...]
 
 
+#: :func:`_label_key` memo, keyed by the labels' items in call order.  A
+#: search makes tens of thousands of labelled updates over a few dozen
+#: label sets, so the sort and ``str`` calls run once per set.
+_LABEL_KEYS: dict[tuple[tuple[str, Any], ...], _LabelKey] = {}
+#: Distinct label sets memoized at most (beyond it keys are rebuilt).
+_LABEL_KEYS_MAX = 4096
+
+
 def _label_key(labels: Mapping[str, Any]) -> _LabelKey:
-    return tuple(sorted((k, str(v)) for k, v in labels.items()))
+    items = tuple(labels.items())
+    key = _LABEL_KEYS.get(items)
+    if key is None:
+        key = tuple(sorted((k, str(v)) for k, v in items))
+        # Only all-string label sets are memoized: 1, 1.0 and True are
+        # equal as dict keys yet render differently.
+        if len(_LABEL_KEYS) < _LABEL_KEYS_MAX and all(
+            type(v) is str for _, v in items
+        ):
+            _LABEL_KEYS[items] = key
+    return key
 
 
 def _label_str(key: _LabelKey) -> str:

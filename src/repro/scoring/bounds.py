@@ -31,9 +31,13 @@ prunes ~90% of quads at the final top-10 threshold.
 The bound costs real time.  On the ``null-m64`` workload of
 ``benchmarks/e2e`` (M=64, N=1024, B=8, k=10; 2-vCPU Xeon VM) it prunes
 53% of quads, and even the final top-10 threshold would prune only 56%.
-The former 4-index fancy-gather formulation spent 2.91 s there, 41% of
-the traced wall; the flat gather of :meth:`K2BoundKernel.quad_bounds`
-spends 1.14 s, 21%, with bit-identical bounds.
+Its gather is not wasted on the survivors, though: in the chunked
+scoring kernel (:mod:`repro.scoring.workspace`) the 48 cells and their
+terms it leaves in the workspace are the ones the survivors are scored
+from.  One traced search there spends 0.47 s of 2.05 s in
+:meth:`K2BoundKernel.quad_bounds` (the per-round kernel it replaced
+spent 0.76 s of 3.13 s); ``docs/performance_model.md`` §7 and §9 have
+the history.
 """
 
 from __future__ import annotations
@@ -41,6 +45,17 @@ from __future__ import annotations
 import numpy as np
 
 from repro.scoring.lgamma_table import LgammaTable
+from repro.scoring.workspace import KNOWN_ROWS, N_KNOWN, K2CellTerms, K2Workspace
+
+#: Offsets of the cells within one corner row.
+_CELLS16 = np.arange(16)
+
+
+def _int64_flat(corner: np.ndarray) -> np.ndarray:
+    """A corner block as one flat int64 array (a view when it already
+    is one)."""
+    return np.ascontiguousarray(corner, dtype=np.int64).reshape(-1)
+
 
 #: Absolute slack subtracted from every prune comparison: a position is
 #: pruned only when ``bound > threshold + PRUNE_SLACK``.  The bound is
@@ -111,41 +126,33 @@ class K2BoundKernel:
 
     # ------------------------------------------------------------------ #
 
-    def _remainders(
-        self, cells0: np.ndarray, cells1: np.ndarray
-    ) -> tuple[np.ndarray, np.ndarray] | None:
-        """Class remainders ``(rest0, rest1)`` of the cell-major
-        known-cell counts, or ``None`` if any count, remainder or cell
-        total is implausible (see class docstring)."""
-        rest0 = self.n_controls - cells0.sum(axis=0)
-        rest1 = self.n_cases - cells1.sum(axis=0)
-        if cells0.size and (
-            min(int(cells0.min()), int(cells1.min())) < 0
-            or min(int(rest0.min()), int(rest1.min())) < 0
-            or int((cells0 + cells1).max()) > self.max_total
-        ):
-            return None
-        return rest0, rest1
-
     def quad_bounds(
-        self, operands, w, x, y, z
+        self, operands, w, x, y, z, workspace: K2Workspace | None = None
     ) -> np.ndarray | None:
         """48-cell lower bounds for the selected grid positions.
 
         Each position becomes one flat row index into ``(B^4, 16)`` /
-        ``(B^3, 8)`` views of the corner blocks.  The gathered counts are
-        laid out cell-major, ``(48, V)`` per class, so each
-        one-index-is-2 fiber is its third-order corner minus the sum of
-        two contiguous halves of the corner rows.  Cells are ordered as
-        the 16 corners over ``(g_w, g_x, g_y, g_z)``, then the ``g_w``,
-        ``g_x``, ``g_y`` and ``g_z = 2`` fibers; the per-cell terms are
-        transposed back to C-ordered ``(V, 48)`` rows before the row sum,
-        so every bound adds the same floats in the same order.
+        ``(B^3, 8)`` views of the corner blocks, and each cell one flat
+        offset, so the counts are gathered cell-major, straight into rows
+        ``0..47`` of the workspace's slot 0: the 16 corners over ``(g_w,
+        g_x, g_y, g_z)``, then the ``g_w``, ``g_x``, ``g_y`` and ``g_z =
+        2`` fibers, each its third-order corner minus two contiguous
+        halves of the corner rows.  Their K2 terms go to the slot's term
+        rows and are laid out as C-ordered ``(V, 48)`` rows before the
+        row sum, so every bound adds the same floats in the same order.
+
+        The counts and terms stay in the workspace: the scoring kernel
+        completes and scores the surviving positions from them.  Counts
+        are gathered even when the kernel declines.
 
         Args:
             operands: a :class:`~repro.core.apply_score.RoundOperands`.
             w, x, y, z: equal-length integer index arrays selecting
-                positions of the round's ``(B, B, B, B)`` grid.
+                positions of the round's ``(B, B, B, B)`` grid (the
+                gathers clip, so they must lie inside it).
+            workspace: the :class:`~repro.scoring.workspace.K2Workspace`
+                to fill, with room for every position; a private one when
+                omitted.
 
         Returns:
             ``(V,)`` float64 bounds, each ``<= `` the exact K2 score of
@@ -154,6 +161,14 @@ class K2BoundKernel:
             the counts are implausible and no safe bound exists.
         """
         b = operands.block_size
+        n = int(np.size(w))
+        if workspace is None:
+            workspace = K2Workspace(
+                K2CellTerms(self._table, self.n_controls, self.n_cases),
+                max(n, 1),
+            )
+        if n == 0:
+            return np.zeros(0)
         xyz = (x * b + y) * b + z
         # The fiber with genotype index k equal to 2, k over (w, x, y, z):
         # the 3-way corner without that SNP marginalizes it over all 3
@@ -166,28 +181,41 @@ class K2BoundKernel:
             (operands.corner3_wxy, (w * b + x) * b + y),
         )
         rows4 = w * b**3 + xyz
-        n = rows4.size
-        cells = np.empty((2, 48, n), dtype=np.int64)
+        cells, values = workspace.slot(0, n)
+        # Cell-major flat offsets into the (B^4, 16) / (B^3, 8) corner
+        # rows, so each gather lands in its cell rows with no transpose.
+        index = workspace.scratch((16, n))
+        np.add((rows4 * 16)[None, :], _CELLS16[:, None], out=index)
         for cls in (0, 1):
-            corners = cells[cls, :16]
-            corners[...] = np.take(
-                operands.corner4[cls].reshape(-1, 16), rows4, axis=0
-            ).T
-            for k, (corner3, rows3) in enumerate(fibers):
+            np.take(
+                _int64_flat(operands.corner4[cls]), index,
+                out=cells[cls, :16], mode="clip",
+            )
+        for k, (corner3, rows3) in enumerate(fibers):
+            index = workspace.scratch((8, n))
+            np.add((rows3 * 8)[None, :], _CELLS16[:8, None], out=index)
+            for cls in (0, 1):
+                fiber = cells[cls, 16 + 8 * k : 24 + 8 * k]
+                np.take(_int64_flat(corner3[cls]), index, out=fiber, mode="clip")
                 # Axis g_k splits the 16 corner rows into 2^k blocks, each
                 # two contiguous halves (g_k = 0, g_k = 1).
-                halves = corners.reshape(2**k, 2, 8 >> k, n)
-                fiber = cells[cls, 16 + 8 * k : 24 + 8 * k]
-                fiber[...] = np.take(
-                    corner3[cls].reshape(-1, 8), rows3, axis=0
-                ).T
-                fiber -= (halves[:, 0] + halves[:, 1]).reshape(8, n)
-        rests = self._remainders(cells[0], cells[1])
-        if rests is None:
+                halves = cells[cls, :16].reshape(2**k, 2, 8 >> k, n)
+                fiber = fiber.reshape(2**k, 8 >> k, n)
+                fiber -= halves[:, 0]
+                fiber -= halves[:, 1]
+        known = cells[:, :N_KNOWN]
+        rest0 = self.n_controls - known[0].sum(axis=0)
+        rest1 = self.n_cases - known[1].sum(axis=0)
+        if (
+            min(int(rest0.min()), int(rest1.min())) < 0
+            or not workspace.terms.in_range(known[0], known[1])
+        ):
             return None
-        terms = np.ascontiguousarray(self._cell_terms(cells[0], cells[1]).T)
+        workspace.fill_terms(known[0], known[1], values[:N_KNOWN])
         return (
-            terms.sum(axis=1) + self._log1(rests[0]) + self._log1(rests[1])
+            workspace.row_sums(values, KNOWN_ROWS)
+            + self._log1(rest0)
+            + self._log1(rest1)
         )
 
     def __repr__(self) -> str:

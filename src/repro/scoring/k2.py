@@ -18,6 +18,7 @@ import numpy as np
 
 from repro.scoring.base import ScoreFunction
 from repro.scoring.lgamma_table import LgammaTable
+from repro.scoring.workspace import CANONICAL_ROWS, N_CELLS, K2Workspace
 
 
 class StagedK2Kernel:
@@ -49,7 +50,13 @@ class StagedK2Kernel:
     def table(self) -> LgammaTable:
         return self._table
 
-    def score_flat(self, r0_cells: np.ndarray, r1_cells: np.ndarray) -> np.ndarray:
+    def score_flat(
+        self,
+        r0_cells: np.ndarray,
+        r1_cells: np.ndarray,
+        terms: np.ndarray | None = None,
+        workspace: K2Workspace | None = None,
+    ) -> np.ndarray:
         """Score ``(..., C)`` int64 cell batches; returns ``(...)`` float64.
 
         The trailing axis holds the ``C = 3^k`` genotype cells of each
@@ -57,7 +64,29 @@ class StagedK2Kernel:
         produces int64 counts end to end); negative counts or totals beyond
         the table raise ``IndexError`` rather than silently wrapping
         through the fancy gather.
+
+        With ``terms`` and ``workspace`` this is the last step of the
+        chunked fourth-order kernel (see :mod:`repro.scoring.workspace`):
+        the cells are the cell-major ``(K, V)`` counts of the last ``K``
+        of a slot's 81 rows, whose terms are still missing, and ``terms``
+        is that slot's ``(81, V)`` term block, its first ``81 - K`` rows
+        already filled.  The missing terms are looked up — a count outside
+        ``[0, N0] x [0, N1]`` raises ``IndexError`` — and each position's
+        81 terms are summed in canonical cell order, adding the same
+        floats in the same order as the plain form does on the completed
+        ``(V, 81)`` tables.
         """
+        if workspace is not None and terms is not None:
+            cell_terms = workspace.terms
+            if not cell_terms.in_range(r0_cells, r1_cells):
+                raise IndexError(
+                    "count out of the K2 term range "
+                    f"[0, {cell_terms.n_controls}] x [0, {cell_terms.n_cases}]"
+                )
+            workspace.fill_terms(
+                r0_cells, r1_cells, terms[N_CELLS - len(r0_cells) :]
+            )
+            return workspace.row_sums(terms, CANONICAL_ROWS)
         if r0_cells.shape != r1_cells.shape:
             raise ValueError(
                 f"class tables disagree: {r0_cells.shape} vs {r1_cells.shape}"

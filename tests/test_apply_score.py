@@ -5,6 +5,7 @@ import pytest
 
 from repro.bitops import combine_blocks
 from repro.contingency import contingency_tables_by_class
+from repro.core import apply_score
 from repro.core.apply_score import RoundOperands, round_validity_mask, score_round
 from repro.core.fourway import tensorop_4way
 from repro.core.pairwise import pairw_pop
@@ -103,11 +104,12 @@ class TestApplyScore:
         assert np.isinf(scores[2, 1, 0, 0])  # w >= x -> masked
         assert np.isfinite(scores[0, 1, 0, 0])
 
-    def test_chunked_equals_unchunked(self, setup):
+    def test_chunked_equals_unchunked(self, setup, monkeypatch):
         ds, enc, engine, low = setup
         operands = _make_round(ds, enc, engine, (0, 4, 4, 12), 4, low)
         full = _score_grid(enc, operands, low.pairs)
-        tiny = _score_grid(enc, operands, low.pairs, max_chunk_cells=1)
+        monkeypatch.setattr(apply_score, "CHUNK_POSITIONS", 1)
+        tiny = _score_grid(enc, operands, low.pairs)
         np.testing.assert_array_equal(full, tiny)
 
     def test_overlapping_round_scores_match_brute_force(self, setup):

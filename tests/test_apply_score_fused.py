@@ -2,12 +2,12 @@
 
 Three claims are locked in here:
 
-1. **Bit-identity** — the mask-first compacted :func:`score_round` (its
-   staged-lgamma kernel against the reference K2 callable, with or
-   without the cross-round triplet provider, at any chunk size) produces
-   *exactly* the grid of the legacy dense reference
-   :func:`apply_score_dense`, across orders of block overlap and padding
-   alignments.
+1. **Bit-identity** — the chunked :func:`score_round` (with or without
+   the cross-round triplet provider and the per-run term table, at any
+   chunk size, pruning or not) produces *exactly* the grid of the legacy
+   dense reference :func:`apply_score_dense`, across orders of block
+   overlap, padding alignments and class sizes, and prunes exactly the
+   positions the bound oracle of ``tests/test_bounds.py`` prunes.
 2. **Compaction accounting** — the per-round stats report exactly the
    validity-mask volume, and zero-valid rounds exit before any completion
    work (no ``full3`` requests at all).
@@ -23,6 +23,7 @@ import math
 import numpy as np
 import pytest
 
+from repro.core import apply_score
 from repro.core.apply_score import (
     RoundScoreStats,
     apply_score_dense,
@@ -32,8 +33,8 @@ from repro.core.apply_score import (
 from repro.core.operand_cache import OperandCache
 from repro.core.pairwise import pairw_pop
 from repro.core.selfcheck import direct_round_operands
-from repro.datasets import encode_dataset, generate_random_dataset
-from repro.scoring import K2BoundKernel, K2Score
+from repro.datasets import Dataset, encode_dataset, generate_random_dataset
+from repro.scoring import PRUNE_SLACK, K2BoundKernel, K2Score
 
 
 def _setup(n_snps=20, n_samples=112, block_size=4, seed=11):
@@ -86,28 +87,29 @@ class TestFusedDenseBitIdentity:
         fused, stats = score_round(operands, pairs, staged, enc.n_real_snps)
         np.testing.assert_array_equal(dense, fused)
 
-    @pytest.mark.parametrize("chunk_cells", [1, 81, 82, 81 * 7, 81 * 10**6])
-    def test_chunk_size_neutral(self, env, chunk_cells):
+    @pytest.mark.parametrize("positions", [1, 7, 81, 82, 567, 81_000_000])
+    def test_chunk_size_neutral(self, env, monkeypatch, positions):
+        # The chunk constant (positions per chunk) moves no score: one
+        # position per chunk, odd sizes, and one chunk for the whole round.
         _, enc, pairs, score_min, staged = env
         operands = direct_round_operands(enc, (0, 4, 4, 12), 4)
         ref, ref_stats = score_round(
             operands, pairs, staged, enc.n_real_snps
         )
+        monkeypatch.setattr(apply_score, "CHUNK_POSITIONS", positions)
         got, stats = score_round(
-            operands, pairs, staged, enc.n_real_snps,
-            max_chunk_cells=chunk_cells,
+            operands, pairs, staged, enc.n_real_snps
         )
         np.testing.assert_array_equal(ref, got)
         assert stats.valid == ref_stats.valid
-        assert stats.chunks == math.ceil(
-            stats.valid / max(1, chunk_cells // 81)
-        )
+        assert stats.chunks == math.ceil(stats.valid / positions)
 
-    @pytest.mark.parametrize("chunk_cells", [None, 1, 82, 81 * 7, 82 * 81])
-    def test_chunk_size_neutral_with_pruning(self, env, chunk_cells):
-        # The gate runs before chunking: at a finite threshold, which
-        # positions survive and what they score must not depend on the
-        # chunk size (the default, or 1, 1, 7 and 82 positions per chunk).
+    @pytest.mark.parametrize("positions", [None, 1, 7, 82, 567, 6642])
+    def test_chunk_size_neutral_with_pruning(self, env, monkeypatch, positions):
+        # The threshold is read once per round and every chunk is bounded
+        # against it: which positions survive and what they score must not
+        # depend on the chunk size (the default, 1, 7, 82 or more positions
+        # than the round has).
         _, enc, pairs, score_min, staged = env
         kernel = K2BoundKernel(staged.table, enc.n_controls, enc.n_cases)
         operands = direct_round_operands(enc, (0, 4, 8, 12), 4)
@@ -120,40 +122,42 @@ class TestFusedDenseBitIdentity:
         ref, ref_stats = score_round(
             operands, pairs, staged, enc.n_real_snps, **pruned_kwargs
         )
-        chunk_kwargs = {} if chunk_cells is None else {"max_chunk_cells": chunk_cells}
+        if positions is not None:
+            monkeypatch.setattr(apply_score, "CHUNK_POSITIONS", positions)
         got, stats = score_round(
-            operands, pairs, staged, enc.n_real_snps,
-            **pruned_kwargs, **chunk_kwargs,
+            operands, pairs, staged, enc.n_real_snps, **pruned_kwargs
         )
         np.testing.assert_array_equal(ref, got)
         assert (stats.valid, stats.pruned) == (ref_stats.valid, ref_stats.pruned)
         assert 0 < stats.pruned < stats.valid + stats.pruned
-        if chunk_cells is not None:
+        if positions is not None:
+            # Chunks walk the mask-valid positions, pruned ones included.
             assert stats.chunks == math.ceil(
-                stats.valid / max(1, chunk_cells // 81)
+                (stats.valid + stats.pruned) / positions
             )
         # Survivors keep their exhaustive scores; pruned positions are +inf.
         kept = np.isfinite(got)
         np.testing.assert_array_equal(got[kept], exhaustive[kept])
         assert int(kept.sum()) == stats.valid
 
-    def test_every_position_pruned(self, env):
+    def test_every_position_pruned(self, env, monkeypatch):
         # A threshold below every bound prunes the whole round: an all-inf
-        # grid, no chunk and no full3 request.
+        # grid and no full3 request, though every chunk was bounded.
         _, enc, pairs, score_min, staged = env
         kernel = K2BoundKernel(staged.table, enc.n_controls, enc.n_cases)
         operands = direct_round_operands(enc, (0, 4, 8, 12), 4)
         mask = round_validity_mask((0, 4, 8, 12), 4, enc.n_real_snps)
-        for chunk_cells in (1, 82 * 81):
+        for positions in (1, 82):
+            monkeypatch.setattr(apply_score, "CHUNK_POSITIONS", positions)
             grid, stats = score_round(
                 operands, pairs, staged, enc.n_real_snps,
-                max_chunk_cells=chunk_cells,
                 bound_kernel=kernel,
                 prune_threshold=lambda: -1.0,
             )
             assert np.isinf(grid).all()
             assert stats == RoundScoreStats(
-                positions=4**4, valid=0, chunks=0,
+                positions=4**4, valid=0,
+                chunks=math.ceil(int(mask.sum()) / positions),
                 full3_requests=0, full3_computed=0, full3_cache_hits=0,
                 pruned=int(mask.sum()),
             )
@@ -373,3 +377,111 @@ class TestShiftedLgammaViews:
         table = LgammaTable(16)
         assert table.shifted(2).base is not None  # a view, not a copy
 
+
+
+def _kernel_env(block_size, classes):
+    """Padded data for the chunked-kernel grid: ``block_size`` 4 over 14
+    SNPs (padded to 16) or 8 over 30 (padded to 32); ``classes`` is
+    ``"balanced"`` (about 56/56 of 112 samples) or ``"tiny-case"`` (3
+    cases, 93 controls)."""
+    n_snps = 14 if block_size == 4 else 30
+    ds = generate_random_dataset(n_snps, 112 if classes == "balanced" else 96, seed=19)
+    if classes == "tiny-case":
+        phenotypes = np.zeros(ds.n_samples, dtype=bool)
+        phenotypes[[5, 40, 77]] = True
+        ds = Dataset(genotypes=ds.genotypes, phenotypes=phenotypes)
+    enc = encode_dataset(ds, block_size=block_size)
+    pairs = pairw_pop(enc).pairs
+    score = K2Score()
+    staged = score.staged_kernel(enc.n_samples)
+    kernel = K2BoundKernel(staged.table, enc.n_controls, enc.n_cases)
+    return enc, pairs, score, staged, kernel
+
+
+class TestChunkedKernelAgainstDense:
+    """The chunked kernel against the dense reference and the bound
+    oracle: B = 4 and 8 over padded SNP ranges, balanced classes and a
+    3-case class, a fully diagonal, a three-shared-block and an
+    off-diagonal round, thresholds of +inf, the median and below every
+    bound, with the term table forced on and off and the chunk constant
+    at 1, 7 and 82 positions."""
+
+    @pytest.fixture(scope="class")
+    def rounds(self):
+        """``{(B, classes, kind): (env, operands, dense grid, reference
+        bounds of the mask-valid positions)}``."""
+        from tests.test_bounds import _reference_quad_bounds
+
+        out = {}
+        for b in (4, 8):
+            for classes in ("balanced", "tiny-case"):
+                env = _kernel_env(b, classes)
+                enc, pairs, score, _, kernel = env
+                for kind, offsets in (
+                    ("diagonal", (b, b, b, b)),
+                    ("three-shared", (0, 0, 0, 3 * b)),
+                    ("off-diagonal", (0, b, 2 * b, 3 * b)),
+                ):
+                    operands = direct_round_operands(enc, offsets, b)
+                    dense = apply_score_dense(
+                        operands, pairs, score, enc.n_real_snps
+                    )
+                    mask = round_validity_mask(offsets, b, enc.n_real_snps)
+                    bounds = _reference_quad_bounds(
+                        kernel, operands, *np.nonzero(mask)
+                    )
+                    out[b, classes, kind] = (env, operands, dense, mask, bounds)
+        return out
+
+    @pytest.mark.parametrize("positions", [1, 7, 82])
+    @pytest.mark.parametrize("table", ["table", "three-gather"])
+    @pytest.mark.parametrize("threshold", ["inf", "median", "below-all"])
+    @pytest.mark.parametrize("kind", ["diagonal", "three-shared", "off-diagonal"])
+    @pytest.mark.parametrize("classes", ["balanced", "tiny-case"])
+    @pytest.mark.parametrize("b", [4, 8])
+    def test_grid(
+        self, rounds, monkeypatch, b, classes, kind, threshold, table, positions
+    ):
+        from repro.scoring import workspace as workspace_module
+
+        (enc, pairs, _, staged, kernel), operands, dense, mask, bounds = rounds[
+            b, classes, kind
+        ]
+        assert enc.n_real_snps < enc.n_snps  # padded M
+        if classes == "tiny-case":
+            assert enc.n_cases <= 3
+        limit = {
+            "inf": math.inf,
+            "median": float(np.median(dense[mask])),
+            "below-all": -1.0,
+        }[threshold]
+        monkeypatch.setattr(
+            workspace_module,
+            "TERM_TABLE_MAX_BYTES",
+            2**40 if table == "table" else 0,
+        )
+        monkeypatch.setattr(apply_score, "CHUNK_POSITIONS", positions)
+        terms = workspace_module.K2CellTerms(
+            staged.table, enc.n_controls, enc.n_cases
+        )
+        assert (terms.table is not None) == (table == "table")
+        grid, stats = score_round(
+            operands, pairs, staged, enc.n_real_snps,
+            bound_kernel=kernel,
+            prune_threshold=lambda: limit,
+            workspace=workspace_module.K2Workspace(terms, positions),
+        )
+        pruned = np.zeros_like(mask)
+        if math.isfinite(limit):
+            pruned[mask] = bounds > limit + PRUNE_SLACK
+        np.testing.assert_array_equal(np.isinf(grid) & mask, pruned)
+        expected = np.where(pruned, np.inf, dense)
+        np.testing.assert_array_equal(grid, expected)
+        assert stats.pruned == int(pruned.sum())
+        assert stats.valid == int(mask.sum()) - stats.pruned
+        assert stats.chunks == math.ceil(int(mask.sum()) / positions)
+        if threshold == "median":
+            # Positions scoring at or below the median bound below it too.
+            assert stats.valid > 0
+        if threshold == "below-all":
+            assert stats.valid == 0 and stats.full3_requests == 0

@@ -271,6 +271,128 @@ class TestFailSafety:
         assert small.quad_bounds(operands, w, x, y, z) is None
 
 
+class TestTermTableFailSafety:
+    """Implausible counts never reach the term table: the bound declines,
+    and scoring raises ``IndexError`` as ``score_flat`` does, with the
+    per-run term table on and off.  A case count above ``N1`` would
+    otherwise alias into the next control count's row of the table."""
+
+    OFFSETS = (0, 4, 8, 12)
+
+    @pytest.fixture(params=["table", "three-gather"])
+    def terms(self, request, env, monkeypatch):
+        from repro.scoring import workspace as workspace_module
+
+        enc, _, _, kernel = env
+        monkeypatch.setattr(
+            workspace_module,
+            "TERM_TABLE_MAX_BYTES",
+            2**40 if request.param == "table" else 0,
+        )
+        terms = workspace_module.K2CellTerms(
+            kernel.table, enc.n_controls, enc.n_cases
+        )
+        assert (terms.table is not None) == (request.param == "table")
+        return terms
+
+    def _score(self, env, terms, operands, **kwargs):
+        from repro.core.apply_score import score_round
+        from repro.scoring.workspace import K2Workspace
+
+        enc, pairs, score, kernel = env
+        return score_round(
+            operands, pairs, score.staged_kernel(enc.n_samples),
+            enc.n_real_snps,
+            bound_kernel=kernel,
+            prune_threshold=lambda: 1e9,
+            workspace=K2Workspace(terms, 64),
+            **kwargs,
+        )
+
+    def _bounds(self, env, operands):
+        enc, _, _, kernel = env
+        mask = round_validity_mask(self.OFFSETS, 4, enc.n_real_snps)
+        return kernel.quad_bounds(operands, *np.nonzero(mask))
+
+    def _with_corner4(self, operands, value):
+        c0 = operands.corner4[0].copy()
+        c0[1, 2, 3, 0, 0, 0, 0, 0] = value
+        return replace(operands, corner4=(c0, operands.corner4[1]))
+
+    def test_negative_count(self, env, terms):
+        enc = env[0]
+        operands = self._with_corner4(
+            direct_round_operands(enc, self.OFFSETS, 4), -42
+        )
+        assert self._bounds(env, operands) is None
+        with pytest.raises(IndexError):
+            self._score(env, terms, operands)
+
+    def test_corner4_count_above_n0(self, env, terms):
+        enc = env[0]
+        operands = self._with_corner4(
+            direct_round_operands(enc, self.OFFSETS, 4), enc.n_controls + 1
+        )
+        assert self._bounds(env, operands) is None
+        with pytest.raises(IndexError):
+            self._score(env, terms, operands)
+
+    def test_two_aa_cell_above_class_size(self, env, terms):
+        # Lowering the xyz corner count at g = (0, 0, 0) by N0 + 1 inflates
+        # the completed xyz triplet's (2, 0, 0) cell by as much, and with
+        # it the two-aa cell (2, 2, 0, 0) beyond N0.  The g_w = 2 fiber
+        # drops below zero, so the bound declines.
+        enc = env[0]
+        operands = direct_round_operands(enc, self.OFFSETS, 4)
+        xyz = operands.corner3_xyz[0].copy()
+        xyz[2, 3, 0, 0, 0, 0] -= enc.n_controls + 1
+        operands = replace(operands, corner3_xyz=(xyz, operands.corner3_xyz[1]))
+        assert self._bounds(env, operands) is None
+        with pytest.raises(IndexError):
+            self._score(env, terms, operands)
+
+    def test_inflated_completed_triplet_is_not_looked_up(self, env, terms):
+        # The 48 known cells stay plausible (the bound is finite), but the
+        # completed xyz triplet served for the round adds N0 + 1 controls
+        # to the two-aa cell (2, 2, 0, 0) of every quad (w, 1, 2, 3).  The
+        # totals stay inside the lgamma table, so only the per-class range
+        # check stands between those counts and another cell's term.
+        from repro.contingency.complete import complete_quad as complete_table
+        from repro.core.threeway import complete_threeway
+
+        enc, pairs, _, _ = env
+        operands = direct_round_operands(enc, self.OFFSETS, 4)
+        assert self._bounds(env, operands) is not None
+        idx = [np.arange(o, o + 4) for o in self.OFFSETS]
+
+        def full3(cls, corners, a, b, c):
+            return complete_threeway(
+                corners[cls], pairs[cls], idx[a], idx[b], idx[c]
+            )
+
+        cell = [
+            complete_table(
+                operands.corner4[cls],
+                full3(cls, operands.corner3_wxy, 0, 1, 2)[:, :, :, None],
+                full3(cls, operands.corner3_wxz, 0, 1, 3)[:, :, None, :],
+                full3(cls, operands.corner3_wyz, 0, 2, 3)[:, None],
+                full3(cls, operands.corner3_xyz, 1, 2, 3)[None],
+            )[:, 1, 2, 3, 2, 2, 0, 0]
+            for cls in (0, 1)
+        ]
+        assert np.all(cell[0] + enc.n_controls + 1 + cell[1] <= enc.n_samples)
+
+        def provider(cls, triple, factory):
+            table = factory()
+            if cls == 0 and triple == self.OFFSETS[1:]:
+                table = table.copy()
+                table[1, 2, 3, 2, 0, 0] += enc.n_controls + 1
+            return table, False
+
+        with pytest.raises(IndexError):
+            self._score(env, terms, operands, full3_provider=provider)
+
+
 class TestIdentities:
     def test_log1_matches_log(self, env):
         _, _, _, kernel = env

@@ -34,6 +34,24 @@ class TestCounters:
         m.inc("x", device="0", kind="combine")
         assert m.value("x", device="0", kind="combine") == 2
 
+    def test_memoized_label_keys_keep_values_apart(self):
+        # Label keys are memoized by the labels' items; values that compare
+        # equal but render differently (1, 1.0, True) stay separate series,
+        # and a repeated string label set keeps hitting one series.
+        m = MetricsRegistry()
+        for _ in range(3):
+            m.inc("x", kind="combine", device="1")
+        m.inc("x", device=1)
+        m.inc("x", device=1.0)
+        m.inc("x", device=True)
+        m.inc("x", device=1)
+        assert m.series("x") == {
+            (("device", "1"), ("kind", "combine")): 3.0,
+            (("device", "1"),): 2.0,
+            (("device", "1.0"),): 1.0,
+            (("device", "True"),): 1.0,
+        }
+
     def test_total_with_label_filter(self):
         m = MetricsRegistry()
         m.inc("x", 1, kind="combine", device="0")

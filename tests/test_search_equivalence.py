@@ -12,6 +12,7 @@ independent brute-force oracle of :mod:`tests.helpers`.
 
 import pytest
 
+import repro.core.search as search_module
 from repro.core.search import Epi4TensorSearch, SearchConfig
 from repro.datasets import generate_random_dataset
 from repro.device.cluster import ScheduleResult
@@ -211,10 +212,13 @@ class TestFusedScorePathEquivalence:
         fused = _run(ds, cache_mb=float("inf"), **base)
         assert_matches_oracle(fused, brute_force_topk(ds, 4))
 
-    def test_tiny_chunks_match_default(self):
+    def test_tiny_chunks_match_default(self, monkeypatch):
+        # One position per scoring chunk: every device workspace holds a
+        # single position, and the search is still bit-identical.
         ds = generate_random_dataset(16, 120, seed=6)
         default = _run(ds, block_size=4, top_k=3)
-        tiny = _run(ds, block_size=4, top_k=3, max_chunk_cells=81)
+        monkeypatch.setattr(search_module, "CHUNK_POSITIONS", 1)
+        tiny = _run(ds, block_size=4, top_k=3)
         _assert_identical(default, tiny)
 
     def test_full3_executions_collapse_to_unique_triples(self):

@@ -30,8 +30,10 @@ bars:
 - the fused scorer is >=1.5x faster than the dense one on the same
   operands;
 - the compaction ratio equals the block scheme's unique fraction;
-- with the triplet cache on, ``complete_threeway`` executions collapse
-  from O(role slots per round) to O(unique block triples).
+- without the triplet cache, ``complete_threeway`` executions equal the
+  closed form ``2 * round_triplet_requests(nb)`` (each round completes
+  only the triplets its derived cells read); with the cache on they
+  collapse to ``2 * unique_block_triples(nb)``.
 
 Results append to ``BENCH_applyscore.json`` next to this file.
 Set ``EPI4TENSOR_BENCH_SMALL=1`` for a CI-sized workload.
@@ -52,7 +54,11 @@ from repro.core.search import Epi4TensorSearch, SearchConfig
 from repro.core.selfcheck import direct_round_operands
 from repro.datasets import encode_dataset, generate_random_dataset
 from repro.obs.manifest import solutions_digest
-from repro.perfmodel.workload import search_workload, unique_block_triples
+from repro.perfmodel.workload import (
+    round_triplet_requests,
+    search_workload,
+    unique_block_triples,
+)
 from repro.scoring import workspace as workspace_module
 from repro.scoring.bounds import K2BoundKernel
 from repro.scoring.k2 import K2Score
@@ -245,6 +251,7 @@ def test_applyscore_ablation(benchmark, monkeypatch):
 
     # Cross-round reuse: completions collapse to unique block triples.
     nb = scheme.n_snps // BLOCK
+    assert fused_rec["full3_executed"] == 2 * round_triplet_requests(nb)
     assert triplets_rec["full3_executed"] == 2 * unique_block_triples(nb)
     assert triplets_rec["full3_executed"] < fused_rec["full3_executed"]
     assert triplets_rec["full3_hit_rate"] > 0.5

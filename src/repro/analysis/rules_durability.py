@@ -14,8 +14,8 @@ machinery all follow this; these rules keep new call sites honest:
   the rename itself may not survive power loss.
 - **EPI423** — ``open(..., "w"/"wb")`` of an artifact in a durability
   module outside an atomic-writer function (one that fsyncs): results
-  artifacts must go through the atomic-exporter helpers
-  (``repro.obs.exporters``/``_write_atomic``), never a bare write.
+  artifacts must go through the one atomic writer
+  (``repro.utils.fs.write_atomic``), never a bare write.
 """
 
 from __future__ import annotations
@@ -124,7 +124,7 @@ class RenameWithoutFsync:
                                 "os.fsync of the temp file: a crash after "
                                 "the rename can publish an empty/partial "
                                 "artifact — fsync before renaming (or use "
-                                "the atomic-exporter helpers)"
+                                "repro.utils.fs.write_atomic)"
                             ),
                         )
                     )
@@ -218,8 +218,8 @@ class BareArtifactWrite:
                             message=(
                                 f"open(..., {mode!r}) in {fn.name}() "
                                 f"({src.module}) writes an artifact "
-                                "without fsync: route it through the "
-                                "atomic-exporter helpers "
+                                "without fsync: route it through "
+                                "repro.utils.fs.write_atomic "
                                 "(write tmp -> fsync -> rename -> "
                                 "fsync dir)"
                             ),

@@ -2,9 +2,10 @@
 
 Takes the per-class fourth-order corners (16 counts/quad from the tensor
 GEMM) and the third-order corner slices for the four contained triplets,
-completes the tables per class (§3.3), scores every *useful* quad, and
-marks non-useful positions (repeated/unsorted quads and padding) and
-pruned ones with ``+inf``.
+completes the tables per class (§3.3) from the three completed triplets
+the derivation reads, scores every *useful* quad, and marks non-useful
+positions (repeated/unsorted quads and padding) and pruned ones with
+``+inf``.
 
 Two implementations are provided:
 
@@ -36,13 +37,17 @@ Two implementations are provided:
     the reference :class:`~repro.scoring.k2.K2Score` (same float lookups,
     same elementwise ``a - b - c``, same row sum).
 
-    The completed third-order tables are requested through a pluggable
-    ``full3_provider`` on the first chunk with a survivor.  A block
-    triple's table is a pure function of its (sorted) block offsets, so
-    the search wires the provider to the
+    Each derived level of :data:`~repro.scoring.workspace.DERIVATION`
+    reads one completed third-order table: the triplet without the
+    level's axis (``xyz``, ``wyz`` or ``wxz``, see :func:`round_triples`).
+    Only those three are completed; the ``wxy`` triplet enters through
+    its corner slice alone (the bound's ``g_z = 2`` fibres).  They are
+    requested through a pluggable ``full3_provider`` on the first chunk
+    with a survivor.  A block triple's table is a pure function of its
+    (sorted) block offsets, so the search wires the provider to the
     :class:`~repro.core.operand_cache.OperandCache` under keys
-    ``("full3", cls, a, b, c)``; within a round, duplicate roles (diagonal
-    rounds share block triples between roles) are deduped first.
+    ``("full3", cls, a, b, c)``; within a round, levels that share a
+    block triple (diagonal rounds) are deduped first.
 
 :func:`apply_score_dense` (the legacy reference)
     Completes and scores the full ``B^4 x 81`` grid, then masks.  Kept
@@ -76,16 +81,17 @@ from repro.scoring.workspace import (
 #: ``w``).
 DENSE_CHUNK_CELLS = 32 * 1024 * 1024
 
-#: Completed triplet read by each derived level of
-#: :data:`~repro.scoring.workspace.DERIVATION`: the one without the
-#: level's axis.
-_LEVEL_ROLES = {0: "xyz", 1: "wyz", 2: "wxz"}
+#: Per derived level of :data:`~repro.scoring.workspace.DERIVATION`,
+#: the axes of the completed triplet it reads: every axis but the
+#: level's own.
+TRIPLET_AXES = tuple(
+    tuple(k for k in range(4) if k != axis) for axis, *_ in DERIVATION
+)
 
 #: ``full3_provider`` signature: ``(cls, (a, b, c) block offsets, factory)
-#: -> (table, served_from_cache)``.
+#: -> table``.
 Full3Provider = Callable[
-    [int, tuple[int, int, int], Callable[[], np.ndarray]],
-    tuple[np.ndarray, bool],
+    [int, tuple[int, int, int], Callable[[], np.ndarray]], np.ndarray
 ]
 
 #: Batched score callable ``(t0, t1, order=4) -> per-position scores``,
@@ -131,10 +137,6 @@ class RoundScoreStats:
             count; the conservation law is ``mask_valid == valid + pruned``).
         chunks: chunks of mask-valid positions walked (each is bounded,
             whether or not any of its positions survives).
-        full3_requests: unique ``(class, block-triple)`` completed-table
-            requests this round (duplicate roles deduped locally first).
-        full3_computed: requests that executed a third-order completion.
-        full3_cache_hits: requests served by the provider's cache.
         pruned: mask-valid positions dropped by the admissible-bound gate
             before completion (their lower bound exceeded the top-k
             threshold, so they provably cannot enter the final top-k).
@@ -143,9 +145,6 @@ class RoundScoreStats:
     positions: int
     valid: int
     chunks: int
-    full3_requests: int
-    full3_computed: int
-    full3_cache_hits: int
     pruned: int = 0
 
     @property
@@ -177,76 +176,64 @@ def round_validity_mask(
     )
 
 
+def round_triples(
+    offsets: tuple[int, int, int, int],
+) -> list[tuple[int, int, int]]:
+    """Per derived level, the block offsets of the completed triplet it
+    reads (see :data:`TRIPLET_AXES`)."""
+    return [tuple(offsets[k] for k in axes) for axes in TRIPLET_AXES]
+
+
 def _full3_tables(
     operands: RoundOperands,
     pairs: np.ndarray,
     full3_provider: Full3Provider | None,
-) -> tuple[dict[str, list[np.ndarray]], int, int, int]:
-    """All four completed third-order tables per class, deduped + cached.
+) -> list[list[np.ndarray]]:
+    """Per class and derived level, the level's completed-triplet margin.
 
     The completed table for a block triple depends only on its (already
     non-decreasing) block offsets: the corner slice is the same sweep GEMM
     output and the completion gathers the same global pair tables whichever
-    role the triple plays.  Diagonal rounds therefore resolve several roles
-    to one table, and the provider (when given) shares tables across
-    rounds.
+    level reads the triple.  Diagonal rounds therefore resolve several
+    levels to one table, and the provider (when given) shares tables
+    across rounds.
 
     Returns:
-        ``(tables, requests, computed, cache_hits)`` where ``tables[role]``
-        is the per-class list of ``(B, B, B, 3, 3, 3)`` tables.
+        ``margins[cls][k]``: the ``(K, B^3)`` int64 counts of level
+        ``k``'s triplet at the level's ``K`` triplet cells, so a chunk
+        gathers its ``(K, V)`` rows with one take.
     """
     b = operands.block_size
-    wo, xo, yo, zo = operands.offsets
-    w_idx = np.arange(wo, wo + b)
-    x_idx = np.arange(xo, xo + b)
-    y_idx = np.arange(yo, yo + b)
-    z_idx = np.arange(zo, zo + b)
-
-    roles: dict[str, tuple[tuple[int, int, int], tuple, tuple]] = {
-        "wxy": ((wo, xo, yo), operands.corner3_wxy, (w_idx, x_idx, y_idx)),
-        "wxz": ((wo, xo, zo), operands.corner3_wxz, (w_idx, x_idx, z_idx)),
-        "wyz": ((wo, yo, zo), operands.corner3_wyz, (w_idx, y_idx, z_idx)),
-        "xyz": ((xo, yo, zo), operands.corner3_xyz, (x_idx, y_idx, z_idx)),
-    }
-
+    indices = [np.arange(o, o + b) for o in operands.offsets]
     local: dict[tuple[int, tuple[int, int, int]], np.ndarray] = {}
-    requests = computed = cache_hits = 0
-    tables: dict[str, list[np.ndarray]] = {}
-    for role, (triple, corners, indices) in roles.items():
-        per_class: list[np.ndarray] = []
+    margins: list[list[np.ndarray]] = [[], []]
+    for (_, _, _, triplet_cells, _, _), axes, triple in zip(
+        DERIVATION, TRIPLET_AXES, round_triples(operands.offsets)
+    ):
+        role = "".join("wxyz"[k] for k in axes)
+        corners = getattr(operands, f"corner3_{role}")
+        idx = [indices[k] for k in axes]
         for cls in (0, 1):
-            memo_key = (cls, triple)
-            table = local.get(memo_key)
+            table = local.get((cls, triple))
             if table is None:
-                corner = corners[cls]
-                pairs_cls = pairs[cls]
-                a_idx, b_idx, c_idx = indices
 
                 def factory(
-                    corner=corner,
-                    pairs_cls=pairs_cls,
-                    a_idx=a_idx,
-                    b_idx=b_idx,
-                    c_idx=c_idx,
+                    corner=corners[cls], pairs_cls=pairs[cls], idx=idx
                 ) -> np.ndarray:
-                    return complete_threeway(
-                        corner, pairs_cls, a_idx, b_idx, c_idx
-                    )
+                    return complete_threeway(corner, pairs_cls, *idx)
 
-                requests += 1
-                if full3_provider is None:
-                    table = factory()
-                    hit = False
-                else:
-                    table, hit = full3_provider(cls, triple, factory)
-                if hit:
-                    cache_hits += 1
-                else:
-                    computed += 1
-                local[memo_key] = table
-            per_class.append(table)
-        tables[role] = per_class
-    return tables, requests, computed, cache_hits
+                table = (
+                    factory()
+                    if full3_provider is None
+                    else full3_provider(cls, triple, factory)
+                )
+                local[(cls, triple)] = table
+            margins[cls].append(
+                np.ascontiguousarray(
+                    table.reshape(-1, 27)[:, triplet_cells].T, dtype=np.int64
+                )
+            )
+    return margins
 
 
 def complete_quad(
@@ -345,10 +332,7 @@ def score_round(
     n_valid = int(w_pos.size)
     scores = np.full((b, b, b, b), np.inf, dtype=np.float64)
     if n_valid == 0:
-        return scores, RoundScoreStats(
-            positions=b**4, valid=0, chunks=0,
-            full3_requests=0, full3_computed=0, full3_cache_hits=0,
-        )
+        return scores, RoundScoreStats(positions=b**4, valid=0, chunks=0)
     if bound_kernel is None:
         bound_kernel = K2BoundKernel(staged_kernel.table, *_class_sizes(pairs))
     if workspace is None:
@@ -384,7 +368,6 @@ def score_round(
     )
     flat_scores = scores.reshape(-1)
     margins: list[list[np.ndarray]] | None = None
-    requests = computed = hits = 0
     n_scored = n_pruned = n_chunks = 0
     for v0 in range(0, n_valid, workspace.capacity):
         part = slice(v0, v0 + workspace.capacity)
@@ -416,32 +399,12 @@ def score_round(
                 )
                 cells, terms = kept_cells, kept_terms
         if margins is None:
-            full3, requests, computed, hits = _full3_tables(
-                operands, pairs, full3_provider
-            )
-            # Per class and derived level, the level's triplet cells as
-            # (K, B^3) rows, so a chunk gathers (K, V) with one take.
-            margins = [
-                [
-                    np.ascontiguousarray(
-                        full3[_LEVEL_ROLES[axis]][cls].reshape(-1, 27)[
-                            :, triplet_cells
-                        ].T,
-                        dtype=np.int64,
-                    )
-                    for axis, _, _, triplet_cells, _, _ in DERIVATION
-                ]
-                for cls in (0, 1)
-            ]
-        triplet_rows = {
-            "wxz": (w * b + x) * b + z,
-            "wyz": (w * b + y) * b + z,
-            "xyz": (x * b + y) * b + z,
-        }
+            margins = _full3_tables(operands, pairs, full3_provider)
+        pos = (w, x, y, z)
         complete_quad(
             cells,
             margins,
-            [triplet_rows[_LEVEL_ROLES[level[0]]] for level in DERIVATION],
+            [(pos[i] * b + pos[j]) * b + pos[k] for i, j, k in TRIPLET_AXES],
             workspace,
         )
         rows4 = ((w * b + x) * b + y) * b + z
@@ -453,9 +416,6 @@ def score_round(
         positions=b**4,
         valid=n_scored,
         chunks=n_chunks,
-        full3_requests=requests,
-        full3_computed=computed,
-        full3_cache_hits=hits,
         pruned=n_pruned,
     )
 

@@ -60,13 +60,13 @@ from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Iterator
+from typing import Any, Callable, Iterable, Iterator
 
 import numpy as np
 
 from repro.bitops.bitmatrix import BitMatrix
 from repro.bitops.combine import diagonal_compact
-from repro.core.apply_score import RoundOperands, score_round
+from repro.core.apply_score import RoundOperands, round_triples, score_round
 from repro.core.blocks import BlockScheme
 from repro.core.journal import RoundJournal, domain_clause, search_fingerprint
 from repro.core.operand_cache import CacheStats, OperandCache
@@ -1277,10 +1277,8 @@ class Epi4TensorSearch:
         """
         if self._cache is None:
             return
-        wo, xo, yo, zo = offsets
-        triples = {(wo, xo, yo), (wo, xo, zo), (wo, yo, zo), (xo, yo, zo)}
         for cls in (0, 1):
-            for triple in triples:
+            for triple in set(round_triples(offsets)):
                 self._cache.invalidate(("full3", cls, *triple))
 
     def _degraded_round(
@@ -1341,9 +1339,10 @@ class _SingleDeviceExecutor:
 
     Operand handles are plain :class:`BitMatrix` objects.
 
-    With an :class:`OperandCache` attached, ``combine`` and ``sweep3``
-    results are served from the cache when possible; a hit skips the
-    launch (and its work accounting) entirely.
+    ``combine``, ``sweep3`` and ``full3`` all go through one ledger,
+    :meth:`_operand`: with an :class:`OperandCache` attached, results are
+    served from the cache when possible, and a hit skips the launch (and
+    its work accounting) entirely.
     """
 
     def __init__(
@@ -1364,29 +1363,40 @@ class _SingleDeviceExecutor:
     def device_id(self) -> int:
         return self._gpu.device_id
 
-    # -- combine -------------------------------------------------------- #
+    # -- operand ledger --------------------------------------------------- #
 
-    def combine(self, cls: int, off_a: int, off_b: int) -> BitMatrix:
+    def _operand(self, kind: str, key: tuple, compute: Callable[[], Any]) -> Any:
+        """Serve one ``kind`` operand: from the cache under ``(kind,
+        *key)`` when one is attached, else by running ``compute``.
+
+        The one count of operand work: every request adds to
+        ``epi4_operand_requests_total`` and to exactly one of
+        ``epi4_operand_executed_total`` / ``epi4_operand_cache_served_total``.
+        """
         metrics = self._search.metrics
         dev = str(self.device_id)
-        metrics.inc("epi4_operand_requests_total", kind="combine", device=dev)
+        metrics.inc("epi4_operand_requests_total", kind=kind, device=dev)
         if self._cache is None:
-            metrics.inc(
-                "epi4_operand_executed_total", kind="combine", device=dev
-            )
-            return self._combine_cold(cls, off_a, off_b)
-        value, hit = self._cache.get_or_compute(
-            ("combine", cls, off_a, off_b),
-            lambda: self._combine_cold(cls, off_a, off_b),
-        )
+            metrics.inc("epi4_operand_executed_total", kind=kind, device=dev)
+            return compute()
+        value, hit = self._cache.get_or_compute((kind, *key), compute)
         metrics.inc(
             "epi4_operand_cache_served_total"
             if hit
             else "epi4_operand_executed_total",
-            kind="combine",
+            kind=kind,
             device=dev,
         )
         return value
+
+    # -- combine -------------------------------------------------------- #
+
+    def combine(self, cls: int, off_a: int, off_b: int) -> BitMatrix:
+        return self._operand(
+            "combine",
+            (cls, off_a, off_b),
+            lambda: self._combine_cold(cls, off_a, off_b),
+        )
 
     def _combine_cold(self, cls: int, off_a: int, off_b: int) -> BitMatrix:
         with self._search._phase_scope("combine", self.device_id):
@@ -1402,38 +1412,28 @@ class _SingleDeviceExecutor:
         """Third-order corner sweep of the ``(off_a, off_b)`` pair over the
         tail ``[off_b, M)`` (the tail always starts at the second block —
         what makes the sweep cacheable by pair alone)."""
-        metrics = self._search.metrics
-        dev = str(self.device_id)
-        metrics.inc("epi4_operand_requests_total", kind="sweep", device=dev)
         if self._cache is None:
-            metrics.inc(
-                "epi4_operand_executed_total", kind="sweep", device=dev
-            )
-            if combined is None:
-                combined = self._combine_cold(cls, off_a, off_b)
-            return self._gemm3(combined, cls, off_b)
-        # The factory deliberately ignores the in-hand ``combined``
-        # operand and resolves the pair through the cache instead: its
-        # work must be a function of the *key* alone.  Were it to depend
-        # on whether the caller happened to pass ``combined``, the
-        # executed combine volume (and the cache hit/miss totals) would
-        # depend on which concurrent request wins the single-flight miss
-        # — breaking the order-invariance the golden metrics comparison
-        # (1 device vs 2 device threads) relies on.
-        value, hit = self._cache.get_or_compute(
-            ("sweep", cls, off_a, off_b),
-            lambda: self._gemm3(
-                self.combine(cls, off_a, off_b), cls, off_b
-            ),
-        )
-        metrics.inc(
-            "epi4_operand_cache_served_total"
-            if hit
-            else "epi4_operand_executed_total",
-            kind="sweep",
-            device=dev,
-        )
-        return value
+
+            def compute() -> np.ndarray:
+                if combined is None:
+                    return self._gemm3(
+                        self._combine_cold(cls, off_a, off_b), cls, off_b
+                    )
+                return self._gemm3(combined, cls, off_b)
+
+        else:
+            # The factory deliberately ignores the in-hand ``combined``
+            # operand and resolves the pair through the cache instead: its
+            # work must be a function of the *key* alone.  Were it to depend
+            # on whether the caller happened to pass ``combined``, the
+            # executed combine volume (and the cache hit/miss totals) would
+            # depend on which concurrent request wins the single-flight miss
+            # — breaking the order-invariance the golden metrics comparison
+            # (1 device vs 2 device threads) relies on.
+            def compute() -> np.ndarray:
+                return self._gemm3(self.combine(cls, off_a, off_b), cls, off_b)
+
+        return self._operand("sweep", (cls, off_a, off_b), compute)
 
     def _gemm3(self, combined: BitMatrix, cls: int, t_start: int) -> np.ndarray:
         scheme = self._search.scheme
@@ -1467,37 +1467,19 @@ class _SingleDeviceExecutor:
         cls: int,
         triple: tuple[int, int, int],
         factory: Callable[[], np.ndarray],
-    ) -> tuple[np.ndarray, bool]:
+    ) -> np.ndarray:
         """Completed third-order table for a block triple.
 
         The completed 27-cell table of a block triple is a pure function
         of its (non-decreasing) block offsets — the corner slice is the
         same sweep output and the completion gathers the same global pair
-        tables whichever round-role the triple plays — so the factory is
+        tables whichever derived level reads the triple — so the factory is
         key-determined *in value* and the single-flight admission works
         exactly like the combine/sweep entries.  The factory runs
         host-side completion arithmetic (no device launch), so no launch
         accounting can be perturbed by which concurrent request computes.
         """
-        metrics = self._search.metrics
-        dev = str(self.device_id)
-        metrics.inc("epi4_operand_requests_total", kind="full3", device=dev)
-        if self._cache is None:
-            metrics.inc(
-                "epi4_operand_executed_total", kind="full3", device=dev
-            )
-            return factory(), False
-        value, hit = self._cache.get_or_compute(
-            ("full3", cls, *triple), factory
-        )
-        metrics.inc(
-            "epi4_operand_cache_served_total"
-            if hit
-            else "epi4_operand_executed_total",
-            kind="full3",
-            device=dev,
-        )
-        return value, hit
+        return self._operand("full3", (cls, *triple), factory)
 
 
 def search_best_quad(

@@ -24,6 +24,7 @@ import os
 from repro.dist.merge import MergedRun, merge_shards
 from repro.dist.plan import ShardPlan, plan_shards
 from repro.dist.worker import build_request, run_shard, shard_artifact_name
+from repro.utils.fs import write_atomic
 
 #: Coordinator artifact names in the output directory.
 MERGED_MANIFEST_NAME = "merged-manifest.json"
@@ -212,12 +213,10 @@ def _drive_workers(
 
 
 def _export_merged(merged: MergedRun, out_dir: str) -> None:
-    from repro.dist.worker import _write_atomic
-
-    _write_atomic(
+    write_atomic(
         os.path.join(out_dir, MERGED_MANIFEST_NAME), merged.manifest.to_json()
     )
-    _write_atomic(
+    write_atomic(
         os.path.join(out_dir, MERGED_METRICS_NAME),
         merged.metrics.to_prometheus(),
     )

@@ -30,6 +30,7 @@ import os
 import signal
 
 from repro.core.solution import Solution
+from repro.utils.fs import write_atomic
 
 #: Chaos hook: ``"<shard-index>:<after-commits>"`` SIGKILLs that shard's
 #: first worker process mid-commit (a torn frame is flushed first), once
@@ -191,7 +192,7 @@ def run_shard(request: dict) -> dict:
         },
         "metrics": registry.snapshot(),
     }
-    _write_atomic(
+    write_atomic(
         os.path.join(out_dir, shard_artifact_name(index, count)),
         json.dumps(artifact, sort_keys=True, indent=1) + "\n",
     )
@@ -201,7 +202,7 @@ def run_shard(request: dict) -> dict:
         dataset=dataset,
         extra={"shard_index": index, "shard_count": count},
     )
-    _write_atomic(
+    write_atomic(
         os.path.join(out_dir, shard_manifest_name(index, count)),
         manifest.to_json(),
     )
@@ -236,18 +237,6 @@ def shard_identity(search) -> dict:
 def solutions_from_pairs(pairs) -> list[Solution]:
     """Decode a shard artifact's ``[[score, packed], ...]`` list."""
     return [Solution.from_pair(pair) for pair in pairs]
-
-
-def _write_atomic(path: str, text: str) -> None:
-    from repro.utils.fs import fsync_directory
-
-    tmp = path + ".tmp"
-    with open(tmp, "w", encoding="utf-8") as fh:
-        fh.write(text)
-        fh.flush()
-        os.fsync(fh.fileno())
-    os.replace(tmp, path)
-    fsync_directory(os.path.dirname(path) or ".")
 
 
 def _install_journal_meta(index: int, count: int):

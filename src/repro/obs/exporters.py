@@ -11,10 +11,10 @@ Three machine-checkable artifacts per run:
   across repeated runs of the same configuration (the reproducibility
   contract — see :mod:`repro.obs.manifest`).
 
-All writers are atomic and durable (write tmp → ``os.fsync`` →
-``os.replace`` → directory fsync) so a crashed run never leaves a
-half-written artifact behind and a published artifact survives power
-loss.
+All writers go through :func:`repro.utils.fs.write_atomic` (write tmp →
+``os.fsync`` → ``os.replace`` → directory fsync), so a crashed run never
+leaves a half-written artifact behind and a published artifact survives
+power loss.
 """
 
 from __future__ import annotations
@@ -25,7 +25,7 @@ from typing import Any, Iterable
 from repro.obs.manifest import RunManifest
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.trace import SpanRecord, Tracer, trace_lines
-from repro.utils.fs import fsync_directory
+from repro.utils.fs import write_atomic
 
 __all__ = [
     "write_trace",
@@ -33,20 +33,6 @@ __all__ = [
     "write_manifest",
     "export_run_artifacts",
 ]
-
-
-def _atomic_write(path: str | os.PathLike, text: str) -> str:
-    path = os.fspath(path)
-    parent = os.path.dirname(os.path.abspath(path))
-    os.makedirs(parent, exist_ok=True)
-    tmp = path + ".tmp"
-    with open(tmp, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(text)
-        fh.flush()
-        os.fsync(fh.fileno())
-    os.replace(tmp, path)
-    fsync_directory(parent)
-    return path
 
 
 def write_trace(
@@ -58,17 +44,17 @@ def write_trace(
     """Write a JSONL trace file; returns the path written."""
     records = source.records() if isinstance(source, Tracer) else list(source)
     lines = trace_lines(records, normalized=normalized)
-    return _atomic_write(path, "\n".join(lines) + ("\n" if lines else ""))
+    return write_atomic(path, "\n".join(lines) + ("\n" if lines else ""))
 
 
 def write_metrics(path: str | os.PathLike, registry: MetricsRegistry) -> str:
     """Write Prometheus text-format metrics; returns the path written."""
-    return _atomic_write(path, registry.to_prometheus())
+    return write_atomic(path, registry.to_prometheus())
 
 
 def write_manifest(path: str | os.PathLike, manifest: RunManifest) -> str:
     """Write the canonical-JSON manifest; returns the path written."""
-    return _atomic_write(path, manifest.to_json())
+    return write_atomic(path, manifest.to_json())
 
 
 def export_run_artifacts(

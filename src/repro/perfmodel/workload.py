@@ -163,11 +163,25 @@ def unique_block_triples(nb: int) -> int:
     With the cross-round triplet cache on (and an unbounded budget), each
     completed third-order table is computed once per class per unique block
     triple, so ``complete_threeway`` executions collapse from
-    ``4 * 2 * count_rounds(nb)`` role slots to ``2 * unique_block_triples(nb)``
+    ``2 * round_triplet_requests(nb)`` to ``2 * unique_block_triples(nb)``
     (for padding-free configurations with ``B >= 4``, where no round is
     empty of valid quads).
     """
     return comb(nb + 2, 3)
+
+
+def round_triplet_requests(nb: int) -> int:
+    """Completed-triplet requests of a whole search, per class.
+
+    A round ``(Wi, Xi, Yi, Zi)`` requests the triplets its derived cells
+    read, ``(Xi, Yi, Zi)``, ``(Wi, Yi, Zi)`` and ``(Wi, Xi, Zi)``, once per
+    distinct block triple: the first two coincide when ``Wi == Xi``, the
+    last two when ``Xi == Yi``.  Over all rounds that is ``3 *
+    count_rounds(nb) - 2 * unique_block_triples(nb)`` (65 at ``nb = 4``,
+    750 at ``nb = 8``): the ``complete_threeway`` executions of a search
+    without the cache and without pruning (padding-free, ``B >= 4``).
+    """
+    return 3 * count_rounds(nb) - 2 * unique_block_triples(nb)
 
 
 def combined_rows(ai: int, bi: int, block_size: int) -> int:

@@ -9,8 +9,9 @@ Three claims are locked in here:
    overlap, padding alignments and class sizes, and prunes exactly the
    positions the bound oracle of ``tests/test_bounds.py`` prunes.
 2. **Compaction accounting** — the per-round stats report exactly the
-   validity-mask volume, and zero-valid rounds exit before any completion
-   work (no ``full3`` requests at all).
+   validity-mask volume, zero-valid rounds exit before any completion
+   work (no ``full3`` requests at all), and a round requests only the
+   completed triplets the derivation reads (``wxz``, ``wyz``, ``xyz``).
 3. **Staged scorer** — :class:`~repro.scoring.k2.StagedK2Kernel` is
    bit-identical to :class:`~repro.scoring.k2.K2Score` on the same tables
    and refuses out-of-range counts instead of wrapping.
@@ -46,13 +47,19 @@ def _setup(n_snps=20, n_samples=112, block_size=4, seed=11):
     return ds, enc, pairs, score, staged
 
 
-def _cache_provider(cache: OperandCache):
-    calls = {"hits": 0, "misses": 0}
+def _recording_provider(cache: OperandCache | None = None):
+    """A ``full3_provider`` that records every request as ``(cls, triple,
+    served_from_cache)``; it completes each table itself without a
+    cache."""
+    calls: list[tuple[int, tuple[int, int, int], bool]] = []
 
     def provider(cls, triple, factory):
-        value, hit = cache.get_or_compute(("full3", cls, *triple), factory)
-        calls["hits" if hit else "misses"] += 1
-        return value, hit
+        if cache is None:
+            value, hit = factory(), False
+        else:
+            value, hit = cache.get_or_compute(("full3", cls, *triple), factory)
+        calls.append((cls, triple, hit))
+        return value
 
     return provider, calls
 
@@ -149,8 +156,10 @@ class TestFusedDenseBitIdentity:
         mask = round_validity_mask((0, 4, 8, 12), 4, enc.n_real_snps)
         for positions in (1, 82):
             monkeypatch.setattr(apply_score, "CHUNK_POSITIONS", positions)
+            provider, calls = _recording_provider()
             grid, stats = score_round(
                 operands, pairs, staged, enc.n_real_snps,
+                full3_provider=provider,
                 bound_kernel=kernel,
                 prune_threshold=lambda: -1.0,
             )
@@ -158,9 +167,9 @@ class TestFusedDenseBitIdentity:
             assert stats == RoundScoreStats(
                 positions=4**4, valid=0,
                 chunks=math.ceil(int(mask.sum()) / positions),
-                full3_requests=0, full3_computed=0, full3_cache_hits=0,
                 pruned=int(mask.sum()),
             )
+            assert calls == []
 
     def test_provider_neutral(self, env):
         # A cache-backed full3 provider changes which completions execute,
@@ -168,23 +177,24 @@ class TestFusedDenseBitIdentity:
         # every request is a hit.
         _, enc, pairs, score_min, staged = env
         cache = OperandCache.create(float("inf"))
-        provider, calls = _cache_provider(cache)
+        provider, calls = _recording_provider(cache)
         operands = direct_round_operands(enc, (0, 4, 8, 12), 4)
         plain, _ = score_round(operands, pairs, staged, enc.n_real_snps)
-        first, s1 = score_round(
+        first, _ = score_round(
             operands, pairs, staged, enc.n_real_snps,
             full3_provider=provider,
         )
-        second, s2 = score_round(
+        first_calls = list(calls)
+        second, _ = score_round(
             operands, pairs, staged, enc.n_real_snps,
             full3_provider=provider,
         )
         np.testing.assert_array_equal(plain, first)
         np.testing.assert_array_equal(plain, second)
-        assert s1.full3_computed == 8  # 4 roles x 2 classes, all distinct
-        assert s1.full3_cache_hits == 0
-        assert s2.full3_computed == 0
-        assert s2.full3_cache_hits == 8
+        # 3 derived levels x 2 classes, all distinct: every request of the
+        # first pass completes, every request of the second is a hit.
+        assert [hit for *_, hit in first_calls] == [False] * 6
+        assert [hit for *_, hit in calls[6:]] == [True] * 6
 
     @pytest.mark.parametrize("n_real", [13, 14, 15, 16])
     def test_padding_alignments(self, n_real):
@@ -258,29 +268,55 @@ class TestCompactionStats:
             n_snps=9, n_samples=64, block_size=3, seed=2
         )
         operands = direct_round_operands(enc, (0, 0, 0, 0), 3)
-        grid, stats = score_round(operands, pairs, staged, enc.n_real_snps)
-        assert np.isinf(grid).all()
-        assert stats == RoundScoreStats(
-            positions=81, valid=0, chunks=0,
-            full3_requests=0, full3_computed=0, full3_cache_hits=0,
+        provider, calls = _recording_provider()
+        grid, stats = score_round(
+            operands, pairs, staged, enc.n_real_snps, full3_provider=provider
         )
+        assert np.isinf(grid).all()
+        assert stats == RoundScoreStats(positions=81, valid=0, chunks=0)
+        assert calls == []
 
     def test_diagonal_round_dedupes_roles(self, env):
-        # All four roles of a fully-diagonal round share one block triple:
-        # 2 requests total (one per class), whatever the provider sees.
+        # All three derived levels of a fully-diagonal round read one block
+        # triple: 2 requests total (one per class).
         _, enc, pairs, _, staged = env
         operands = direct_round_operands(enc, (0, 0, 0, 0), 4)
-        _, stats = score_round(operands, pairs, staged, enc.n_real_snps)
+        provider, calls = _recording_provider()
+        _, stats = score_round(
+            operands, pairs, staged, enc.n_real_snps, full3_provider=provider
+        )
         assert stats.valid == 1  # C(4, 4)
-        assert stats.full3_requests == 2
-        assert stats.full3_computed == 2
+        assert calls == [(0, (0, 0, 0), False), (1, (0, 0, 0), False)]
 
     def test_partial_overlap_role_dedup(self, env):
         # (a, a, b, b): triples {aab, abb} -> 2 unique x 2 classes.
         _, enc, pairs, _, staged = env
         operands = direct_round_operands(enc, (0, 0, 8, 8), 4)
-        _, stats = score_round(operands, pairs, staged, enc.n_real_snps)
-        assert stats.full3_requests == 4
+        provider, calls = _recording_provider()
+        score_round(
+            operands, pairs, staged, enc.n_real_snps, full3_provider=provider
+        )
+        assert sorted((cls, triple) for cls, triple, _ in calls) == [
+            (cls, triple) for cls in (0, 1) for triple in ((0, 0, 8), (0, 8, 8))
+        ]
+
+    def test_off_diagonal_round_requests_only_derived_triplets(self, env):
+        # Each derived level reads the triplet without its axis: an
+        # off-diagonal round requests wxz, wyz and xyz once per class, and
+        # never completes wxy (its corner slice alone feeds the bound).
+        _, enc, pairs, _, staged = env
+        wo, xo, yo, zo = offsets = (0, 4, 8, 12)
+        operands = direct_round_operands(enc, offsets, 4)
+        provider, calls = _recording_provider()
+        score_round(
+            operands, pairs, staged, enc.n_real_snps, full3_provider=provider
+        )
+        derived = [(wo, xo, zo), (wo, yo, zo), (xo, yo, zo)]
+        for cls in (0, 1):
+            requested = [triple for c, triple, _ in calls if c == cls]
+            assert sorted(requested) == derived
+            assert (wo, xo, yo) not in requested
+        assert sorted(apply_score.round_triples(offsets)) == derived
 
 
 class TestStagedK2Kernel:
@@ -465,8 +501,10 @@ class TestChunkedKernelAgainstDense:
             staged.table, enc.n_controls, enc.n_cases
         )
         assert (terms.table is not None) == (table == "table")
+        provider, calls = _recording_provider()
         grid, stats = score_round(
             operands, pairs, staged, enc.n_real_snps,
+            full3_provider=provider,
             bound_kernel=kernel,
             prune_threshold=lambda: limit,
             workspace=workspace_module.K2Workspace(terms, positions),
@@ -484,4 +522,4 @@ class TestChunkedKernelAgainstDense:
             # Positions scoring at or below the median bound below it too.
             assert stats.valid > 0
         if threshold == "below-all":
-            assert stats.valid == 0 and stats.full3_requests == 0
+            assert stats.valid == 0 and calls == []

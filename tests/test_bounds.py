@@ -387,7 +387,7 @@ class TestTermTableFailSafety:
             if cls == 0 and triple == self.OFFSETS[1:]:
                 table = table.copy()
                 table[1, 2, 3, 2, 0, 0] += enc.n_controls + 1
-            return table, False
+            return table
 
         with pytest.raises(IndexError):
             self._score(env, terms, operands, full3_provider=provider)

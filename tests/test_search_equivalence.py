@@ -224,9 +224,12 @@ class TestFusedScorePathEquivalence:
     def test_full3_executions_collapse_to_unique_triples(self):
         # Unbounded cache, no padding, B >= 4: every completed third-order
         # table is computed exactly once per class per unique block triple
-        # (instead of once per role slot per round), and the request
+        # (instead of once per round that reads it), and the request
         # invariant holds for the new operand kind.
-        from repro.perfmodel.workload import unique_block_triples
+        from repro.perfmodel.workload import (
+            round_triplet_requests,
+            unique_block_triples,
+        )
 
         ds = generate_random_dataset(16, 120, seed=12)
         search = Epi4TensorSearch(
@@ -240,8 +243,9 @@ class TestFusedScorePathEquivalence:
         srv = m.total("epi4_operand_cache_served_total", kind="full3")
         assert req == exe + srv
         assert exe == 2 * unique_block_triples(nb)
-        # Without the cross-round cache, every round recompletes its own
-        # (locally deduped) role slots — strictly more executions.
+        # Without the cross-round cache, every round recompletes the
+        # (locally deduped) triplets its derived cells read — strictly
+        # more executions, and no wxy triplet among them.
         search_off = Epi4TensorSearch(
             ds, SearchConfig(block_size=4, cache_mb=None, prune=False)
         )
@@ -249,6 +253,7 @@ class TestFusedScorePathEquivalence:
         exe_off = search_off.metrics.total(
             "epi4_operand_executed_total", kind="full3"
         )
+        assert exe_off == 2 * round_triplet_requests(nb)
         assert exe_off > exe
         assert search_off.metrics.total(
             "epi4_operand_cache_served_total", kind="full3"

@@ -473,3 +473,77 @@ class TestChunkedKernelUnderFaults:
             clean.top_solutions
         )
         assert faulty.metrics.total("epi4_prune_quads_total") > 0
+
+
+class TestDegradedRoundPurge:
+    """A degraded round drops from the operand cache exactly the
+    completed triplets the round requests (the ones its derived cells
+    read) before it rescores from exact corners."""
+
+    def test_corrupted_round_purges_its_requested_triplets(self, monkeypatch):
+        import repro.core.search as search_mod
+        from repro.core.operand_cache import OperandCache
+
+        ds = _dataset(12, 96, seed=7)
+        knobs = dict(cache_mb=float("inf"), prune=False)
+
+        # The full3 keys every round requests, from a fault-free run.
+        requested: dict[tuple, set] = {}
+        score_round = search_mod.score_round
+
+        def recording_score_round(operands, *args, full3_provider, **kwargs):
+            keys = requested.setdefault(operands.offsets, set())
+
+            def provider(cls, triple, factory):
+                keys.add(("full3", cls, *triple))
+                return full3_provider(cls, triple, factory)
+
+            return score_round(
+                operands, *args, full3_provider=provider, **kwargs
+            )
+
+        with monkeypatch.context() as patch:
+            patch.setattr(search_mod, "score_round", recording_score_round)
+            _, clean = _run(ds, **knobs)
+
+        # The faulty run: each degraded round's offsets, then the keys
+        # invalidated while it is handled.
+        events: list[tuple] = []
+        invalidate = OperandCache.invalidate
+        degraded_round = search_mod.Epi4TensorSearch._degraded_round
+
+        def recording_invalidate(self, key):
+            events.append(key)
+            return invalidate(self, key)
+
+        def recording_degraded_round(self, executor, operands, *args, **kw):
+            events.append(operands.offsets)
+            return degraded_round(self, executor, operands, *args, **kw)
+
+        monkeypatch.setattr(OperandCache, "invalidate", recording_invalidate)
+        monkeypatch.setattr(
+            search_mod.Epi4TensorSearch,
+            "_degraded_round",
+            recording_degraded_round,
+        )
+        _, faulty = _run(
+            ds, inject_faults=f"corrupt:count=3;seed={FAULT_SEED}", **knobs
+        )
+        assert _solutions(faulty) == _solutions(clean)
+
+        purged: dict[tuple, list] = {}
+        for event in events:
+            if event[0] == "full3":
+                purged[offsets].append(event)
+            else:
+                offsets = event
+                purged[offsets] = []
+        assert len(purged) == faulty.fault_log.total_degraded_rounds >= 1
+        wxy_spared = False
+        for offsets, keys in purged.items():
+            assert sorted(keys) == sorted(requested[offsets])
+            wo, xo, yo, _ = offsets
+            wxy_spared |= ("full3", 0, wo, xo, yo) not in keys
+        # Some degraded round's wxy triplet is none of its derived ones,
+        # and stays cached.
+        assert wxy_spared

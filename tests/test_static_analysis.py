@@ -106,12 +106,12 @@ class TestSeededViolationsFail:
         assert code == FAMILY_EXIT_BITS["concurrency"]
         assert "EPI411" in out and "TopKReducer" in out
 
-    def test_dropped_fsync_seeded_into_exporters(self, tmp_path, capsys):
-        obs = tmp_path / "repro" / "obs"
-        obs.mkdir(parents=True)
-        text = (SRC / "repro" / "obs" / "exporters.py").read_text()
+    def test_dropped_fsync_seeded_into_atomic_writer(self, tmp_path, capsys):
+        utils = tmp_path / "repro" / "utils"
+        utils.mkdir(parents=True)
+        text = (SRC / "repro" / "utils" / "fs.py").read_text()
         assert "os.fsync(fh.fileno())" in text
-        (obs / "exporters.py").write_text(
+        (utils / "fs.py").write_text(
             text.replace("os.fsync(fh.fileno())", "pass", 1)
         )
         code = main([str(tmp_path), "--select", "EPI421,EPI422,EPI423"])
@@ -122,7 +122,7 @@ class TestSeededViolationsFail:
     def test_untouched_copies_stay_clean(self, tmp_path):
         """The seeded tests above fail because of the seeds, not because
         copying out of the tree breaks module resolution."""
-        for rel in ("dist/merge.py", "core/reduction.py", "obs/exporters.py"):
+        for rel in ("dist/merge.py", "core/reduction.py", "utils/fs.py"):
             dest = tmp_path / "repro" / rel
             dest.parent.mkdir(parents=True, exist_ok=True)
             shutil.copyfile(SRC / "repro" / rel, dest)

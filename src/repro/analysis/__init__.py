@@ -1,7 +1,7 @@
 """epi4lint: repo-specific static analysis for the epi4tensor codebase.
 
 The repo's headline guarantee — bit-identical top-k digests across
-engines, threading, batching, sharding, fault injection and resume — is
+engines, threading, batching, sharding and resume — is
 enforced dynamically by the equivalence suites, but a *new* call site
 that breaks the rules (a stray ``time.time()`` in a digest path, an
 unguarded mutation of a shared reducer, a ``rename`` without ``fsync``)

@@ -166,18 +166,6 @@ GUARDED_BY: tuple[GuardSpec, ...] = (
         ),
     ),
     GuardSpec(
-        module="repro.core.resilience",
-        cls="ResilientWorkQueue",
-        lock="_cond",
-        fields=("_pending", "_excluded", "_workers", "_in_flight"),
-    ),
-    GuardSpec(
-        module="repro.core.watchdog",
-        cls="LaunchWatchdog",
-        lock="_lock",
-        fields=("_active", "_trips", "_closed", "_thread"),
-    ),
-    GuardSpec(
         module="repro.core.journal",
         cls="RoundJournal",
         lock="_lock",

@@ -1,7 +1,7 @@
 """Concurrency rules (EPI411-EPI413): guarded-by and lock-order discipline.
 
 The thread-shared classes (reducer, metrics registry, operand cache,
-work queue, watchdog, journal) each own one lock and a set of fields
+journal) each own one lock and a set of fields
 that may only be touched while it is held.  The registry is seeded in
 :data:`repro.analysis.config.GUARDED_BY`; any class can join by
 declaring a literal class attribute::

@@ -85,33 +85,6 @@ def _add_search(sub: argparse._SubParsersAction) -> argparse.ArgumentParser:
         "bit-identical for any value)",
     )
     p.add_argument(
-        "--max-retries", type=int, default=2, metavar="R",
-        help="retries a failed outer iteration gets on the same device "
-        "before it is requeued to surviving devices (default: 2)",
-    )
-    p.add_argument(
-        "--backoff-base-ms", type=float, default=10.0, metavar="MS",
-        help="base wait of the capped exponential retry backoff "
-        "(doubles per retry, jittered; default: 10)",
-    )
-    p.add_argument(
-        "--quarantine-after", type=int, default=2, metavar="K",
-        help="consecutive exhausted iterations before a device is "
-        "quarantined for the rest of the run (default: 2)",
-    )
-    p.add_argument(
-        "--inject-faults", default=None, metavar="SPEC",
-        help="deterministic fault-injection spec for resilience testing, "
-        "e.g. 'transient:op=tensor4,count=2;hang:count=1;seed=7' "
-        "(results stay bit-identical; see repro.device.faults)",
-    )
-    p.add_argument(
-        "--deadline-ms", type=float, default=None, metavar="MS",
-        help="per-launch hang watchdog deadline; a launch exceeding it is "
-        "cancelled and retried like any device fault (default: off; "
-        "required when the fault spec contains 'hang' rules)",
-    )
-    p.add_argument(
         "--prune", default="on", choices=("on", "off"),
         help="admissible K2 branch-and-bound gate: skip completing and "
         "scoring quads (and whole rounds) whose corner-count lower bound "
@@ -264,11 +237,6 @@ def _search_config_from_args(args: argparse.Namespace):
         cache_mb=args.cache_mb,
         batch_rounds=args.batch_rounds,
         n_streams=args.n_streams,
-        max_retries=args.max_retries,
-        backoff_base_ms=args.backoff_base_ms,
-        quarantine_after=args.quarantine_after,
-        inject_faults=args.inject_faults,
-        deadline_ms=args.deadline_ms,
         prune=args.prune == "on",
     )
 
@@ -456,19 +424,6 @@ def _cmd_search(args: argparse.Namespace) -> int:
               f"({cs.hits} hits / {cs.misses} misses, "
               f"{cs.evictions} evictions, "
               f"peak {cs.peak_bytes / 1e6:.1f} MB)")
-    if result.fault_log is not None and result.fault_log.any_activity:
-        fl = result.fault_log
-        quarantined = fl.quarantined_devices
-        print(f"faults    : {fl.total_failures} launch failures, "
-              f"{fl.total_retries} retries "
-              f"({fl.total_backoff_seconds * 1e3:.0f} ms backoff), "
-              f"{fl.total_requeues} requeues, "
-              f"{fl.total_degraded_rounds} degraded rounds, "
-              f"quarantined {quarantined if quarantined else 'none'}")
-        if fl.total_watchdog_trips:
-            print(f"watchdog  : {fl.total_watchdog_trips} stalled "
-                  f"launch(es) cancelled at deadline "
-                  f"{config.deadline_ms:.0f} ms")
     if args.journal:
         commits = result.metrics.total("epi4_journal_commits_total")
         replayed = result.metrics.total("epi4_journal_replayed_total")

@@ -16,12 +16,6 @@ from repro.core.blocks import (
     unique_combinations,
     useful_ratio,
 )
-from repro.core.resilience import (
-    FaultLog,
-    ResilientWorkQueue,
-    RetryPolicy,
-    SearchAbortedError,
-)
 from repro.core.solution import MAX_SNP_INDEX, Solution, pack_quad, unpack_quad
 
 _SEARCH_EXPORTS = (
@@ -45,11 +39,7 @@ def __getattr__(name: str):
 __all__ = [
     "BlockScheme",
     "Epi4TensorSearch",
-    "FaultLog",
     "MAX_SNP_INDEX",
-    "ResilientWorkQueue",
-    "RetryPolicy",
-    "SearchAbortedError",
     "SearchConfig",
     "SearchResult",
     "Solution",

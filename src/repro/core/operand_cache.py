@@ -226,26 +226,6 @@ class OperandCache:
             self._hits += 1
             return entry[0]
 
-    def invalidate(self, key: Hashable) -> bool:
-        """Drop ``key`` if resident (e.g. after a degraded round purges the
-        completed-triplet entries it can no longer trust).
-
-        Counted as an eviction so purge pressure stays visible in the
-        stats.  In-flight computations for ``key`` are unaffected: the
-        single-flight slot is not cached state, and its eventual admission
-        happens *after* this call by definition of the race.
-
-        Returns:
-            ``True`` when an entry was removed.
-        """
-        with self._lock:
-            entry = self._entries.pop(key, None)
-            if entry is None:
-                return False
-            self._current_bytes -= entry[1]
-            self._evictions += 1
-            return True
-
     def clear(self) -> None:
         """Drop every resident entry (stats are preserved)."""
         with self._lock:

@@ -53,12 +53,11 @@ from __future__ import annotations
 
 import math
 import os
-import random
 import threading
 import time
 from collections import deque
 from concurrent.futures import ThreadPoolExecutor
-from contextlib import contextmanager
+from contextlib import contextmanager, nullcontext
 from dataclasses import dataclass, field
 from typing import Any, Callable, Iterable, Iterator
 
@@ -66,36 +65,17 @@ import numpy as np
 
 from repro.bitops.bitmatrix import BitMatrix
 from repro.bitops.combine import diagonal_compact
-from repro.core.apply_score import RoundOperands, round_triples, score_round
+from repro.core.apply_score import RoundOperands, score_round
 from repro.core.blocks import BlockScheme
 from repro.core.journal import RoundJournal, domain_clause, search_fingerprint
 from repro.core.operand_cache import CacheStats, OperandCache
 from repro.core.pairwise import LowOrderTables, pairw_pop
 from repro.core.reduction import TopKReducer, reduce_solutions
-from repro.core.resilience import (
-    FaultLog,
-    ResilientWorkQueue,
-    RetryPolicy,
-    SearchAbortedError,
-)
-from repro.core.selfcheck import (
-    CorruptOutputError,
-    SelfCheckError,
-    direct_round_operands,
-    validate_round_corners,
-    verify_round_best,
-)
+from repro.core.selfcheck import verify_round_best
 from repro.core.solution import MAX_SNP_INDEX, Solution
 from repro.datasets.dataset import Dataset
 from repro.datasets.encoding import EncodedDataset, encode_dataset
 from repro.device.cluster import ScheduleResult, VirtualCluster
-from repro.core.watchdog import LaunchWatchdog
-from repro.device.faults import (
-    DeviceFault,
-    FaultInjector,
-    FaultyGPU,
-    parse_fault_spec,
-)
 from repro.device.specs import A100_PCIE, GPUSpec
 from repro.device.streams import HostStream, stage_lookahead
 from repro.device.virtual_gpu import VirtualGPU
@@ -135,17 +115,6 @@ class SearchConfig:
             cache sits behind the per-``Wi`` sweep hold and adds reuse
             across pairs and outer iterations.  Results are bit-identical
             either way — the cache only changes which launches execute.
-        max_retries: additional attempts a failed outer iteration gets on
-            the same device before it is requeued to surviving devices
-            (see :mod:`repro.core.resilience`).
-        backoff_base_ms: base wait of the capped exponential retry
-            backoff (doubles per retry, jittered).
-        quarantine_after: consecutive exhausted iterations before a
-            device is quarantined and takes no further work.
-        inject_faults: fault-injection spec string (see
-            :func:`repro.device.faults.parse_fault_spec`); ``None`` runs
-            fault-free.  Results are bit-identical either way — the
-            resilience layer only re-executes idempotent work.
         batch_rounds: evaluation rounds fused per tensor-GEMM launch
             group.  ``1`` issues the seed loop's launches one for one;
             larger values stack the ``yz`` operands of consecutive rounds
@@ -153,13 +122,6 @@ class SearchConfig:
             per-launch overhead is amortized over the group (§3.3).
             Results are bit-identical for any value — integer corner
             counts do not depend on GEMM blocking.
-        deadline_ms: per-launch hang watchdog deadline in milliseconds
-            (``None`` disarms the watchdog, the default).  A launch that
-            exceeds the deadline is cancelled and surfaces as a
-            ``hang`` :class:`~repro.device.faults.DeviceFault`, feeding
-            the normal retry/requeue/quarantine path.  Required whenever
-            the fault spec contains ``hang`` rules (an injected stall
-            without a watchdog would never return).
         prune: enable the admissible branch-and-bound gate (see
             :mod:`repro.scoring.bounds`): quads whose K2 lower bound
             exceeds the current top-k threshold are dropped before
@@ -175,12 +137,7 @@ class SearchConfig:
     top_k: int = 1
     selfcheck: bool = False
     cache_mb: float | None = None
-    max_retries: int = 2
-    backoff_base_ms: float = 10.0
-    quarantine_after: int = 2
-    inject_faults: str | None = None
     batch_rounds: int = 1
-    deadline_ms: float | None = None
     prune: bool = True
 
     def __post_init__(self) -> None:
@@ -200,31 +157,6 @@ class SearchConfig:
             raise ValueError(
                 f"cache_mb must be >= 0 (or inf/None), got {self.cache_mb}"
             )
-        if self.deadline_ms is not None and not self.deadline_ms > 0:
-            raise ValueError(
-                f"deadline_ms must be > 0, got {self.deadline_ms}"
-            )
-        # Delegate retry-knob validation to RetryPolicy (and fail fast on a
-        # malformed fault spec rather than mid-search).
-        self.retry_policy
-        if self.inject_faults is not None:
-            plan = parse_fault_spec(self.inject_faults)
-            if plan.has_hang and self.deadline_ms is None:
-                raise ValueError(
-                    "fault spec injects 'hang' faults but no watchdog is "
-                    "armed; set deadline_ms (--deadline-ms) so stalled "
-                    "launches can be cancelled"
-                )
-
-    @property
-    def retry_policy(self) -> RetryPolicy:
-        """The resilience policy resolved from this configuration."""
-        return RetryPolicy(
-            max_retries=self.max_retries,
-            backoff_base_ms=self.backoff_base_ms,
-            backoff_cap_ms=max(5000.0, self.backoff_base_ms),
-            quarantine_after=self.quarantine_after,
-        )
 
     @property
     def cache_budget_bytes(self) -> float:
@@ -256,12 +188,9 @@ class SearchResult:
         wall_seconds: end-to-end wall time of :meth:`Epi4TensorSearch.run`.
         n_samples: ``N`` used for the scaled-quads metric.
         cache_stats: round-operand cache snapshot (``None`` = cache off).
-        fault_log: per-device resilience accounting (attempts, retries,
-            backoff, requeues, quarantines, degraded rounds).  All-zero
-            on a healthy run.
         spec_name / engine_name / n_devices: provenance.
         metrics: the run's metrics registry — every device's work series,
-            phase seconds, cache, fault and journal accounting.
+            phase seconds, cache and journal accounting.
     """
 
     solution: Solution
@@ -277,7 +206,6 @@ class SearchResult:
     metrics: MetricsRegistry
     cache_stats: CacheStats | None = None
     executed_assignment: list[list[int]] = field(default_factory=list)
-    fault_log: FaultLog | None = None
 
     @property
     def best_quad(self) -> tuple[int, int, int, int]:
@@ -430,17 +358,6 @@ class Epi4TensorSearch:
         self._best_seen = Solution.worst()
         self._global_reducer = TopKReducer(self.config.top_k)
         self._cache: OperandCache | None = None
-        # Resilience state (reset per run; see _reset_resilience).
-        self._fault_plan = (
-            parse_fault_spec(self.config.inject_faults)
-            if self.config.inject_faults
-            else None
-        )
-        self._retry_policy = self.config.retry_policy
-        self._injector: FaultInjector | None = None
-        self._backoff_rng = random.Random(0)
-        self.fault_log = FaultLog.for_devices(self.cluster.n_gpus)
-        self._watchdog: LaunchWatchdog | None = None
 
     # ------------------------------------------------------------------ #
     # Observability plumbing
@@ -591,9 +508,9 @@ class Epi4TensorSearch:
         # device threads whose span stacks are empty, so they name this
         # span as their parent directly.
         self._run_span = run_span
-        with self._run_cleanup(journal), total_timer, run_span:
+        closes_journal = journal if journal is not None else nullcontext()
+        with closes_journal, total_timer, run_span:
             with self.tracer.span("prepare"):
-                self._reset_resilience()
                 schedule = self._make_schedule()
                 self._prepare_devices()
                 self._cache = OperandCache.create(self.config.cache_mb)
@@ -643,10 +560,8 @@ class Epi4TensorSearch:
 
         # Absorb the remaining accounting sources into the unified
         # registry (the final, deterministic snapshot).
-        self.cluster.export_metrics(self.metrics)
         if self._cache is not None:
             self._cache.stats.export_metrics(self.metrics)
-        self.fault_log.export_metrics(self.metrics)
         if journal is not None:
             journal.export_metrics(self.metrics)
         positions = self.metrics.total("epi4_applyscore_positions_total")
@@ -673,7 +588,6 @@ class Epi4TensorSearch:
             wall_seconds=total_timer.elapsed,
             n_samples=self.encoded.n_samples,
             cache_stats=self._cache.stats if self._cache is not None else None,
-            fault_log=self.fault_log,
             spec_name=self.spec.name,
             engine_name=self.cluster.gpus[0].engine.name,
             n_devices=self.cluster.n_gpus,
@@ -687,165 +601,45 @@ class Epi4TensorSearch:
     # ------------------------------------------------------------------ #
     # Phases
 
-    @contextmanager
-    def _run_cleanup(self, journal):
-        """Release run-scoped resilience resources on any exit path: the
-        watchdog's monitor thread and the journal's append handle."""
-        try:
-            yield
-        finally:
-            if self._watchdog is not None:
-                self._watchdog.close()
-                self._watchdog = None
-            if journal is not None:
-                journal.close()
-
-    def _reset_resilience(self) -> None:
-        """Fresh fault log / injector / backoff PRNG / watchdog for one
-        run — repeat :meth:`run` calls are independently deterministic."""
-        self.fault_log = FaultLog.for_devices(self.cluster.n_gpus)
-        self.cluster.reset_quarantine()
-        seed = self._fault_plan.seed if self._fault_plan is not None else 0
-        self._backoff_rng = random.Random(seed)
-        self._injector = (
-            FaultInjector(self._fault_plan) if self._fault_plan is not None else None
-        )
-        if self._watchdog is not None:
-            self._watchdog.close()
-        self._watchdog = (
-            LaunchWatchdog(
-                self.config.deadline_ms,
-                # Late-bound so trips land in *this* run's fault log.
-                on_trip=lambda dev, op: self.fault_log.record_watchdog_trip(
-                    dev, op
-                ),
-            )
-            if self.config.deadline_ms is not None
-            else None
-        )
-
-    def _wrap_gpu(self, gpu: VirtualGPU):
-        """Route a device's launches through the fault injector and hang
-        watchdog (no-op wrapper-free passthrough when both are off)."""
-        if self._injector is None and self._watchdog is None:
-            return gpu
-        return FaultyGPU(gpu, self._injector, self._watchdog)
-
-    def _with_retries(
-        self, device_id: int, wi: int | None, attempt_fn: Callable[[], None]
-    ) -> DeviceFault | None:
-        """Run one idempotent unit with the retry/backoff policy.
-
-        Returns ``None`` on success, or the last :class:`DeviceFault`
-        once the policy is exhausted (the caller decides between requeue,
-        quarantine and abort).
-        """
-        policy = self._retry_policy
-        last: DeviceFault | None = None
-        attempt = 0
-        while attempt < policy.max_attempts:
-            self.fault_log.record_attempt(device_id)
-            if self._injector is not None:
-                self._injector.begin_iteration(device_id, wi)
-            try:
-                attempt_fn()
-            except DeviceFault as fault:
-                last = fault
-                self.fault_log.record_failure(device_id, wi, fault.op, fault.kind)
-                attempt += 1
-                if attempt < policy.max_attempts:
-                    wait = policy.backoff_seconds(attempt - 1, self._backoff_rng)
-                    self.fault_log.record_retry(
-                        device_id, wi, fault.op, fault.kind, wait
-                    )
-                    if wait > 0:
-                        time.sleep(wait)
-            else:
-                self.fault_log.record_success(device_id)
-                return None
-            finally:
-                if self._injector is not None:
-                    self._injector.begin_iteration(device_id, None)
-        return last
-
-    def _note_exhausted(
-        self, device_id: int, wi: int, fault: DeviceFault
-    ) -> bool:
-        """Record an iteration that failed all local retries; quarantine
-        the device when the policy says so.  Returns True if quarantined."""
-        exhausted = self.fault_log.record_requeue(
-            device_id, wi, fault.op, fault.kind
-        )
-        if exhausted >= self._retry_policy.quarantine_after:
-            self.fault_log.record_quarantine(device_id, wi)
-            self.cluster.quarantine(device_id)
-            return True
-        return False
-
     def _run_devices(self, done: set[int], run_iteration) -> None:
-        """One host thread per device in service, each pulling outer
-        iterations from a shared fault-tolerant queue — OpenMP
-        ``schedule(dynamic)`` over the ``Wi`` loop with one thread per GPU
-        (§3.6).  The calling thread drives the first device.
+        """One host thread per device, each pulling the next pending outer
+        iteration from a shared list — OpenMP ``schedule(dynamic)`` over
+        the ``Wi`` loop with one thread per GPU (§3.6).  The calling
+        thread drives the first device.
 
-        A worker requeues an iteration that exhausts its retries (see
-        :class:`ResilientWorkQueue` for who gets it next) and exits once
-        its device is quarantined; if every worker exits with work
-        pending the search aborts."""
-        pending = [wi for wi in range(self.scheme.nb) if wi not in done]
-        queue = ResilientWorkQueue(pending)
-        workers = [
-            gpu
-            for gpu in self.cluster.gpus
-            if gpu.device_id not in self.cluster.quarantined
-        ]
-        for gpu in workers:
-            queue.register(gpu.device_id)
+        An exception on any device thread stops the others (each checks
+        before taking more work) and is re-raised here."""
+        pending = deque(wi for wi in range(self.scheme.nb) if wi not in done)
+        lock = threading.Lock()
+        failed = threading.Event()
+
+        def next_iteration() -> int | None:
+            with lock:
+                if failed.is_set() or not pending:
+                    return None
+                return pending.popleft()
 
         def device_worker(gpu: VirtualGPU) -> None:
-            executor = _SingleDeviceExecutor(
-                self, self._wrap_gpu(gpu), self._cache
-            )
-            dev = gpu.device_id
+            executor = _SingleDeviceExecutor(self, gpu, self._cache)
             try:
                 with self.tracer.span(
-                    "device", parent_span=self._run_span, device=dev
+                    "device", parent_span=self._run_span, device=gpu.device_id
                 ):
-                    while True:
-                        wi = queue.get(dev)
-                        if wi is None:
-                            return
-                        fault = self._with_retries(
-                            dev, wi, lambda w=wi: run_iteration(executor, w)
-                        )
-                        if fault is None:
-                            queue.done(wi)
-                            continue
-                        queue.requeue(wi, dev)
-                        if self._note_exhausted(dev, wi, fault):
-                            return  # quarantined for the rest of the run
+                    while (wi := next_iteration()) is not None:
+                        run_iteration(executor, wi)
             except BaseException:
-                queue.close()  # release the other workers; the run is over
+                failed.set()  # release the other workers; the run is over
                 raise
-            finally:
-                queue.unregister(dev)
 
+        gpus = self.cluster.gpus
         with ThreadPoolExecutor(
-            max_workers=max(1, len(workers) - 1),
+            max_workers=max(1, len(gpus) - 1),
             thread_name_prefix="epi4-device",
         ) as pool:
-            futures = [pool.submit(device_worker, gpu) for gpu in workers[1:]]
-            device_worker(workers[0])
+            futures = [pool.submit(device_worker, gpu) for gpu in gpus[1:]]
+            device_worker(gpus[0])
             for future in futures:
                 future.result()  # re-raise the first worker failure
-        if queue.unfinished:
-            # Every worker exited (quarantined) with work still pending —
-            # fail loudly, never silently drop iterations from the
-            # exhaustive search.
-            raise SearchAbortedError(
-                "work remains but every device was quarantined; "
-                "search cannot complete"
-            )
 
     def _make_schedule(self) -> ScheduleResult:
         costs = [
@@ -865,10 +659,6 @@ class Epi4TensorSearch:
         As in §3.6, every device receives the full dataset and a full copy
         of the lgamma table and low-order tables; the precomputation itself
         is done once (its cost is accounted on every device).
-
-        Transfer faults are retried per the policy; a device that cannot
-        even receive the dataset is quarantined up front (the search
-        proceeds on the survivors, or aborts if none remain).
         """
         with self._phase_scope("pairwise", "host"):
             self._low = pairw_pop(self.encoded)
@@ -880,20 +670,8 @@ class Epi4TensorSearch:
         m, n = self.encoded.n_snps, self.encoded.n_samples
 
         for gpu in self.cluster.gpus:
-            target = self._wrap_gpu(gpu)
-
-            def prepare() -> None:
-                target.transfer_to_device(self.encoded.nbytes)
-                target.launch_pairwise(2 * (2 * m) * (2 * m) * n)
-
-            fault = self._with_retries(gpu.device_id, None, prepare)
-            if fault is not None:
-                self.fault_log.record_quarantine(gpu.device_id)
-                self.cluster.quarantine(gpu.device_id)
-        if len(self.cluster.quarantined) == self.cluster.n_gpus:
-            raise SearchAbortedError(
-                "no device survived dataset transfer; search cannot start"
-            )
+            gpu.transfer_to_device(self.encoded.nbytes)
+            gpu.launch_pairwise(2 * (2 * m) * (2 * m) * n)
 
     def _run_rounds(
         self,
@@ -956,11 +734,9 @@ class Epi4TensorSearch:
             while pending:
                 score_next()
         finally:
-            # Drain in-flight stage work before this (possibly retried)
-            # iteration returns: the fault injector's per-device context
-            # is reset by _with_retries right after, and no launch may
-            # outlive its iteration.  A primary exception wins over any
-            # secondary stager failure.
+            # Drain in-flight stage work before this iteration returns: no
+            # launch may outlive its iteration.  A primary exception wins
+            # over any secondary stager failure.
             for future in pending:
                 try:
                     future.result()
@@ -982,7 +758,7 @@ class Epi4TensorSearch:
         ``held`` keeps every sweep ``(wi, b)`` — keyed ``(cls, b * B)`` —
         for the whole iteration: it is the ``wx`` sweep of pair ``(wi, b)`` and the ``wy`` sweep of every ``Xi <= b`` (and,
         at ``Xi == wi``, the ``xy`` sweep too).  It is local to this
-        generator, so a retried iteration starts empty, and only the
+        generator, so every iteration starts empty, and only the
         stage side (the stager thread, or the inline path) touches it.
         """
         nb, batch = self.scheme.nb, self.config.batch_rounds
@@ -1180,136 +956,59 @@ class Epi4TensorSearch:
         return min(reducer.kth_score(), self._global_reducer.kth_score())
 
     # ------------------------------------------------------------------ #
-    # Scoring with graceful degradation
+    # Scoring
 
-    def _apply_score(
+    def _score_round(
         self,
         executor: "_SingleDeviceExecutor",
         operands: RoundOperands,
-        *,
-        triplet_cache: bool = True,
-        reducer: TopKReducer | None = None,
+        reducer: TopKReducer,
     ) -> tuple[np.ndarray, int]:
         """Run the fused completion+scoring path on one round.
 
         Returns ``(scores, executed_score_cells)``.  Only the
         mask-compacted positions are scored (and accounted), completed
         triplets are served through the executor's ``full3`` hook, and
-        the ``epi4_applyscore_*`` series are recorded.  With a reducer
-        and pruning active, the bound-first gate drops positions that
-        provably cannot enter the top-k before completion runs.
+        the ``epi4_applyscore_*`` series are recorded.  With pruning on,
+        the bound-first gate drops positions that provably cannot enter
+        the top-k before completion runs.  With ``config.selfcheck`` the
+        round's best quad is re-derived independently and a disagreement
+        raises :class:`~repro.core.selfcheck.SelfCheckError`.
         """
-        prune = reducer is not None and self.config.prune
-        scores, stats = score_round(
-            operands,
-            self._low.pairs,
-            self._staged,
-            self.scheme.n_real_snps,
-            full3_provider=executor.full3 if triplet_cache else None,
-            bound_kernel=self._bound_kernel,
-            prune_threshold=(
-                (lambda: self._prune_threshold(reducer)) if prune else None
-            ),
-            workspace=executor.workspace,
-        )
         dev = str(executor.device_id)
-        self.metrics.inc(
-            "epi4_applyscore_positions_total", stats.positions, device=dev
-        )
-        self.metrics.inc(
-            "epi4_applyscore_valid_total", stats.valid, device=dev
-        )
-        self.metrics.inc(
-            "epi4_applyscore_chunks_total", stats.chunks, device=dev
-        )
-        if stats.pruned:
-            self.metrics.inc(
-                "epi4_prune_quads_total", stats.pruned, device=dev
-            )
-        return scores, stats.valid * 81 * 2
-
-    def _score_round(
-        self,
-        executor: "_SingleDeviceExecutor",
-        operands: RoundOperands,
-        reducer: TopKReducer | None = None,
-    ) -> tuple[np.ndarray, int]:
-        """Score one round, degrading to the independent bitwise path on
-        detected corruption instead of aborting.
-
-        Detection is two-layered: a cheap count-plausibility validation
-        of the tensor outputs (active whenever fault injection is
-        configured) and the full per-round self-check (when
-        ``config.selfcheck`` is on).  Either failure re-executes the
-        round from :func:`~repro.core.selfcheck.direct_round_operands` —
-        exact integer corners through the *same* completion + scoring
-        code — so the degraded round is bit-identical to an uncorrupted
-        one.  A round that fails its self-check even on the bitwise path
-        indicates host-side corruption and still aborts.
-
-        Returns ``(scores, executed_score_cells)``.
-        """
-        try:
-            if self._fault_plan is not None:
-                validate_round_corners(
-                    operands, self.encoded.n_controls, self.encoded.n_cases
-                )
-            with self._phase_scope("score", executor.device_id, span="derive"):
-                scores, cells = self._apply_score(
-                    executor, operands, reducer=reducer
-                )
-            if self.config.selfcheck:
-                verify_round_best(
-                    self.encoded, scores, operands.offsets, self._score_min
-                )
-            return scores, cells
-        except SelfCheckError as err:
-            return self._degraded_round(executor, operands, err, reducer)
-
-    def _purge_round_triplets(self, offsets: tuple[int, int, int, int]) -> None:
-        """Invalidate a round's completed-triplet cache entries.
-
-        Injected corruption is tensor4-only by construction, but a failed
-        self-check means *something* in the pipeline lied — defense in
-        depth drops every ``full3`` entry the round may have admitted so
-        the degraded re-execution (and every later consumer) starts from
-        trusted inputs.
-        """
-        if self._cache is None:
-            return
-        for cls in (0, 1):
-            for triple in set(round_triples(offsets)):
-                self._cache.invalidate(("full3", cls, *triple))
-
-    def _degraded_round(
-        self,
-        executor: "_SingleDeviceExecutor",
-        operands: RoundOperands,
-        err: SelfCheckError,
-        reducer: TopKReducer | None = None,
-    ) -> tuple[np.ndarray, int]:
-        reason = "corrupt" if isinstance(err, CorruptOutputError) else "selfcheck"
-        self._purge_round_triplets(operands.offsets)
-        safe = direct_round_operands(
-            self.encoded, operands.offsets, operands.block_size
-        )
         with self._phase_scope("score", executor.device_id, span="derive"):
-            # The degraded pass bypasses the triplet cache entirely: its
-            # completions come from the independent corners, unshared.
-            # The bound gate stays active — the independent corners are
-            # exact, so the bound is just as admissible on them.
-            scores, cells = self._apply_score(
-                executor, safe, triplet_cache=False, reducer=reducer
+            scores, stats = score_round(
+                operands,
+                self._low.pairs,
+                self._staged,
+                self.scheme.n_real_snps,
+                full3_provider=executor.full3,
+                bound_kernel=self._bound_kernel,
+                prune_threshold=(
+                    (lambda: self._prune_threshold(reducer))
+                    if self.config.prune
+                    else None
+                ),
+                workspace=executor.workspace,
             )
+            self.metrics.inc(
+                "epi4_applyscore_positions_total", stats.positions, device=dev
+            )
+            self.metrics.inc(
+                "epi4_applyscore_valid_total", stats.valid, device=dev
+            )
+            self.metrics.inc(
+                "epi4_applyscore_chunks_total", stats.chunks, device=dev
+            )
+            if stats.pruned:
+                self.metrics.inc(
+                    "epi4_prune_quads_total", stats.pruned, device=dev
+                )
         if self.config.selfcheck:
-            # Still wrong on the independent path => the corruption is not
-            # in the tensor pipeline; nothing left to fall back to.
             verify_round_best(
                 self.encoded, scores, operands.offsets, self._score_min
             )
-        wi = operands.offsets[0] // operands.block_size
-        self.fault_log.record_degraded_round(executor.device_id, wi, reason)
-        return scores, cells
+        return scores, stats.valid * 81 * 2
 
 
 @dataclass
@@ -1415,11 +1114,10 @@ class _SingleDeviceExecutor:
         if self._cache is None:
 
             def compute() -> np.ndarray:
-                if combined is None:
-                    return self._gemm3(
-                        self._combine_cold(cls, off_a, off_b), cls, off_b
-                    )
-                return self._gemm3(combined, cls, off_b)
+                operand = combined
+                if operand is None:
+                    operand = self.combine(cls, off_a, off_b)
+                return self._gemm3(operand, cls, off_b)
 
         else:
             # The factory deliberately ignores the in-hand ``combined``

@@ -28,11 +28,6 @@ class SelfCheckError(AssertionError):
     """The tensor pipeline and the independent bitwise path disagreed."""
 
 
-class CorruptOutputError(SelfCheckError):
-    """A tensor output failed the cheap plausibility validation (a corner
-    count outside ``[0, N_class]`` — impossible for a popcount)."""
-
-
 def direct_quad_tables(
     encoded: EncodedDataset, quad: tuple[int, int, int, int]
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -61,44 +56,6 @@ def direct_quad_tables(
     return tables[0], tables[1]
 
 
-def validate_round_corners(
-    operands: "RoundOperands", n_controls: int, n_cases: int
-) -> None:
-    """Cheap plausibility validation of one round's tensor outputs.
-
-    Every corner entry is a popcount over one class's samples, so it must
-    lie in ``[0, N_class]``.  This catches the silent-data-corruption
-    fault model of :mod:`repro.device.faults` (and real bit-flips in a
-    count) without the per-quad cost of the full self-check.
-
-    Args:
-        operands: a :class:`~repro.core.apply_score.RoundOperands`.
-        n_controls: ``N0``.
-        n_cases: ``N1``.
-
-    Raises:
-        CorruptOutputError: naming the offending corner array and class.
-    """
-    groups = {
-        "corner4": operands.corner4,
-        "corner3_wxy": operands.corner3_wxy,
-        "corner3_wxz": operands.corner3_wxz,
-        "corner3_wyz": operands.corner3_wyz,
-        "corner3_xyz": operands.corner3_xyz,
-    }
-    for name, per_class in groups.items():
-        for cls, bound in ((0, n_controls), (1, n_cases)):
-            arr = per_class[cls]
-            lo = int(arr.min())
-            hi = int(arr.max())
-            if lo < 0 or hi > bound:
-                raise CorruptOutputError(
-                    f"corrupted tensor output in {name} (class {cls}) at "
-                    f"round offsets {operands.offsets}: counts span "
-                    f"[{lo}, {hi}], outside the possible [0, {bound}]"
-                )
-
-
 def _block_planes(dense: np.ndarray, offset: int, block_size: int) -> np.ndarray:
     """``(B, 2, N)`` boolean planes of one block (row ``2*m + g`` layout)."""
     return dense[2 * offset : 2 * (offset + block_size)].reshape(
@@ -114,12 +71,10 @@ def direct_round_operands(
     """Recompute one round's tensor outputs through the independent
     bitwise path (no tensor engine, no combine kernel, no cache).
 
-    Used by graceful degradation: when a round's outputs are detected as
-    corrupt (or the self-check fails), the search re-executes the round
-    from these operands.  The corners are exact integer popcounts, so
-    feeding them through the *same* completion + scoring code yields
-    bit-identical scores to an uncorrupted tensor-pipeline round — which
-    is what keeps degraded runs bit-identical to fault-free ones.
+    The reference the tests and the applyScore ablation score against:
+    the corners are exact integer popcounts, so feeding them through the
+    *same* completion + scoring code yields bit-identical scores to the
+    tensor pipeline's round.
 
     Args:
         encoded: the encoded dataset.

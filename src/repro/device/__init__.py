@@ -7,14 +7,6 @@ performance model (:mod:`repro.perfmodel`) derives projected runtimes.
 """
 
 from repro.device.cluster import VirtualCluster
-from repro.device.faults import (
-    DeviceFault,
-    FaultInjector,
-    FaultPlan,
-    FaultRule,
-    FaultyGPU,
-    parse_fault_spec,
-)
 from repro.device.specs import (
     A100_PCIE,
     A100_SXM4,
@@ -30,11 +22,6 @@ from repro.device.virtual_gpu import VirtualGPU
 __all__ = [
     "A100_PCIE",
     "A100_SXM4",
-    "DeviceFault",
-    "FaultInjector",
-    "FaultPlan",
-    "FaultRule",
-    "FaultyGPU",
     "GPUSpec",
     "SYSTEMS",
     "StreamModel",
@@ -43,5 +30,4 @@ __all__ = [
     "VirtualCluster",
     "VirtualGPU",
     "gpu_by_name",
-    "parse_fault_spec",
 ]

@@ -148,31 +148,10 @@ class VirtualCluster:
             )
             for i in range(n_gpus)
         ]
-        #: Devices removed from service by the resilience layer (see
-        #: :mod:`repro.core.resilience`).  A quarantined device keeps the
-        #: work it already counted but receives no further work.
-        self.quarantined: set[int] = set()
 
     @property
     def n_gpus(self) -> int:
         return len(self.gpus)
-
-    @property
-    def active_gpus(self) -> list[VirtualGPU]:
-        """Devices still in service (not quarantined)."""
-        return [g for g in self.gpus if g.device_id not in self.quarantined]
-
-    def quarantine(self, device_id: int) -> None:
-        """Remove a device from service for the rest of the run."""
-        if not 0 <= device_id < self.n_gpus:
-            raise ValueError(
-                f"device_id {device_id} outside cluster of {self.n_gpus} GPUs"
-            )
-        self.quarantined.add(device_id)
-
-    def reset_quarantine(self) -> None:
-        """Return every device to service (start of a fresh run)."""
-        self.quarantined.clear()
 
     def schedule(
         self, costs: list[float], iterations: list[int] | None = None
@@ -180,19 +159,5 @@ class VirtualCluster:
         """Dynamic-schedule the outer iterations across this cluster."""
         return schedule_dynamic(costs, self.n_gpus, iterations)
 
-    def export_metrics(self, registry) -> None:
-        """Record every device's quarantine state into a
-        :class:`~repro.obs.metrics.MetricsRegistry` as the
-        ``device``-labeled ``epi4_device_quarantined`` gauge."""
-        for gpu in self.gpus:
-            registry.set_gauge(
-                "epi4_device_quarantined",
-                1.0 if gpu.device_id in self.quarantined else 0.0,
-                device=str(gpu.device_id),
-            )
-
     def __repr__(self) -> str:
-        state = (
-            f", {len(self.quarantined)} quarantined" if self.quarantined else ""
-        )
-        return f"VirtualCluster({self.n_gpus} x {self.spec.name}{state})"
+        return f"VirtualCluster({self.n_gpus} x {self.spec.name})"

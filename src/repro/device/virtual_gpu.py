@@ -63,7 +63,6 @@ class VirtualGPU:
             "epi4_pairwise_ops_total",
             "epi4_score_cells_total",
             "epi4_transfer_bytes_total",
-            "epi4_faults_injected_total",
         ):
             self.count(name, 0)
         for kernel in ("tensor4", "tensor3"):

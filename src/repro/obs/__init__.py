@@ -7,7 +7,7 @@ Three pillars, one per module:
   canonical JSONL;
 - :mod:`repro.obs.metrics` — a :class:`MetricsRegistry` of labeled
   counters/gauges/histograms unifying device work, operand-cache
-  statistics, resilience incidents and per-device phase times, exported
+  statistics and per-device phase times, exported
   as Prometheus text;
 - :mod:`repro.obs.manifest` — a deterministic :class:`RunManifest`
   (config, dataset digest, seeds, versions, bit-exact top-k digest) that

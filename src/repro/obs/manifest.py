@@ -6,10 +6,9 @@ model — plus a digest of what came out (the ranked top-k quads with
 bit-exact ``float.hex()`` scores).  It deliberately contains **no
 timestamps and no timings**: two runs of the same configuration on the
 same dataset must serialize to byte-identical JSON, whether they executed
-sequentially or across threads, with AND+POPC or XOR+POPC engines, with or
-without the operand cache, and with or without injected faults (the
-resilience layer only re-executes idempotent work).  Golden tests and the
-CI artifact job rely on exactly this property.
+sequentially or across threads, with AND+POPC or XOR+POPC engines, and
+with or without the operand cache.  Golden tests and the CI artifact job
+rely on exactly this property.
 
 The module is duck-typed against the search driver (no imports from
 :mod:`repro.core`), so :mod:`repro.core.search` can import it freely.
@@ -152,7 +151,7 @@ def build_run_manifest(
 
     Args:
         search: the :class:`~repro.core.search.Epi4TensorSearch` instance
-            (source of config, encoded dataset, spec and seeds).
+            (source of config, encoded dataset and spec).
         result: its :class:`~repro.core.search.SearchResult`.
         dataset: the raw dataset, if available — adds a raw-genotype
             digest next to the always-present encoded digest.
@@ -166,7 +165,6 @@ def build_run_manifest(
     import numpy as np
 
     scheme = result.block_scheme
-    fault_plan = getattr(search, "_fault_plan", None)
     data: dict[str, Any] = {
         "schema_version": MANIFEST_SCHEMA_VERSION,
         "kind": "epi4tensor-search",
@@ -192,14 +190,6 @@ def build_run_manifest(
             "n_blocks": scheme.nb,
             "n_rounds": scheme.n_rounds,
             "unique_quads": int(scheme.unique_quads),
-        },
-        "seeds": {
-            "fault_plan": (
-                fault_plan.seed if fault_plan is not None else None
-            ),
-            "backoff": (
-                fault_plan.seed if fault_plan is not None else 0
-            ),
         },
         "versions": {
             "python": platform.python_version(),

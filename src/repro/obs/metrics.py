@@ -4,8 +4,7 @@ One :class:`MetricsRegistry` per search run absorbs every accounting
 source — the devices' work (each
 :class:`~repro.device.virtual_gpu.VirtualGPU` counts its launches
 straight into the run's registry), operand-cache hit/miss/eviction
-statistics, :class:`~repro.core.resilience.FaultLog` incident counts and
-the per-phase wall times — as **labeled series**
+statistics and the per-phase wall times — as **labeled series**
 (``device="0"``, ``phase="combine"``, ...), so per-device attribution
 survives threaded out-of-order completion by construction: a sample is
 recorded under its device label at the recording site, never inferred
@@ -28,13 +27,9 @@ name                                           type       labels
 ``epi4_pairwise_ops_total``                    counter    ``device``
 ``epi4_score_cells_total``                     counter    ``device``
 ``epi4_transfer_bytes_total``                  counter    ``device``
-``epi4_faults_injected_total``                 counter    ``device``
 ``epi4_cache_lookups_total``                   counter    ``result`` (hit/miss)
 ``epi4_cache_evictions_total``                 counter    —
 ``epi4_cache_resident_bytes`` / ``_peak``      gauge      —
-``epi4_resilience_attempts_total`` (etc.)      counter    ``device``
-``epi4_resilience_incidents_total``            counter    ``action``
-``epi4_device_quarantined``                    gauge      ``device``
 ``epi4_wall_seconds`` / ``epi4_quads_per_second_scaled``  gauge  —
 ``epi4_shard_index`` / ``epi4_shard_count``    gauge      — (shard workers only)
 ``epi4_shard_iterations_total``                counter    — (shard workers only)

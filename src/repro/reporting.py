@@ -177,43 +177,6 @@ def format_search_report(
         )
     add("")
 
-    if result.fault_log is not None and result.fault_log.any_activity:
-        fl = result.fault_log
-        add("resilience (faults observed this run)")
-        add(_rule())
-        add(
-            f"  totals: {fl.total_failures} launch failures, "
-            f"{fl.total_retries} retries "
-            f"({fl.total_backoff_seconds * 1e3:.1f} ms backoff), "
-            f"{fl.total_requeues} requeues, "
-            f"{fl.total_degraded_rounds} degraded rounds"
-        )
-        kinds = fl.failures_by_kind()
-        if kinds:
-            add(
-                "  failures by kind: "
-                + ", ".join(f"{k} {n}" for k, n in sorted(kinds.items()))
-            )
-        if fl.total_watchdog_trips:
-            add(
-                f"  watchdog: {fl.total_watchdog_trips} stalled launch(es) "
-                "cancelled at the deadline"
-            )
-        for line in fl.summary_lines():
-            add(f"  {line}")
-        injected = int(m.total("epi4_faults_injected_total"))
-        if injected:
-            add(f"  injected launch faults (harness): {injected}")
-        add(
-            "  results are unaffected: retried/requeued iterations are "
-            "idempotent and degraded"
-        )
-        add(
-            "  rounds re-run through the independent bitwise path "
-            "(see docs/resilience.md)."
-        )
-        add("")
-
     if "epi4_journal_commits_total" in m.names():
         add("round journal (crash-safe exactly-once resume)")
         add(_rule())

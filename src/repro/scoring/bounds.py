@@ -92,9 +92,9 @@ class K2BoundKernel:
 
     Every method is *fail-safe* on implausible counts (negative fibers or
     totals beyond the lgamma table): it declines to bound rather than
-    fancy-gather garbage, so injected tensor corruption (a negative count
-    planted in ``corner4``) flows to the normal validation / degraded
-    re-execution path instead of causing a wrong prune.
+    fancy-gather garbage, so a corrupt count (say, a negative entry in
+    ``corner4``) is never pruned on: it flows on to scoring, whose range
+    check rejects it, instead of causing a wrong prune.
     """
 
     def __init__(

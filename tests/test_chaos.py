@@ -4,7 +4,7 @@ Two layers, matching the acceptance criteria:
 
 - **Truncation matrix** (in-process, exhaustive): the journal of a full
   reference run is truncated at *every* byte offset; each truncated copy
-  is resumed and must reproduce the fault-free top-k bit-identically,
+  is resumed and must reproduce the uninterrupted top-k bit-identically,
   with no outer iteration scored twice (every re-executed iteration is
   exactly one the truncation un-committed).
 - **SIGKILL harness** (subprocess): a child process runs the search and
@@ -13,8 +13,7 @@ Two layers, matching the acceptance criteria:
   exactly the on-disk state a real crash would.  The parent resumes from
   the survivor journal and must converge to the same top-k.
 
-The suite is marked ``chaos`` (a superset marker of ``faults``) so CI can
-run it in a dedicated job over a seed matrix (``EPI4TENSOR_CHAOS_SEED``).
+The suite is marked ``chaos`` so CI can run it in a dedicated job over a seed matrix (``EPI4TENSOR_CHAOS_SEED``).
 """
 
 import os
@@ -29,7 +28,7 @@ from repro.core.search import Epi4TensorSearch, SearchConfig
 from repro.datasets import generate_random_dataset
 from tests.helpers import assert_matches_oracle, brute_force_topk
 
-pytestmark = [pytest.mark.faults, pytest.mark.chaos]
+pytestmark = pytest.mark.chaos
 
 #: CI replays this suite under several dataset seeds; all must pass.
 CHAOS_SEED = int(os.environ.get("EPI4TENSOR_CHAOS_SEED", "0"))

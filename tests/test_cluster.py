@@ -90,8 +90,9 @@ class TestScheduleResultFromExecuted:
         assert executed.total_cost == pytest.approx(sum(costs))
 
     def test_empty_assignment_lists(self):
-        # A worker that quarantined before taking any work contributes an
-        # empty list; loads and makespan must still be well defined.
+        # A device that took no work (more devices than iterations)
+        # contributes an empty list; loads and makespan must still be well
+        # defined.
         result = ScheduleResult.from_executed([[0, 1], []], [2.0, 3.0])
         assert result.device_loads == [5.0, 0.0]
         assert result.makespan == 5.0
@@ -139,37 +140,3 @@ class TestScheduleResultFromExecuted:
         with pytest.raises(ValueError, match="non-negative"):
             ScheduleResult.from_executed([[0]], [-1.0])
 
-
-class TestClusterQuarantine:
-    def test_quarantine_removes_from_active(self):
-        cluster = VirtualCluster(A100_SXM4, 3)
-        assert cluster.active_gpus == cluster.gpus
-        cluster.quarantine(1)
-        assert cluster.quarantined == {1}
-        assert [g.device_id for g in cluster.active_gpus] == [0, 2]
-
-    def test_quarantine_is_idempotent(self):
-        cluster = VirtualCluster(A100_SXM4, 2)
-        cluster.quarantine(0)
-        cluster.quarantine(0)
-        assert cluster.quarantined == {0}
-
-    def test_reset_restores_all_devices(self):
-        cluster = VirtualCluster(A100_SXM4, 2)
-        cluster.quarantine(0)
-        cluster.quarantine(1)
-        cluster.reset_quarantine()
-        assert cluster.quarantined == set()
-        assert cluster.active_gpus == cluster.gpus
-
-    def test_rejects_unknown_device(self):
-        cluster = VirtualCluster(A100_SXM4, 2)
-        with pytest.raises(ValueError):
-            cluster.quarantine(2)
-        with pytest.raises(ValueError):
-            cluster.quarantine(-1)
-
-    def test_repr_shows_quarantine_count(self):
-        cluster = VirtualCluster(A100_SXM4, 4)
-        cluster.quarantine(3)
-        assert "quarantined" in repr(cluster)

@@ -118,7 +118,7 @@ class TestRunManifest:
             result = s.run()
             assert_matches_oracle(result, expected)
             m = build_run_manifest(s, result, dataset=ds)
-            sections.append((m["results"], m["dataset"], m["seeds"]))
+            sections.append((m["results"], m["dataset"]))
         assert sections[0] == sections[1]
 
     def test_topk_digest_identical_across_engines(self):
@@ -138,17 +138,6 @@ class TestRunManifest:
             search, result, dataset=ds, extra={"cli_seed": 7}
         )
         assert m["extra"] == {"cli_seed": 7}
-
-    def test_fault_seed_recorded(self):
-        ds = generate_random_dataset(16, 96, seed=23)
-        s = Epi4TensorSearch(
-            ds,
-            SearchConfig(
-                block_size=8, inject_faults="transient:op=tensor4,count=1;seed=7"
-            ),
-        )
-        m = build_run_manifest(s, s.run(), dataset=ds)
-        assert m["seeds"]["fault_plan"] == 7
 
 
 class TestExporters:

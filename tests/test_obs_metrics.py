@@ -78,9 +78,9 @@ class TestGauges:
 
     def test_labeled_gauge_series(self):
         m = MetricsRegistry()
-        m.set_gauge("epi4_device_quarantined", 1.0, device="1")
-        m.set_gauge("epi4_device_quarantined", 0.0, device="0")
-        series = m.series("epi4_device_quarantined")
+        m.set_gauge("epi4_wall_seconds", 1.0, device="1")
+        m.set_gauge("epi4_wall_seconds", 0.0, device="0")
+        series = m.series("epi4_wall_seconds")
         assert len(series) == 2
 
 

@@ -125,37 +125,6 @@ class TestEviction:
         assert len(cache) == 2
 
 
-class TestInvalidate:
-    def test_removes_entry_and_accounts_bytes(self):
-        cache = OperandCache(UNBOUNDED)
-        cache.get_or_compute("a", lambda: _arr(64))
-        cache.get_or_compute("b", lambda: _arr(128))
-        assert cache.invalidate("a") is True
-        assert cache.get("a") is None
-        assert cache.get("b") is not None
-        assert cache.stats.current_bytes == 128
-        assert cache.stats.evictions == 1
-
-    def test_absent_key_is_noop(self):
-        cache = OperandCache(UNBOUNDED)
-        cache.get_or_compute("a", lambda: _arr(64))
-        assert cache.invalidate("missing") is False
-        assert cache.stats.current_bytes == 64
-        assert cache.stats.evictions == 0
-
-    def test_recompute_after_invalidate(self):
-        # The degraded-round purge: after invalidation the next request is
-        # a miss and re-runs the factory.
-        cache = OperandCache(UNBOUNDED)
-        calls = []
-        factory = lambda: (calls.append(1), _arr(64))[1]  # noqa: E731
-        cache.get_or_compute("k", factory)
-        cache.invalidate("k")
-        _, hit = cache.get_or_compute("k", factory)
-        assert not hit
-        assert len(calls) == 2
-
-
 class TestSingleFlight:
     def test_concurrent_misses_compute_once(self):
         cache = OperandCache(UNBOUNDED)

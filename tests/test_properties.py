@@ -406,45 +406,6 @@ class TestSearchConservation:
         assert inner_total <= outer.duration + 1e-9
 
 
-class TestResilienceConservation:
-    """Conservation laws tying the resilience metrics to the FaultLog.
-
-    Every watchdog trip produces exactly one ``hang`` failure and one
-    ``watchdog`` incident.  A drift between these books would mean a
-    trip was dropped or double-counted somewhere in the recovery path.
-    A real launch that overruns the deadline on a busy host trips too,
-    in every book alike, so the trip count is only bounded below by the
-    injected hang count; the injector's own counter must equal it.
-    """
-
-    @given(seed=st.integers(0, 2**16), n_hangs=st.sampled_from([1, 2, 3]))
-    @settings(max_examples=6, deadline=None)
-    def test_watchdog_trips_equal_hang_faults_and_incidents(
-        self, seed, n_hangs
-    ):
-        from repro.datasets import generate_random_dataset
-
-        ds = generate_random_dataset(12, 64, seed=seed)
-        search = Epi4TensorSearch(
-            ds,
-            SearchConfig(
-                block_size=4,
-                top_k=2,
-                inject_faults=f"hang:op=tensor4,count={n_hangs};seed={seed}",
-                deadline_ms=25.0,
-                backoff_base_ms=0.0,
-            ),
-        )
-        search.run()
-        fl = search.fault_log
-        trips = fl.total_watchdog_trips
-        assert search.metrics.total("epi4_faults_injected_total") == n_hangs
-        assert trips >= n_hangs
-        assert search.metrics.total("epi4_watchdog_trips_total") == trips
-        assert fl.failures_by_kind().get("hang", 0) == trips
-        assert fl.incident_count("watchdog") == trips
-
-
 class TestShardPlanPartition:
     """The shard planner's partition property, fuzzed over its whole
     input space: every outer iteration in ``[0, nb)`` lands in exactly

@@ -106,14 +106,3 @@ class TestObservabilitySection:
         requests, executed, served = map(int, m.groups())
         assert requests == executed + served
         assert served > 0
-
-
-
-class TestResilienceSection:
-    def test_injected_faults_read_from_registry(self):
-        ds, res = _result(
-            inject_faults="transient:op=tensor4,count=2;seed=1", max_retries=3
-        )
-        report = format_search_report(res, ds)
-        assert "resilience (faults observed this run)" in report
-        assert "injected launch faults (harness): 2" in report

@@ -127,6 +127,17 @@ class TestUnifiedMetrics:
             if cache_mb:
                 assert m.total("epi4_operand_cache_served_total") > 0
 
+    @pytest.mark.parametrize("n_gpus", [1, 2])
+    @pytest.mark.parametrize("cache_mb", [None, float("inf")])
+    def test_executed_combines_equal_combine_launches(self, cache_mb, n_gpus):
+        # Every combine a sweep forms goes through the ledger, so the
+        # executed count is the launch count with or without the cache.
+        search, _ = _run(cache_mb=cache_mb, n_gpus=n_gpus)
+        m = search.metrics
+        assert m.total("epi4_operand_executed_total", kind="combine") == (
+            m.total("epi4_kernel_launches_total", kernel="combine")
+        )
+
     def test_rounds_total_matches_scheme(self):
         search, _ = _run()
         assert (
